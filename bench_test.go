@@ -413,6 +413,60 @@ func BenchmarkDaemonBeat(b *testing.B) {
 	})
 }
 
+// discardFS is a journal filesystem whose files keep nothing, so a
+// durable-ingest benchmark does not time (or run out of memory on) an
+// in-memory file that grows with b.N.
+type discardFS struct{ journal.FS }
+
+func (discardFS) Create(string) (journal.File, error) { return discardFile{}, nil }
+
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }
+
+// BenchmarkBeatIngestDurable is BenchmarkDaemonBeat's durable twin and
+// gates the journaled ingest path at 0 allocs/op: Daemon.Beat with the
+// journal on encodes one binary record into a recycled buffer and
+// appends it to the group-commit buffer (the interval flusher drains it
+// in the background) — no json.Marshal, no allocation per batch.
+func BenchmarkBeatIngestDurable(b *testing.B) {
+	d, err := server.NewDaemon(server.Config{
+		Cores: 4096, Accel: 0.1, Period: time.Hour,
+		DataDir: "j", FS: discardFS{journal.NewMemFS()}, SnapshotEvery: -1, JournalFlush: 5 * time.Millisecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("app-%04d", i)
+		if err := d.Enroll(server.EnrollRequest{Name: names[i], Mode: server.ModeAdvisory, MinRate: 50, MaxRate: 70}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 1<<16; i++ { // warm the append and scratch buffers
+		if err := d.Beat(names[i%len(names)], 10, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Beat(names[i%len(names)], 10, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if dropped := d.Stats().Journal.DroppedRecords; dropped != 0 {
+		b.Fatalf("journal dropped %d records", dropped)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkDaemonHTTPBeats measures the full request path of the
 // daemon's hottest endpoint: JSON decode, registry lookup, a 10-beat
 // batch, JSON-free 202.
@@ -738,6 +792,61 @@ func BenchmarkRecovery10k(b *testing.B) {
 		}
 		if r.RecoveryInfo().Apps != 10000 {
 			b.Fatal("fleet not fully restored")
+		}
+	}
+}
+
+// BenchmarkRecovery10kTail measures the default recovery mode, the one
+// production boots in: a 10,000-app snapshot plus a tail of ten serving
+// rounds (every app beats, one tick — over 100,000 binary data-plane
+// records) replayed through the live mutation paths. BenchmarkRecovery10k
+// above is the journal-only, enrollments-only boot.
+func BenchmarkRecovery10kTail(b *testing.B) {
+	fs := journal.NewMemFS()
+	cfg := server.Config{
+		Cores: 4096, Accel: 0.1, Period: time.Hour, Oversubscribe: true,
+		DataDir: "j", FS: fs, SnapshotEvery: time.Hour, JournalFlush: -1,
+	}
+	d, err := server.NewDaemon(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 10000)
+	for i := range names {
+		names[i] = fmt.Sprintf("app-%05d", i)
+		err := d.Enroll(server.EnrollRequest{Name: names[i], Mode: server.ModeAdvisory, MinRate: 50, MaxRate: 70})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	const rounds = 10
+	for r := 0; r < rounds; r++ {
+		for _, name := range names {
+			if err := d.Beat(name, 6, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.Tick()
+	}
+	// A committed control record carries the buffered tail to disk.
+	if err := d.SetGoal(names[0], 55, 75); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boot := cfg
+		boot.FS = fs.Crash(0)
+		r, err := server.NewDaemon(boot)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ri := r.RecoveryInfo()
+		if ri.Apps != len(names) || ri.SnapshotSeq == 0 || ri.BadRecords != 0 || ri.ReplayedRecords < rounds*len(names) {
+			b.Fatalf("not a clean snapshot+tail restore: %+v", ri)
 		}
 	}
 }

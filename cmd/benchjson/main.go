@@ -57,9 +57,11 @@ type Snapshot struct {
 //	BenchmarkFigure2-8   3   322103949 ns/op   70841608 B/op   144481 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so trajectories compare across
-// machines; B/op and allocs/op are optional (absent without -benchmem).
+// machines; B/op and allocs/op are optional (absent without -benchmem)
+// and come last, after any MB/s or b.ReportMetric columns ("35913917
+// beats/s", "128.6 ns/insert"), which are skipped.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.e+-]+ \S+)*?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?\s*$`)
 
 func parse(r io.Reader) (Snapshot, error) {
 	snap := Snapshot{Date: time.Now().Format("2006-01-02")}
@@ -104,7 +106,7 @@ func parse(r io.Reader) (Snapshot, error) {
 // simulator hot paths whose trajectories PRs must not regress (see
 // BENCHMARKS.md). Subbenchmark names include the parent, e.g.
 // DetailedAccess/directory.
-const defaultGates = `^(PartitionSense$|DetailedAccess/|DaemonBeat$|DaemonChipTick|DaemonTick10k$|DaemonTick10kJournaled$|DaemonTickFederated$|Placement$|JournalAppend$|Recovery10k$|MonitorBeatWindow4096$|ChipEvaluate$|ScenarioFlashCrowd$|BeatIngestWire$|BeatIngestWireParallel$)`
+const defaultGates = `^(PartitionSense$|DetailedAccess/|DaemonBeat$|DaemonChipTick|DaemonTick10k$|DaemonTick10kJournaled$|DaemonTickFederated$|Placement$|JournalAppend$|Recovery10k$|MonitorBeatWindow4096$|ChipEvaluate$|ScenarioFlashCrowd$|BeatIngestWire$|BeatIngestWireParallel$|BeatIngestDurable$|Recovery10kTail$|DirectoryInsert/)`
 
 // regression is one gated benchmark that got worse.
 type regression struct {

@@ -10,7 +10,7 @@
 //
 // Concurrency model: the application directory is sharded (shard.go) —
 // beat ingestion and status lookups resolve an app with one lock-free
-// atomic load, enroll/withdraw copy-on-write under a per-shard mutex,
+// atomic load, enroll/withdraw update one shard under its own mutex,
 // and the tick fans its per-application phases across a worker pool one
 // shard at a time. The Daemon's own mutex guards only the control plane
 // (the single-threaded Manager and chip admission); per-app decision
@@ -169,9 +169,11 @@ type app struct {
 	// 1); persisted by snapshots so a restore re-weights the manager.
 	prio   float64
 	mgrID  int // the Manager's stable handle; indexes the tick's alloc table
-	// shard is the directory shard the name hashes to, stamped by
-	// insert so the ingestion path bumps the shard beat counter without
+	// hash is the name's directory hash and shard the directory shard
+	// it selects, both stamped by insert: lookups compare hashes before
+	// names, and the ingestion path bumps the shard beat counter without
 	// rehashing the name per batch.
+	hash   uint64
 	shard  int
 	spec   workload.Spec
 	mon    *heartbeat.Monitor
@@ -725,7 +727,7 @@ func (d *Daemon) withdraw(name string, evict bool) error {
 }
 
 // lookup resolves an app through the sharded directory: one hash, one
-// atomic load, one map read — no locks on the ingestion path.
+// atomic load, one short probe — no locks on the ingestion path.
 func (d *Daemon) lookup(name string) (*app, bool) { return d.dir.get(name) }
 
 // Beat ingests count heartbeats for name, the last one carrying the
@@ -1400,9 +1402,10 @@ func (d *Daemon) Stats() StatsResponse {
 	}
 	if jd := d.jd; jd != nil {
 		js := &JournalStats{
-			SnapshotSeq: jd.snapSeq.Load(),
-			Degraded:    jd.degraded.Load(),
-			Error:       jd.reason(),
+			SnapshotSeq:    jd.snapSeq.Load(),
+			Degraded:       jd.degraded.Load(),
+			Error:          jd.reason(),
+			DroppedRecords: jd.dropped.Load(),
 		}
 		if jd.w != nil {
 			js.Records = jd.w.Seq()

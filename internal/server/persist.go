@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,6 +82,145 @@ type record struct {
 	// is opChipScale's bandwidth factor.
 	Chip  int     `json:"chip,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
+}
+
+// Data-plane records (opBeat, opBeatTS, opTick) outnumber everything
+// else in the journal by orders of magnitude, so they are journaled in
+// a binary layout instead of JSON (little-endian; f64 is the IEEE-754
+// bit pattern, so replay sees the exact floats the live path saw):
+//
+//	beat     [0x01][T f64][distortion f64][len uvarint][name][count uvarint]
+//	beat_ts  [0x02][T f64][distortion f64][len uvarint][name][n uvarint][n × f64]
+//	tick     [0x03][T f64]
+//
+// Control records stay JSON. A payload is told apart by its first byte:
+// every binary opcode is below binOpLimit, and a JSON record starts with
+// '{' — so journals written before the binary layout existed (JSON
+// data-plane records) still replay.
+const (
+	binBeat    = 0x01
+	binBeatTS  = 0x02
+	binTick    = 0x03
+	binOpLimit = 0x20
+)
+
+// appendDataRecord appends the binary encoding of a data-plane record
+// (rec.Op must be opBeat, opBeatTS or opTick) to dst.
+//
+//angstrom:hotpath
+func appendDataRecord(dst []byte, rec *record) []byte {
+	switch rec.Op {
+	case opBeat:
+		dst = append(dst, binBeat)
+	case opBeatTS:
+		dst = append(dst, binBeatTS)
+	default:
+		dst = append(dst, binTick)
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(rec.T)))
+	if rec.Op == opTick {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Distortion))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Name)))
+	dst = append(dst, rec.Name...)
+	if rec.Op == opBeat {
+		return binary.AppendUvarint(dst, uint64(rec.Count))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Timestamps)))
+	for _, t := range rec.Timestamps {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
+	}
+	return dst
+}
+
+// recordDecoder carries decode state across one replay's records: the
+// beat_ts timestamp buffer (the monitor copies what it keeps) and the
+// application names seen so far, so a quarter-million beat records cost
+// one name allocation per application, not one per record.
+type recordDecoder struct {
+	ts    []float64
+	names map[string]string
+}
+
+// decode fills the zero record rec from one journal payload, picking
+// the codec by the payload's first byte (see the layout above). After a
+// binary beat_ts record, rec.Timestamps aliases the decoder's buffer and
+// is valid until the next call.
+func (rd *recordDecoder) decode(p []byte, rec *record) error {
+	if len(p) > 0 && p[0] < binOpLimit {
+		return rd.decodeData(p, rec)
+	}
+	return json.Unmarshal(p, rec)
+}
+
+var errBadDataRecord = errors.New("server: malformed binary journal record")
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// decodeData is appendDataRecord's inverse, rejecting anything the
+// encoder cannot have written — an unknown opcode, a short or over-long
+// payload, a non-finite time or distortion, a batch larger than
+// MaxBeatBatch. The recovered journal is outside input: whatever
+// decodes here is still replayed through Beat/BeatTimestamps/tickAt and
+// their own validation.
+func (rd *recordDecoder) decodeData(p []byte, rec *record) error {
+	if len(p) < 9 {
+		return errBadDataRecord
+	}
+	op := p[0]
+	t := math.Float64frombits(binary.LittleEndian.Uint64(p[1:]))
+	if !finite(t) {
+		return errBadDataRecord
+	}
+	p = p[9:]
+	if op == binTick {
+		if len(p) != 0 {
+			return errBadDataRecord
+		}
+		*rec = record{Op: opTick, T: sim.Time(t)}
+		return nil
+	}
+	if (op != binBeat && op != binBeatTS) || len(p) < 8 {
+		return errBadDataRecord
+	}
+	distortion := math.Float64frombits(binary.LittleEndian.Uint64(p))
+	if !finite(distortion) {
+		return errBadDataRecord
+	}
+	p = p[8:]
+	nameLen, w := binary.Uvarint(p)
+	if w <= 0 || nameLen > uint64(len(p)-w) {
+		return errBadDataRecord
+	}
+	rawName := p[w : w+int(nameLen)]
+	p = p[w+int(nameLen):]
+	n, w := binary.Uvarint(p)
+	if w <= 0 || n > MaxBeatBatch {
+		return errBadDataRecord
+	}
+	p = p[w:]
+	if (op == binBeat && len(p) != 0) || (op == binBeatTS && uint64(len(p)) != 8*n) {
+		return errBadDataRecord
+	}
+	name, seen := rd.names[string(rawName)] // the lookup does not allocate
+	if !seen {
+		if rd.names == nil {
+			rd.names = make(map[string]string)
+		}
+		name = string(rawName)
+		rd.names[name] = name
+	}
+	if op == binBeat {
+		*rec = record{Op: opBeat, T: sim.Time(t), Name: name, Count: int(n), Distortion: distortion}
+		return nil
+	}
+	rd.ts = rd.ts[:0]
+	for ; len(p) > 0; p = p[8:] {
+		rd.ts = append(rd.ts, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+	}
+	*rec = record{Op: opBeatTS, T: sim.Time(t), Name: name, Timestamps: rd.ts, Distortion: distortion}
+	return nil
 }
 
 // snapImage is a snapshot's payload: the compacted prefix of the
@@ -161,6 +302,12 @@ type durability struct {
 	restored    atomic.Bool
 	snapSeq     atomic.Uint64
 
+	// scratch recycles journalAppend's encode buffers (*[]byte), so a
+	// durable beat allocates nothing; dropped counts the records
+	// journalAppend could not hand to the writer.
+	scratch sync.Pool
+	dropped heartbeat.Counter
+
 	// lastSnap is touched only by the tick goroutine (maybeSnapshot)
 	// and Close, which runs after the loop has stopped.
 	lastSnap time.Time
@@ -191,6 +338,11 @@ type JournalStats struct {
 	// failure that latched it.
 	Degraded bool   `json:"degraded,omitempty"`
 	Error    string `json:"error,omitempty"`
+	// DroppedRecords counts asynchronously appended records (beats, tick
+	// epochs, evictions) the journal did not take — the writer refused
+	// them or the daemon was already degraded — and a restart will
+	// therefore not replay.
+	DroppedRecords uint64 `json:"dropped_records,omitempty"`
 }
 
 // RecoveryInfo summarizes what boot restored from the data directory.
@@ -277,19 +429,37 @@ func (d *Daemon) journalCommit(rec record) error {
 }
 
 // journalAppend buffers rec without waiting for durability — the
-// data-plane path (beats, tick records): no fsync, no I/O, durable
-// within JournalFlush. Failures latch through the writer's OnError;
-// in degraded mode the record is dropped and serving continues.
+// data-plane path (beats, tick records) and evictions: no fsync, no
+// I/O, durable within JournalFlush. Data-plane records take the binary
+// layout through a recycled buffer (no allocation); anything else is a
+// control record and stays JSON. Failures latch through the writer's
+// OnError; a record the writer refuses, or that arrives in degraded
+// mode, is dropped and counted, and serving continues.
 func (d *Daemon) journalAppend(rec record) {
 	jd := d.jd
-	if jd == nil || jd.replaying || jd.w == nil || jd.degraded.Load() {
+	if jd == nil || jd.replaying || jd.w == nil {
 		return
 	}
-	payload, err := json.Marshal(rec)
+	if jd.degraded.Load() {
+		jd.dropped.Add(1)
+		return
+	}
+	var err error
+	switch rec.Op {
+	case opBeat, opBeatTS, opTick:
+		buf := jd.scratch.Get().(*[]byte)
+		*buf = appendDataRecord((*buf)[:0], &rec)
+		_, err = jd.w.Append(*buf)
+		jd.scratch.Put(buf)
+	default:
+		var payload []byte
+		if payload, err = json.Marshal(rec); err == nil {
+			_, err = jd.w.Append(payload)
+		}
+	}
 	if err != nil {
-		return
+		jd.dropped.Add(1)
 	}
-	_, _ = jd.w.Append(payload)
 }
 
 // openJournal recovers cfg.DataDir and replays it into the daemon, then
@@ -309,6 +479,7 @@ func (d *Daemon) openJournal() error {
 		snapEvery = 30 * time.Second
 	}
 	jd := &durability{fs: jfs, dir: d.cfg.DataDir, snapEvery: snapEvery, lastSnap: time.Now()}
+	jd.scratch.New = func() any { return new([]byte) }
 	jd.snapSeq.Store(st.SnapshotSeq)
 	jd.truncatedBytes = st.TruncatedBytes
 	jd.droppedSegments = st.DroppedSegments
@@ -398,9 +569,10 @@ func (d *Daemon) restore(st *journal.State) error {
 			}
 		}
 	}
+	var dec recordDecoder
 	for _, payload := range st.Records {
 		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := dec.decode(payload, &rec); err != nil {
 			jd.badRecords++
 			continue
 		}

@@ -612,6 +612,11 @@ func TestDegradedMode(t *testing.T) {
 	if st.Journal == nil || !st.Journal.Degraded || st.Journal.Error == "" {
 		t.Fatalf("stats don't surface degradation: %+v", st.Journal)
 	}
+	// The beat and the tick above were served but not journaled: each is
+	// counted, not silently lost.
+	if st.Journal.DroppedRecords != 2 {
+		t.Fatalf("dropped_records = %d after one beat and one tick on a failed journal, want 2", st.Journal.DroppedRecords)
+	}
 
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
