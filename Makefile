@@ -4,6 +4,8 @@
 #   make vet     static analysis
 #   make lint    vet + angstromlint (the repo's contract analyzers)
 #   make docs    fail if any internal package lacks a package comment
+#   make loc     non-test Go lines outside benchmark/ (the figure a
+#                simplification PR reports the delta of in CHANGES.md)
 #   make test    tier-1 verification (build + lint + docs + scenarios + full test suite with -race)
 #   make scenarios  the scenario torture tier: builtin scenarios vs
 #                   oracle-regret budgets + byte-identical replay gates
@@ -18,7 +20,7 @@ GO ?= go
 # followed by bench-compare never compares a run against itself.
 OLD_BENCH ?= $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
 
-.PHONY: build test scenarios bench bench-json bench-compare vet lint docs clean
+.PHONY: build test scenarios bench bench-json bench-compare vet lint docs loc clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +43,12 @@ docs:
 		echo "packages missing a package comment:"; echo "$$missing"; exit 1; \
 	fi; \
 	echo "package docs: all internal and cmd packages documented"
+
+# Lines of non-test Go outside benchmark/ (test data and the benchmark's
+# build directory excluded): compare against the parent commit's count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 # The scenario tier: every builtin torture scenario (flash crowd, goal
 # thrash, crash-restart, SLO classes, ...) must meet its oracle-regret

@@ -1,9 +1,6 @@
 package actuator
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // This file defines the hardware-facing half of the action interface:
 // the Knob and Sensor contracts that connect the decision layers
@@ -61,52 +58,6 @@ type Sample struct {
 // allocation-free.
 type Sensor interface {
 	Sense() Sample
-}
-
-// FromKnob builds an Actuator whose Apply drives k. The slices declare
-// the effect of each rung relative to the nominal rung (the one where
-// speedup and power are both exactly 1), in the same order as the knob's
-// levels.
-func FromKnob(k Knob, labels []string, speedup, power []float64, delaySeconds float64, scope Scope) (*Actuator, error) {
-	if k == nil {
-		return nil, fmt.Errorf("actuator: nil knob")
-	}
-	if len(labels) != k.Levels() {
-		return nil, fmt.Errorf("actuator %q: %d labels for %d levels", k.Name(), len(labels), k.Levels())
-	}
-	if len(labels) != len(speedup) || len(labels) != len(power) {
-		return nil, fmt.Errorf("actuator %q: knob slices disagree (%d labels, %d speedups, %d powers)",
-			k.Name(), len(labels), len(speedup), len(power))
-	}
-	nominal := -1
-	settings := make([]Setting, len(labels))
-	for i := range labels {
-		settings[i] = Setting{
-			Label:  labels[i],
-			Value:  i,
-			Effect: Effect{Speedup: speedup[i], PowerX: power[i], Distort: 1},
-		}
-		if speedup[i] == 1 && power[i] == 1 {
-			nominal = i
-		}
-	}
-	if nominal < 0 {
-		return nil, fmt.Errorf("actuator %q: no nominal rung (speedup and power both 1)", k.Name())
-	}
-	a := &Actuator{
-		Name:         k.Name(),
-		Settings:     settings,
-		NominalIndex: nominal,
-		Apply:        k.SetLevel,
-		DelaySeconds: delaySeconds,
-		Scope:        scope,
-		Axes:         []Axis{Performance, Power},
-	}
-	a.current = k.Level()
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // Stepped wraps a knob so each SetLevel moves at most one rung toward

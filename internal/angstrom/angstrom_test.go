@@ -521,22 +521,33 @@ func TestUpdateTilesClampsNegativePerCorePower(t *testing.T) {
 	}
 }
 
-// Regression: advance with IPS <= 0 (or NaN) divided by zero and moved
-// the clock by ±Inf/NaN; it must error without advancing time.
+// Regression: an interval at IPS <= 0 (or NaN) divided by zero and moved
+// the clock by ±Inf/NaN; it must error without advancing time. The
+// guard itself lives in workload.Cursor (table-tested there); this pins
+// that the chip surfaces it, driving a model whose clock frequency makes
+// the evaluated IPS non-positive.
 func TestAdvanceRejectsNonPositiveIPS(t *testing.T) {
-	for _, ips := range []float64{0, -1e9, math.NaN()} {
+	for _, fhz := range []float64{0, -1, math.NaN()} {
 		ch, clock := testChip(t)
-		if err := ch.advance(Metrics{IPS: ips}, 1.0); err == nil {
-			t.Fatalf("advance accepted IPS %g", ips)
+		ch.p.VF = append([]VFPoint(nil), ch.p.VF...)
+		ch.p.VF[0].FHz = fhz
+		m, err := ch.RunInterval(1.0)
+		if err == nil {
+			t.Fatalf("interval accepted IPS %g", m.IPS)
+		}
+		if m.IPS > 0 {
+			t.Fatalf("clock frequency %g still evaluates to IPS %g; the test no longer reaches the guard", fhz, m.IPS)
 		}
 		if clock.Now() != 0 {
-			t.Fatalf("clock moved to %g on rejected IPS %g", clock.Now(), ips)
+			t.Fatalf("clock moved to %g on rejected IPS %g", clock.Now(), m.IPS)
 		}
 	}
 }
 
-// Regression: a non-positive per-beat work target span the loop forever
+// Regression: a non-positive per-beat work target spun the loop forever
 // (tBeat <= 0 never reaches the interval end); it must error instead.
+// Through RunInterval the model's own spec validation refuses it first;
+// the loop's guard is table-tested on workload.Cursor.
 func TestAdvanceRejectsNonPositiveWork(t *testing.T) {
 	clock := sim.NewClock(0)
 	ch, err := NewChip(DefaultParams(), Config{Cores: 1, CacheKB: 64, VF: 0}, 4, clock)
@@ -544,10 +555,13 @@ func TestAdvanceRejectsNonPositiveWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := defaultSpec(t, "barnes")
-	bad.InstrPerBeat = -5 // bypasses Validate: NewInstance does not validate
+	bad.InstrPerBeat = -5 // NewInstance does not validate
 	ch.Attach(workload.NewInstance(bad, 1), heartbeat.New(clock))
-	if err := ch.advance(Metrics{IPS: 1e9}, 1.0); err == nil {
-		t.Fatal("advance accepted non-positive work per beat")
+	if _, err := ch.RunInterval(1.0); err == nil {
+		t.Fatal("interval accepted non-positive work per beat")
+	}
+	if clock.Now() != 0 {
+		t.Fatalf("clock moved to %g on rejected work", clock.Now())
 	}
 }
 

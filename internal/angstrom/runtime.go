@@ -34,10 +34,9 @@ type Chip struct {
 	Energy *EnergySensor
 	Batt   *Battery // optional
 
-	inst      *workload.Instance
-	mon       *heartbeat.Monitor
-	beat      uint64
-	workCarry float64 // instructions completed toward the next beat
+	inst *workload.Instance
+	mon  *heartbeat.Monitor
+	cur  workload.Cursor // execution position of inst
 }
 
 // NewChip builds a chip with nTiles tiles in the given initial
@@ -75,8 +74,7 @@ func NewChip(p Params, cfg Config, nTiles int, clock *sim.Clock) (*Chip, error) 
 func (ch *Chip) Attach(inst *workload.Instance, mon *heartbeat.Monitor) {
 	ch.inst = inst
 	ch.mon = mon
-	ch.beat = 0
-	ch.workCarry = 0
+	ch.cur = workload.Cursor{}
 }
 
 // Config returns the current configuration.
@@ -123,56 +121,27 @@ func (ch *Chip) RunInterval(dt float64) (Metrics, error) {
 	if dt <= 0 {
 		return m, fmt.Errorf("angstrom: non-positive interval %g", dt)
 	}
-	if err := ch.advance(m, dt); err != nil {
-		return m, err
+	// Beats land on the advancing shared clock (mon.Beat reads it), and
+	// energy (and battery) is integrated step by step so a meter-attached
+	// monitor sees the reading at each beat.
+	end := ch.clock.Now() + dt
+	for ch.clock.Now() < end-1e-12 {
+		step, beat, serr := ch.cur.Step(ch.inst, m.IPS, ch.clock.Now(), end)
+		if serr != nil {
+			return m, fmt.Errorf("angstrom: %w", serr)
+		}
+		ch.clock.Advance(step)
+		j := m.PowerW * step
+		ch.Energy.Add(j)
+		if ch.Batt != nil {
+			ch.Batt.Drain(j)
+		}
+		if beat && ch.mon != nil {
+			ch.mon.Beat()
+		}
 	}
 	ch.updateTiles(m, dt)
 	return m, nil
-}
-
-// advance runs the beat-emission loop for dt seconds under metrics m.
-// It rejects non-positive IPS and non-positive per-beat work up front:
-// either would advance the clock by ±Inf/NaN or spin forever.
-func (ch *Chip) advance(m Metrics, dt float64) error {
-	if m.IPS <= 0 || math.IsNaN(m.IPS) {
-		return fmt.Errorf("angstrom: model IPS %g is not positive; cannot advance", m.IPS)
-	}
-	end := ch.clock.Now() + dt
-	for ch.clock.Now() < end-1e-12 {
-		work := ch.inst.WorkForBeat(ch.beat)
-		if work <= 0 || math.IsNaN(work) {
-			return fmt.Errorf("angstrom: work %g for beat %d is not positive", work, ch.beat)
-		}
-		need := work - ch.workCarry
-		if need < 0 {
-			need = 0 // carry overshoot (config change mid-beat): emit now
-		}
-		tBeat := need / m.IPS
-		if ch.clock.Now()+tBeat <= end {
-			ch.clock.Advance(tBeat)
-			ch.accountEnergy(m, tBeat)
-			if ch.mon != nil {
-				ch.mon.Beat()
-			}
-			ch.beat++
-			ch.workCarry = 0
-		} else {
-			rem := end - ch.clock.Now()
-			ch.workCarry += rem * m.IPS
-			ch.clock.Advance(rem)
-			ch.accountEnergy(m, rem)
-		}
-	}
-	return nil
-}
-
-// accountEnergy integrates chip energy (and battery) over a slice.
-func (ch *Chip) accountEnergy(m Metrics, dt float64) {
-	j := m.PowerW * dt
-	ch.Energy.Add(j)
-	if ch.Batt != nil {
-		ch.Batt.Drain(j)
-	}
 }
 
 // updateTiles spreads counter deltas and sensor steps across tiles.
@@ -218,97 +187,46 @@ func (ch *Chip) BuildActuators(coreOptions []int, cacheOptionsKB []int) ([]*actu
 	if ch.inst == nil {
 		return nil, fmt.Errorf("angstrom: attach a workload before building actuators")
 	}
-	spec := ch.inst.Spec
-	base := ch.cfg
+	spec, base := ch.inst.Spec, ch.cfg
 	baseM, err := Evaluate(ch.p, spec, base)
 	if err != nil {
 		return nil, err
 	}
-	mkSettings := func(vals []int, apply func(Config, int) Config, label func(int) string, nominalVal int) ([]actuator.Setting, int, error) {
-		settings := make([]actuator.Setting, 0, len(vals))
-		nominal := -1
-		for _, v := range vals {
-			cfg := apply(base, v)
-			var eff actuator.Effect
-			if v == nominalVal {
-				nominal = len(settings)
-				eff = actuator.Nominal()
-			} else {
-				m, merr := Evaluate(ch.p, spec, cfg)
+	// One knob is one Config field: with returns a configuration holding
+	// value v there, both to price the setting against base and to apply
+	// it to the live chip.
+	knobs := []struct {
+		name    string
+		values  []int
+		nominal int
+		delay   float64
+		label   func(v int) string
+		with    func(c Config, v int) Config
+	}{
+		{"core-allocation", coreOptions, base.Cores, 0.001,
+			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c Config, v int) Config { c.Cores = v; return c }},
+		{"l2-capacity", cacheOptionsKB, base.CacheKB, 0.0001,
+			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c Config, v int) Config { c.CacheKB = v; return c }},
+		{"dvfs", actuator.Range(0, len(ch.p.VF)-1), base.VF, 0.0005,
+			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", ch.p.VF[v].Volts, ch.p.VF[v].FHz/1e6) },
+			func(c Config, v int) Config { c.VF = v; return c }},
+	}
+	acts := make([]*actuator.Actuator, len(knobs))
+	for i, k := range knobs {
+		acts[i], err = actuator.Sweep(k.name, k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+			func(v int) (actuator.Effect, error) {
+				m, merr := Evaluate(ch.p, spec, k.with(base, v))
 				if merr != nil {
-					return nil, 0, merr
+					return actuator.Effect{}, merr
 				}
-				eff = actuator.Effect{
+				return actuator.Effect{
 					Speedup: m.HeartRate / baseM.HeartRate,
 					PowerX:  (m.PowerW - ch.p.UncoreW) / (baseM.PowerW - ch.p.UncoreW),
 					Distort: 1,
-				}
-			}
-			settings = append(settings, actuator.Setting{Label: label(v), Value: v, Effect: eff})
-		}
-		if nominal < 0 {
-			return nil, 0, fmt.Errorf("angstrom: nominal value %d not among settings", nominalVal)
-		}
-		return settings, nominal, nil
-	}
-
-	coreSettings, coreNom, err := mkSettings(coreOptions,
-		func(c Config, v int) Config { c.Cores = v; return c },
-		func(v int) string { return fmt.Sprintf("%d cores", v) }, base.Cores)
-	if err != nil {
-		return nil, err
-	}
-	cacheSettings, cacheNom, err := mkSettings(cacheOptionsKB,
-		func(c Config, v int) Config { c.CacheKB = v; return c },
-		func(v int) string { return fmt.Sprintf("%dKB L2", v) }, base.CacheKB)
-	if err != nil {
-		return nil, err
-	}
-	vfVals := make([]int, len(ch.p.VF))
-	for i := range vfVals {
-		vfVals[i] = i
-	}
-	vfSettings, vfNom, err := mkSettings(vfVals,
-		func(c Config, v int) Config { c.VF = v; return c },
-		func(v int) string {
-			return fmt.Sprintf("%.1fV/%.0fMHz", ch.p.VF[v].Volts, ch.p.VF[v].FHz/1e6)
-		}, base.VF)
-	if err != nil {
-		return nil, err
-	}
-
-	axes := []actuator.Axis{actuator.Performance, actuator.Power}
-	acts := []*actuator.Actuator{
-		{
-			Name: "core-allocation", Settings: coreSettings, NominalIndex: coreNom,
-			Apply: func(i int) error {
-				c := ch.cfg
-				c.Cores = coreSettings[i].Value
-				return ch.SetConfig(c)
+				}, nil
 			},
-			DelaySeconds: 0.001, Scope: actuator.GlobalScope, Axes: axes,
-		},
-		{
-			Name: "l2-capacity", Settings: cacheSettings, NominalIndex: cacheNom,
-			Apply: func(i int) error {
-				c := ch.cfg
-				c.CacheKB = cacheSettings[i].Value
-				return ch.SetConfig(c)
-			},
-			DelaySeconds: 0.0001, Scope: actuator.GlobalScope, Axes: axes,
-		},
-		{
-			Name: "dvfs", Settings: vfSettings, NominalIndex: vfNom,
-			Apply: func(i int) error {
-				c := ch.cfg
-				c.VF = vfSettings[i].Value
-				return ch.SetConfig(c)
-			},
-			DelaySeconds: 0.0005, Scope: actuator.GlobalScope, Axes: axes,
-		},
-	}
-	for _, a := range acts {
-		if err := a.Validate(); err != nil {
+			func(level int) error { return ch.SetConfig(k.with(ch.cfg, k.values[level])) })
+		if err != nil {
 			return nil, err
 		}
 	}

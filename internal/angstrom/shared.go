@@ -2,7 +2,6 @@ package angstrom
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -238,15 +237,14 @@ type Partition struct {
 	inst *workload.Instance
 	mon  *heartbeat.Monitor
 
-	mu        sync.Mutex
-	cfg       Config
-	share     float64 // time share of the held cores (1 = dedicated)
-	m         Metrics // model evaluation for cfg, cached until reconfigured
-	beat      uint64
-	workCarry float64  // instructions completed toward the next beat
-	now       sim.Time // partition-local execution frontier
-	energyJ   float64
-	released  bool
+	mu       sync.Mutex
+	cfg      Config
+	share    float64         // time share of the held cores (1 = dedicated)
+	m        Metrics         // model evaluation for cfg, cached until reconfigured
+	cur      workload.Cursor // execution position of inst
+	now      sim.Time        // partition-local execution frontier
+	energyJ  float64
+	released bool
 
 	// Cross-partition contention state (contention.go): the demand
 	// terms recomputed at every reconfiguration, and the degradation
@@ -404,31 +402,20 @@ func (pt *Partition) Advance(until sim.Time) error {
 		return fmt.Errorf("angstrom: partition %q released", pt.name)
 	}
 	ips := pt.m.IPS * pt.share * pt.intf.Slowdown
-	if ips <= 0 || math.IsNaN(ips) {
-		return fmt.Errorf("angstrom: partition %q effective IPS %g not positive", pt.name, ips)
-	}
 	for pt.now < until-1e-12 {
-		work := pt.inst.WorkForBeat(pt.beat)
-		if work <= 0 || math.IsNaN(work) {
-			return fmt.Errorf("angstrom: work %g for beat %d is not positive", work, pt.beat)
+		dt, beat, err := pt.cur.Step(pt.inst, ips, pt.now, until)
+		if err != nil {
+			return fmt.Errorf("angstrom: partition %q: %w", pt.name, err)
 		}
-		need := work - pt.workCarry
-		if need < 0 {
-			need = 0 // carry overshoot (reconfiguration mid-beat): emit now
-		}
-		tBeat := need / ips
-		if pt.now+tBeat <= until {
-			pt.now += tBeat
-			pt.energyJ += pt.attributedPowerW() * tBeat
-			pt.mon.BeatAt(pt.now)
-			pt.beat++
-			pt.workCarry = 0
-		} else {
-			rem := until - pt.now
-			pt.workCarry += rem * ips
+		pt.energyJ += pt.attributedPowerW() * dt
+		if !beat {
+			// Land exactly on `until`: now+(until-now) can miss it by an ulp.
 			pt.now = until
-			pt.energyJ += pt.attributedPowerW() * rem
+			break
 		}
+		// Stamped on the partition's own frontier, not a shared clock.
+		pt.now += dt
+		pt.mon.BeatAt(pt.now)
 	}
 	return nil
 }
@@ -460,9 +447,12 @@ func (pt *Partition) Knobs(coreOptions, cacheOptionsKB []int) (cores, cache, dvf
 	if err := validOptions("cache", cacheOptionsKB, cfg.CacheKB); err != nil {
 		return nil, nil, nil, err
 	}
-	return &coreKnob{pt: pt, options: coreOptions},
-		&cacheKnob{pt: pt, optionsKB: cacheOptionsKB},
-		&vfKnob{pt: pt}, nil
+	return &fieldKnob{pt: pt, name: "cores", options: coreOptions,
+			get: func(c Config) int { return c.Cores }, with: func(c Config, v int) Config { c.Cores = v; return c }},
+		&fieldKnob{pt: pt, name: "l2-capacity", options: cacheOptionsKB,
+			get: func(c Config) int { return c.CacheKB }, with: func(c Config, v int) Config { c.CacheKB = v; return c }},
+		&fieldKnob{pt: pt, name: "dvfs", options: actuator.Range(0, len(pt.sc.p.VF)-1),
+			get: func(c Config) int { return c.VF }, with: func(c Config, v int) Config { c.VF = v; return c }}, nil
 }
 
 func validOptions(kind string, options []int, current int) error {
@@ -493,62 +483,28 @@ func indexOf(options []int, v int) int {
 	return 0
 }
 
-// coreKnob resizes the partition's core allocation.
-type coreKnob struct {
+// fieldKnob is one field of the partition's Config as a hardware knob:
+// level i holds the field at options[i] (core allocation, per-core L2
+// capacity in KB, DVFS operating point).
+type fieldKnob struct {
 	pt      *Partition
+	name    string
 	options []int
+	get     func(Config) int
+	with    func(Config, int) Config // by value: a *Config through a func value would escape on every move
 }
 
-func (k *coreKnob) Name() string { return "cores" }
-func (k *coreKnob) Levels() int  { return len(k.options) }
-func (k *coreKnob) Level() int   { return indexOf(k.options, k.pt.Config().Cores) }
-func (k *coreKnob) SetLevel(level int) error {
+func (k *fieldKnob) Name() string { return k.name }
+func (k *fieldKnob) Levels() int  { return len(k.options) }
+func (k *fieldKnob) Level() int   { return indexOf(k.options, k.get(k.pt.Config())) }
+func (k *fieldKnob) SetLevel(level int) error {
 	if level < 0 || level >= len(k.options) {
-		return fmt.Errorf("angstrom: core level %d outside [0, %d)", level, len(k.options))
+		return fmt.Errorf("angstrom: %s level %d outside [0, %d)", k.name, level, len(k.options))
 	}
-	cfg := k.pt.Config()
-	cfg.Cores = k.options[level]
-	return k.pt.setConfig(cfg)
-}
-
-// cacheKnob resizes the partition's per-core L2 capacity.
-type cacheKnob struct {
-	pt        *Partition
-	optionsKB []int
-}
-
-func (k *cacheKnob) Name() string { return "l2-capacity" }
-func (k *cacheKnob) Levels() int  { return len(k.optionsKB) }
-func (k *cacheKnob) Level() int   { return indexOf(k.optionsKB, k.pt.Config().CacheKB) }
-func (k *cacheKnob) SetLevel(level int) error {
-	if level < 0 || level >= len(k.optionsKB) {
-		return fmt.Errorf("angstrom: cache level %d outside [0, %d)", level, len(k.optionsKB))
-	}
-	cfg := k.pt.Config()
-	cfg.CacheKB = k.optionsKB[level]
-	return k.pt.setConfig(cfg)
-}
-
-// vfKnob selects the partition's DVFS operating point.
-type vfKnob struct {
-	pt *Partition
-}
-
-func (k *vfKnob) Name() string { return "dvfs" }
-func (k *vfKnob) Levels() int  { return len(k.pt.sc.p.VF) }
-func (k *vfKnob) Level() int   { return k.pt.Config().VF }
-func (k *vfKnob) SetLevel(level int) error {
-	if level < 0 || level >= len(k.pt.sc.p.VF) {
-		return fmt.Errorf("angstrom: VF level %d outside [0, %d)", level, len(k.pt.sc.p.VF))
-	}
-	cfg := k.pt.Config()
-	cfg.VF = level
-	return k.pt.setConfig(cfg)
+	return k.pt.setConfig(k.with(k.pt.Config(), k.options[level]))
 }
 
 var (
 	_ actuator.Sensor = (*Partition)(nil)
-	_ actuator.Knob   = (*coreKnob)(nil)
-	_ actuator.Knob   = (*cacheKnob)(nil)
-	_ actuator.Knob   = (*vfKnob)(nil)
+	_ actuator.Knob   = (*fieldKnob)(nil)
 )

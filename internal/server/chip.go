@@ -66,6 +66,7 @@ type ChipConfig struct {
 	KnobWrap func(app string, k actuator.Knob) actuator.Knob
 }
 
+// fill selects defaults in place (Config.fill hands it a copy).
 func (c *ChipConfig) fill(cores int) {
 	if c.Chips == 0 {
 		c.Chips = 1
@@ -101,6 +102,12 @@ func (c *ChipConfig) fill(cores int) {
 	if len(c.CacheOptionsKB) == 0 {
 		c.CacheOptionsKB = []int{32, 64, 128}
 	}
+}
+
+// baseConfig is the configuration every partition is first acquired at
+// and every action space is declared relative to.
+func (c *ChipConfig) baseConfig() angstrom.Config {
+	return angstrom.Config{Cores: 1, CacheKB: c.CacheOptionsKB[0], VF: 0}
 }
 
 func (c *ChipConfig) validate() error {
@@ -149,22 +156,6 @@ func (k *cappedKnob) SetLevel(level int) error {
 	return k.Knob.SetLevel(level)
 }
 
-// bindChip acquires a chip partition for a newly enrolling application
-// and builds its hardware-backed action space. Called with d.mu held,
-// only from the Enroll writer (the enrollment record covers the
-// acquisition).
-//
-//angstrom:journaled writer
-func (d *Daemon) bindChip(a *app, spec workload.Spec, now sim.Time) error {
-	cc := d.cfg.Chip
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
-	share, err := d.makeRoom(a.chip)
-	if err != nil {
-		return err
-	}
-	return d.bindChipAt(a, spec, base, share, now)
-}
-
 // bindChipAt binds a to a partition of die a.chip acquired at an
 // explicit start configuration, time share, and time. Fresh enrollments
 // start at the base configuration; snapshot restore and migration
@@ -173,17 +164,22 @@ func (d *Daemon) bindChip(a *app, spec workload.Spec, now sim.Time) error {
 // nominal power the power rebalance prices from) is always built
 // against the canonical base configuration, so a restored app's
 // controller sees the same effect tables an uncrashed one does. Reached
-// only from journaling writers (Enroll live, restoreApp on recovery,
-// applyMigration).
+// only from journaling writers (admit, applyMigration).
 //
 //angstrom:journaled writer
-func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, share float64, now sim.Time) error {
+func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now sim.Time) error {
 	cc := d.cfg.Chip
 	sc := d.fleet.Chip(a.chip)
 	p := *cc.Params
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
+	spec, base := a.spec, cc.baseConfig()
+	// Everything priced relative to nominal is priced at the *base*
+	// configuration, whatever placement the partition is acquired at, so
+	// a restore prices the power split identically.
+	baseM, err := angstrom.Evaluate(p, spec, base)
+	if err != nil {
+		return err
+	}
 	inst := workload.NewInstance(spec, seedFor(a.name))
-
 	part, err := sc.Acquire(a.name, inst, a.mon, start, share, now)
 	if err != nil {
 		return fmt.Errorf("server: %w: %v", ErrPoolExhausted, err)
@@ -204,7 +200,7 @@ func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, s
 	cacheKnob := wrap(cacheK)
 	vfKnob := wrap(vfK)
 
-	space, err := buildChipSpace(p, spec, base, cc, coreKnob, cacheKnob, vfKnob)
+	space, err := buildChipSpace(p, spec, base, baseM, cc, coreKnob, cacheKnob, vfKnob)
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -221,14 +217,6 @@ func (d *Daemon) bindChipAt(a *app, spec workload.Spec, start angstrom.Config, s
 	a.rt = rt
 	a.mu.Unlock()
 	a.part.Store(part)
-	// Nominal active watts at the *base* configuration (what Acquire
-	// caches for a fresh enrollment; recomputed explicitly so a restore
-	// at a non-base placement prices the power split identically).
-	baseM, err := angstrom.Evaluate(p, spec, base)
-	if err != nil {
-		sc.Release(a.name)
-		return err
-	}
 	a.nomActiveW = math.Max(baseM.PowerW-p.UncoreW, 1e-6)
 	minX := math.Inf(1)
 	for _, pt := range space.Points() {
@@ -328,61 +316,48 @@ const minChipShare = 0.01
 // declared effects are the chip model's predicted multipliers relative
 // to the base configuration (the designer-declared model of §3.2; the
 // runtime's RLS layer corrects divergence on line).
-func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, cc *ChipConfig,
+func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, baseM angstrom.Metrics, cc *ChipConfig,
 	coreKnob, cacheKnob, vfKnob actuator.Knob) (*actuator.Space, error) {
-	baseM, err := angstrom.Evaluate(p, spec, base)
-	if err != nil {
-		return nil, err
-	}
 	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
-	effect := func(cfg angstrom.Config) (speedup, power float64, _ error) {
-		m, merr := angstrom.Evaluate(p, spec, cfg)
-		if merr != nil {
-			return 0, 0, merr
+	// One knob is one Config field: with returns a configuration holding
+	// value v there, to price the setting against base; the hardware knob
+	// applies it by level.
+	knobs := []struct {
+		knob    actuator.Knob
+		values  []int
+		nominal int
+		delay   float64
+		label   func(v int) string
+		with    func(c angstrom.Config, v int) angstrom.Config
+	}{
+		{coreKnob, cc.CoreOptions, base.Cores, 0.001,
+			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c angstrom.Config, v int) angstrom.Config { c.Cores = v; return c }},
+		{cacheKnob, cc.CacheOptionsKB, base.CacheKB, 0.0001,
+			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c angstrom.Config, v int) angstrom.Config { c.CacheKB = v; return c }},
+		{vfKnob, actuator.Range(0, len(p.VF)-1), base.VF, 0.0005,
+			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[v].Volts, p.VF[v].FHz/1e6) },
+			func(c angstrom.Config, v int) angstrom.Config { c.VF = v; return c }},
+	}
+	acts := make([]*actuator.Actuator, len(knobs))
+	for i, k := range knobs {
+		var err error
+		acts[i], err = actuator.Sweep(k.knob.Name(), k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+			func(v int) (actuator.Effect, error) {
+				m, merr := angstrom.Evaluate(p, spec, k.with(base, v))
+				if merr != nil {
+					return actuator.Effect{}, merr
+				}
+				return actuator.Effect{
+					Speedup: m.HeartRate / baseM.HeartRate,
+					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
+					Distort: 1,
+				}, nil
+			}, k.knob.SetLevel)
+		if err != nil {
+			return nil, err
 		}
-		return m.HeartRate / baseM.HeartRate, math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive, nil
 	}
-	ladder := func(k actuator.Knob, n int, cfgAt func(int) angstrom.Config, nominalAt func(int) bool,
-		label func(int) string, delay float64) (*actuator.Actuator, error) {
-		labels := make([]string, n)
-		speed := make([]float64, n)
-		power := make([]float64, n)
-		for i := 0; i < n; i++ {
-			labels[i] = label(i)
-			if nominalAt(i) {
-				speed[i], power[i] = 1, 1
-				continue
-			}
-			var eerr error
-			if speed[i], power[i], eerr = effect(cfgAt(i)); eerr != nil {
-				return nil, eerr
-			}
-		}
-		return actuator.FromKnob(k, labels, speed, power, delay, actuator.GlobalScope)
-	}
-
-	coreAct, err := ladder(coreKnob, len(cc.CoreOptions),
-		func(i int) angstrom.Config { c := base; c.Cores = cc.CoreOptions[i]; return c },
-		func(i int) bool { return cc.CoreOptions[i] == base.Cores },
-		func(i int) string { return fmt.Sprintf("%d cores", cc.CoreOptions[i]) }, 0.001)
-	if err != nil {
-		return nil, err
-	}
-	cacheAct, err := ladder(cacheKnob, len(cc.CacheOptionsKB),
-		func(i int) angstrom.Config { c := base; c.CacheKB = cc.CacheOptionsKB[i]; return c },
-		func(i int) bool { return cc.CacheOptionsKB[i] == base.CacheKB },
-		func(i int) string { return fmt.Sprintf("%dKB L2", cc.CacheOptionsKB[i]) }, 0.0001)
-	if err != nil {
-		return nil, err
-	}
-	vfAct, err := ladder(vfKnob, len(p.VF),
-		func(i int) angstrom.Config { c := base; c.VF = i; return c },
-		func(i int) bool { return i == base.VF },
-		func(i int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[i].Volts, p.VF[i].FHz/1e6) }, 0.0005)
-	if err != nil {
-		return nil, err
-	}
-	return actuator.NewSpace(coreAct, cacheAct, vfAct)
+	return actuator.NewSpace(acts...)
 }
 
 // runChipInterval is the act+observe phase for one chip-backed app:
@@ -502,20 +477,13 @@ func (d *Daemon) rebalancePowerCaps(chipApps []*app) {
 			}
 		}
 	}
-	nChips := len(d.mgrs)
-	if nChips == 1 {
-		over := d.rebalanceChipPower(chipApps, needX, perDie)
-		if over < 1e-6 {
-			over = 0 // float residue of an exactly-filled budget
-		}
-		d.powerOvercommit.Store(math.Float64bits(over))
-		return
-	}
 	// Federated budget: the fleet shares N× the per-die envelope, and
 	// the broker water-fills it across dies by aggregate goal-implied
 	// need (floored at each die's minimum operating points) before the
 	// per-die pass splits each grant across its tenants. A lightly
-	// loaded die's slack flows to a hot one instead of idling.
+	// loaded die's slack flows to a hot one instead of idling; a single
+	// die is granted its whole envelope, bit for bit.
+	nChips := len(d.mgrs)
 	apps := make([][]*app, nChips)
 	nx := make([][]float64, nChips)
 	for i, a := range chipApps {
@@ -541,7 +509,7 @@ func (d *Daemon) rebalancePowerCaps(chipApps []*app) {
 		}
 	}
 	if over < 1e-6 {
-		over = 0
+		over = 0 // float residue of an exactly-filled budget
 	}
 	d.powerOvercommit.Store(math.Float64bits(over))
 }

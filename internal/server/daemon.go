@@ -153,7 +153,11 @@ func (c *Config) fill() {
 		c.TickWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Chip != nil {
-		c.Chip.fill(c.Cores)
+		// Fill a copy: defaults derived from this daemon's Cores must not
+		// leak into a second daemon built from the caller's same struct.
+		chip := *c.Chip
+		chip.fill(c.Cores)
+		c.Chip = &chip
 	}
 }
 
@@ -428,34 +432,29 @@ func (d *Daemon) Clock() sim.Nower { return d.clock }
 // buildSpace builds the app's advisory action space: a thread-count
 // ladder whose speedups come from the workload's declared Amdahl curve
 // (power scales with active cores) crossed with a DVFS-like frequency
-// ladder (power ~ f³). The daemon decides a rung; the application reads
-// it back and actuates on its side.
+// ladder (power ~ f³). The rungs drive nothing and belong to the app:
+// the daemon decides a rung; the application reads it back and actuates
+// on its side.
 func buildSpace(spec workload.Spec) (*actuator.Space, error) {
-	threads := []int{1, 2, 4, 8, 16}
-	tLabels := make([]string, len(threads))
-	tSpeed := make([]float64, len(threads))
-	tPower := make([]float64, len(threads))
-	for i, t := range threads {
-		tLabels[i] = fmt.Sprintf("%d threads", t)
-		tSpeed[i] = spec.ParallelSpeedup(t)
-		tPower[i] = float64(t)
-	}
-	threadsAct, err := actuator.NewLadder("threads", tLabels, tSpeed, tPower)
+	advisory := func(int) error { return nil }
+	threads, err := actuator.Sweep("threads", []int{1, 2, 4, 8, 16}, 1, 0, actuator.ApplicationScope,
+		func(t int) string { return fmt.Sprintf("%d threads", t) },
+		func(t int) (actuator.Effect, error) {
+			return actuator.Effect{Speedup: spec.ParallelSpeedup(t), PowerX: float64(t), Distort: 1}, nil
+		}, advisory)
 	if err != nil {
 		return nil, err
 	}
 	freqs := []float64{0.6, 0.8, 1.0, 1.2}
-	fLabels := make([]string, len(freqs))
-	fPower := make([]float64, len(freqs))
-	for i, f := range freqs {
-		fLabels[i] = fmt.Sprintf("%.1fx clock", f)
-		fPower[i] = f * f * f
-	}
-	dvfsAct, err := actuator.NewLadder("dvfs", fLabels, freqs, fPower)
+	dvfs, err := actuator.Sweep("dvfs", []int{0, 1, 2, 3}, 2, 0, actuator.ApplicationScope,
+		func(i int) string { return fmt.Sprintf("%.1fx clock", freqs[i]) },
+		func(i int) (actuator.Effect, error) {
+			return actuator.Effect{Speedup: freqs[i], PowerX: freqs[i] * freqs[i] * freqs[i], Distort: 1}, nil
+		}, advisory)
 	if err != nil {
 		return nil, err
 	}
-	return actuator.NewSpace(threadsAct, dvfsAct)
+	return actuator.NewSpace(threads, dvfs)
 }
 
 // curveShapes memoizes core.VerifyCurve per scaling curve. The key
@@ -577,11 +576,7 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 		return fmt.Errorf("server: window %d too small (need >= 2)", window)
 	}
 
-	mon := heartbeat.New(d.clock, heartbeat.WithWindow(window))
-	mon.SetPerformanceGoal(req.MinRate, req.MaxRate)
-	a := &app{name: name, spec: spec, mon: mon, window: window}
-	a.units.Store(1)
-	a.alloc = core.Allocation{App: name, Units: 1, Share: 1}
+	a := d.newApp(name, spec, window, req.MinRate, req.MaxRate, req.Priority)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -612,60 +607,153 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 		return err
 	}
 	a.enrolledAt = now
+	var at *placement
 	if chipBacked {
-		if err := d.bindChip(a, spec, now); err != nil {
-			return err
-		}
-	} else {
-		space, err := buildSpace(spec)
+		share, err := d.makeRoom(a.chip)
 		if err != nil {
 			return err
 		}
-		if a.rt, err = core.New(name, d.clock, mon, space, core.Options{}); err != nil {
+		at = &placement{cfg: d.cfg.Chip.baseConfig(), share: share}
+	}
+	return d.admit(a, at, now)
+}
+
+// newApp builds an application's serving state around a fresh monitor
+// carrying its goal, holding the one unit every app starts with. The
+// app is private to the calling writer until admit publishes it.
+//
+//angstrom:journaled writer
+func (d *Daemon) newApp(name string, spec workload.Spec, window int, minRate, maxRate, prio float64) *app {
+	mon := heartbeat.New(d.clock, heartbeat.WithWindow(window))
+	mon.SetPerformanceGoal(minRate, maxRate)
+	a := &app{name: name, spec: spec, mon: mon, window: window, prio: prio}
+	a.units.Store(1)
+	a.alloc = core.Allocation{App: name, Units: 1, Share: 1}
+	return a
+}
+
+// placement is where a chip-backed app's partition starts on die a.chip:
+// base configuration and a makeRoom share for a fresh enrollment, the
+// recorded ones for a snapshot restore.
+type placement struct {
+	cfg   angstrom.Config
+	share float64
+}
+
+// admitStage counts the stages of an admission completed so far.
+type admitStage int
+
+const (
+	stageBound      admitStage = iota + 1 // partition acquired, or advisory runtime built
+	stageManaged                          // enrolled with the die's manager
+	stageRegistered                       // in the heartbeat registry
+	stageAdmitted                         // in the directory: visible to beats, status, ticks
+)
+
+// admit is the one way an application enters the fleet; Enroll (live and
+// replayed) and restoreApp validate, build the app, and hand it here. It
+// binds the app to a chip partition at `at` (or, when at is nil, to an
+// advisory action space), then joins the die's manager, the registry, the
+// enrollment order, and the directory, in that order. A stage that
+// refuses retires the stages before it, so a failed admission leaves no
+// trace. Called with d.mu held (or single-goroutine during boot),
+// downstream of the caller's durable record.
+//
+//angstrom:journaled writer
+//angstrom:deterministic
+func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
+	if at != nil {
+		if err := d.bindChipAt(a, at.cfg, at.share, now); err != nil {
+			return err
+		}
+	} else {
+		space, err := buildSpace(a.spec)
+		if err != nil {
+			return err
+		}
+		if a.rt, err = core.New(a.name, d.clock, a.mon, space, core.Options{}); err != nil {
 			return err
 		}
 	}
+	if err := d.joinManager(a); err != nil {
+		d.retire(a, stageBound)
+		return err
+	}
+	if err := d.reg.Enroll(a.name, a.mon); err != nil {
+		d.retire(a, stageManaged)
+		return err
+	}
+	d.appSeq++
+	a.seq = d.appSeq
+	if !d.dir.insert(a.name, a) {
+		// Unreachable while admissions serialize on d.mu, but keep the
+		// bookkeeping honest if that ever changes.
+		d.retire(a, stageRegistered)
+		return fmt.Errorf("server: %q %w", a.name, ErrDuplicate)
+	}
+	if a.partition() != nil {
+		d.chipCount.Add(1)
+	}
+	return nil
+}
+
+// joinManager enrolls a with its die's manager (d.mgrs[a.chip]) under
+// its priority and records the manager's handle; admission and migration
+// both come through here. On failure the manager is unchanged.
+//
+//angstrom:journaled writer
+//angstrom:deterministic
+func (d *Daemon) joinManager(a *app) error {
 	// The memoized curve shares one table across every app on the same
 	// workload, and its verified shape is memoized alongside it: the
 	// manager's per-tick demand inversion reads array slots, and the
 	// O(cores) VerifyCurve scan runs once per curve, not once per
 	// enrollment (a 10k-app burst re-deriving it cost more than the
 	// enrollments themselves).
-	scaling := spec.CachedSpeedup(d.cfg.Cores)
-	shape := curveShapeFor(spec, d.cfg.Cores, scaling)
+	scaling := a.spec.CachedSpeedup(d.cfg.Cores)
+	shape := curveShapeFor(a.spec, d.cfg.Cores, scaling)
 	mgr := d.mgrs[a.chip]
-	if err := mgr.AddAppWithShape(name, mon, scaling, shape.peak, shape.unimodal); err != nil {
-		d.unbindChip(a)
+	if err := mgr.AddAppWithShape(a.name, a.mon, scaling, shape.peak, shape.unimodal); err != nil {
 		return err
 	}
-	if req.Priority > 0 {
-		if err := mgr.SetPriority(name, req.Priority); err != nil {
-			mgr.RemoveApp(name)
-			d.unbindChip(a)
+	if a.prio > 0 {
+		if err := mgr.SetPriority(a.name, a.prio); err != nil {
+			mgr.RemoveApp(a.name)
 			return err
 		}
-		a.prio = req.Priority
 	}
-	a.mgrID, _ = mgr.AppID(name)
-	if err := d.reg.Enroll(name, mon); err != nil {
-		mgr.RemoveApp(name)
-		d.unbindChip(a)
-		return err
+	a.mgrID, _ = mgr.AppID(a.name)
+	a.mu.Lock()
+	a.alloc.ID = a.mgrID
+	a.mu.Unlock()
+	return nil
+}
+
+// retire is admit's inverse: it undoes the stages up to `done`, last
+// first. withdraw retires a fully admitted app, admit's rollback a
+// partial one — never touching a stage the app did not complete, where
+// the name may be another app's. The partition pointer is left in place
+// (tick workers may hold a snapshot of the app); a released partition
+// turns further actuation into clean errors.
+//
+//angstrom:journaled writer
+//angstrom:deterministic
+func (d *Daemon) retire(a *app, done admitStage) {
+	if done >= stageAdmitted {
+		d.dir.remove(a.name)
 	}
-	d.appSeq++
-	a.seq = d.appSeq
-	if !d.dir.insert(name, a) {
-		// Unreachable while enrolls serialize on d.mu, but keep the
-		// bookkeeping honest if that ever changes.
-		d.reg.Withdraw(name)
-		mgr.RemoveApp(name)
-		d.unbindChip(a)
-		return fmt.Errorf("server: %q %w", name, ErrDuplicate)
+	if done >= stageRegistered {
+		d.reg.Withdraw(a.name)
+	}
+	if done >= stageManaged {
+		d.mgrs[a.chip].RemoveApp(a.name)
 	}
 	if a.partition() != nil {
-		d.chipCount.Add(1)
+		d.fleet.Chip(a.chip).Release(a.name)
+		if done >= stageAdmitted {
+			d.chipCount.Add(-1)
+		}
 	}
-	return nil
 }
 
 // totalApps sums enrollments across the per-chip managers (under d.mu).
@@ -675,19 +763,6 @@ func (d *Daemon) totalApps() int {
 		n += m.Apps()
 	}
 	return n
-}
-
-// unbindChip releases an app's chip partition, if any. The pointer is
-// left in place (tick workers may hold a snapshot of the app); the
-// released partition turns further actuation into clean errors.
-// Reached only from journaling writers (Enroll rollback, withdraw), so
-// the release it applies is always covered by their committed record.
-//
-//angstrom:journaled writer
-func (d *Daemon) unbindChip(a *app) {
-	if a.partition() != nil {
-		d.fleet.Chip(a.chip).Release(a.name)
-	}
 }
 
 // Withdraw removes an application and frees its core share.
@@ -713,13 +788,7 @@ func (d *Daemon) withdraw(name string, evict bool) error {
 	} else if err := d.journalCommit(rec); err != nil {
 		return err
 	}
-	d.dir.remove(name)
-	d.reg.Withdraw(name)
-	d.mgrs[a.chip].RemoveApp(name)
-	d.unbindChip(a)
-	if a.partition() != nil {
-		d.chipCount.Add(-1)
-	}
+	d.retire(a, stageAdmitted)
 	if evict {
 		d.evicted.Add(1)
 	}
@@ -983,15 +1052,12 @@ func (d *Daemon) tickAt(now sim.Time) {
 		d.mgrs[a.chip].SetInterference(a.name, a.partition().Interference().Slowdown)
 	}
 	// Broker pass: split the global core pool across the per-chip
-	// managers by last tick's aggregate corrected demand. A single
-	// manager keeps its full pool (the broker is the identity), so the
-	// one-chip daemon arbitrates bit-identically to the pre-fleet code.
-	if len(d.mgrs) > 1 {
-		units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
-		for i, m := range d.mgrs {
-			if m.Apps() > 0 {
-				_ = m.SetBudget(units[i])
-			}
+	// managers by last tick's aggregate corrected demand. One manager is
+	// a fleet of one: the broker hands it the whole pool, bit for bit.
+	units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
+	for i, m := range d.mgrs {
+		if m.Apps() > 0 {
+			_ = m.SetBudget(units[i])
 		}
 	}
 	// Publish each manager's allocations into its ID-indexed table:

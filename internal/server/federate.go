@@ -85,9 +85,8 @@ func (d *Daemon) placeChip(spec workload.Spec) int {
 		return 0
 	}
 	cc := d.cfg.Chip
-	base := angstrom.Config{Cores: 1, CacheKB: cc.CacheOptionsKB[0], VF: 0}
 	var memBps, flitHops float64
-	if m, err := angstrom.Evaluate(*cc.Params, spec, base); err == nil {
+	if m, err := angstrom.Evaluate(*cc.Params, spec, cc.baseConfig()); err == nil {
 		memBps, flitHops = m.MemBytesPerSec, m.FlitHopsPerSec
 	}
 	d.loadBuf = d.fleet.Loads(d.loadBuf[:0])
@@ -267,44 +266,28 @@ func (d *Daemon) applyMigration(name string, to int, now sim.Time) error {
 	cfg := part.Config()
 	share := part.Share()
 
-	rebindMgr := func(chip int) error {
-		scaling := a.spec.CachedSpeedup(d.cfg.Cores)
-		shape := curveShapeFor(a.spec, d.cfg.Cores, scaling)
-		mgr := d.mgrs[chip]
-		if err := mgr.AddAppWithShape(name, a.mon, scaling, shape.peak, shape.unimodal); err != nil {
+	// bind puts the app on one die: partition first, then that die's
+	// manager; a manager refusal gives the partition back.
+	bind := func(chip int) error {
+		a.chip = chip
+		if err := d.bindChipAt(a, cfg, share, now); err != nil {
 			return err
 		}
-		if a.prio > 0 {
-			if err := mgr.SetPriority(name, a.prio); err != nil {
-				mgr.RemoveApp(name)
-				return err
-			}
+		if err := d.joinManager(a); err != nil {
+			d.fleet.Chip(chip).Release(name)
+			return err
 		}
-		a.mgrID, _ = mgr.AppID(name)
 		return nil
 	}
-
 	d.fleet.Chip(from).Release(name)
 	d.mgrs[from].RemoveApp(name)
-	a.chip = to
-	if err := d.bindChipAt(a, a.spec, cfg, share, now); err != nil {
-		// Roll the drain back: re-acquire on the source so the app is
-		// never left partitionless. The source ledger just freed exactly
-		// this reservation, so the re-bind cannot fail for space.
-		a.chip = from
-		if err2 := d.bindChipAt(a, a.spec, cfg, share, now); err2 != nil {
+	if err := bind(to); err != nil {
+		// Roll the drain back: re-bind on the source so the app is never
+		// left partitionless. The source ledger and manager just freed
+		// exactly this reservation, so the re-bind cannot fail for space.
+		if err2 := bind(from); err2 != nil {
 			return fmt.Errorf("server: migration of %q failed and could not re-bind source: %v (after %w)", name, err2, err)
 		}
-		_ = rebindMgr(from)
-		return err
-	}
-	if err := rebindMgr(to); err != nil {
-		d.fleet.Chip(to).Release(name)
-		a.chip = from
-		if err2 := d.bindChipAt(a, a.spec, cfg, share, now); err2 != nil {
-			return fmt.Errorf("server: migration of %q failed and could not re-bind source: %v (after %w)", name, err2, err)
-		}
-		_ = rebindMgr(from)
 		return err
 	}
 

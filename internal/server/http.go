@@ -88,7 +88,7 @@ func (d *Daemon) Handler() http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/apps/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := d.Withdraw(r.PathValue("name")); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"angstrom/internal/angstrom"
-	"angstrom/internal/core"
 	"angstrom/internal/heartbeat"
 	"angstrom/internal/journal"
 	"angstrom/internal/sim"
@@ -649,18 +648,17 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	if err := validPriority(sa.Priority); err != nil {
 		return err
 	}
-	mon := heartbeat.New(d.clock, heartbeat.WithWindow(sa.Window))
-	mon.SetPerformanceGoal(sa.MinRate, sa.MaxRate)
-	a := &app{name: sa.Name, spec: spec, mon: mon, window: sa.Window, enrolledAt: sa.EnrolledAt, migratedAt: sa.MigratedAt, prio: sa.Priority}
-	units := sa.Units
-	if units < 1 {
-		units = 1
+	a := d.newApp(sa.Name, spec, sa.Window, sa.MinRate, sa.MaxRate, sa.Priority)
+	a.enrolledAt, a.migratedAt = sa.EnrolledAt, sa.MigratedAt
+	if sa.Units > 1 {
+		a.units.Store(int64(sa.Units))
+		a.alloc.Units = sa.Units
 	}
-	a.units.Store(int64(units))
-	a.alloc = core.Allocation{App: sa.Name, Units: units, Demand: sa.Demand, Share: sa.AllocShare, GoalMet: sa.GoalFit}
-	if a.alloc.Share <= 0 {
-		a.alloc.Share = 1
+	a.alloc.Demand, a.alloc.GoalMet = sa.Demand, sa.GoalFit
+	if sa.AllocShare > 0 {
+		a.alloc.Share = sa.AllocShare
 	}
+	var at *placement
 	if sa.Chip != nil {
 		if d.fleet == nil {
 			return fmt.Errorf("server: snapshot has chip app %q but the daemon runs without -chip", sa.Name)
@@ -669,52 +667,12 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 			return fmt.Errorf("server: snapshot places %q on chip %d of %d", sa.Name, sa.Chip.Chip, d.fleet.Chips())
 		}
 		a.chip = sa.Chip.Chip
-		cfg := angstrom.Config{Cores: sa.Chip.Cores, CacheKB: sa.Chip.CacheKB, VF: sa.Chip.VF}
-		if err := d.bindChipAt(a, spec, cfg, sa.Chip.Share, d.clock.Now()); err != nil {
-			return err
-		}
-	} else {
-		space, err := buildSpace(spec)
-		if err != nil {
-			return err
-		}
-		if a.rt, err = core.New(sa.Name, d.clock, mon, space, core.Options{}); err != nil {
-			return err
+		at = &placement{
+			cfg:   angstrom.Config{Cores: sa.Chip.Cores, CacheKB: sa.Chip.CacheKB, VF: sa.Chip.VF},
+			share: sa.Chip.Share,
 		}
 	}
-	scaling := spec.CachedSpeedup(d.cfg.Cores)
-	shape := curveShapeFor(spec, d.cfg.Cores, scaling)
-	mgr := d.mgrs[a.chip]
-	if err := mgr.AddAppWithShape(sa.Name, mon, scaling, shape.peak, shape.unimodal); err != nil {
-		d.unbindChip(a)
-		return err
-	}
-	if sa.Priority > 0 {
-		if err := mgr.SetPriority(sa.Name, sa.Priority); err != nil {
-			mgr.RemoveApp(sa.Name)
-			d.unbindChip(a)
-			return err
-		}
-	}
-	a.mgrID, _ = mgr.AppID(sa.Name)
-	a.alloc.ID = a.mgrID
-	if err := d.reg.Enroll(sa.Name, mon); err != nil {
-		mgr.RemoveApp(sa.Name)
-		d.unbindChip(a)
-		return err
-	}
-	d.appSeq++
-	a.seq = d.appSeq
-	if !d.dir.insert(sa.Name, a) {
-		d.reg.Withdraw(sa.Name)
-		mgr.RemoveApp(sa.Name)
-		d.unbindChip(a)
-		return fmt.Errorf("server: %q %w", sa.Name, ErrDuplicate)
-	}
-	if a.partition() != nil {
-		d.chipCount.Add(1)
-	}
-	return nil
+	return d.admit(a, at, d.clock.Now())
 }
 
 // buildImage captures the compacted prefix the snapshot at sequence seq

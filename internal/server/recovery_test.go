@@ -631,6 +631,22 @@ func TestDegradedMode(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("mutation in degraded mode: %v %v", resp.StatusCode, err)
 	}
+	// A refused withdraw is a refused mutation (503), not a missing app;
+	// an unknown name is still 404.
+	for name, want := range map[string]int{"ok": http.StatusServiceUnavailable, "nosuch": http.StatusNotFound} {
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/apps/"+name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("DELETE %s in degraded mode: %d, want %d", name, resp.StatusCode, want)
+		}
+	}
 }
 
 // A healthy journaled daemon is ready.

@@ -11,6 +11,10 @@
 // locality, memory and communication intensity) plus a phase signal that
 // makes work-per-heartbeat vary over time, which is what separates the
 // dynamic oracle from the static oracle in Figure 3.
+//
+// A running copy of a benchmark is an Instance (deterministic per-beat
+// work) plus a Cursor (cursor.go): the execution position every platform
+// model advances to turn an instruction rate into beat completion times.
 package workload
 
 import (

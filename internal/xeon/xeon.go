@@ -184,10 +184,9 @@ type Server struct {
 	clock *sim.Clock
 	Meter *PowerMeter
 
-	inst      *workload.Instance
-	mon       *heartbeat.Monitor
-	beat      uint64
-	workCarry float64
+	inst *workload.Instance
+	mon  *heartbeat.Monitor
+	cur  workload.Cursor // execution position of inst
 }
 
 // NewServer builds a server in the given initial configuration.
@@ -202,8 +201,7 @@ func NewServer(p Params, cfg Config, clock *sim.Clock) (*Server, error) {
 func (s *Server) Attach(inst *workload.Instance, mon *heartbeat.Monitor) {
 	s.inst = inst
 	s.mon = mon
-	s.beat = 0
-	s.workCarry = 0
+	s.cur = workload.Cursor{}
 }
 
 // Config returns the current knob settings.
@@ -212,7 +210,7 @@ func (s *Server) Config() Config { return s.cfg }
 // BeatCount reports how many beats the attached application has emitted;
 // the dynamic oracle uses it to index the phase signal with perfect
 // knowledge.
-func (s *Server) BeatCount() uint64 { return s.beat }
+func (s *Server) BeatCount() uint64 { return s.cur.Beats() }
 
 // Params returns the hardware constants.
 func (s *Server) Params() Params { return s.p }
@@ -247,21 +245,14 @@ func (s *Server) RunInterval(dt float64) (Metrics, error) {
 	}
 	end := s.clock.Now() + dt
 	for s.clock.Now() < end-1e-12 {
-		need := s.inst.WorkForBeat(s.beat) - s.workCarry
-		tBeat := need / m.IPS
-		if s.clock.Now()+tBeat <= end {
-			s.clock.Advance(tBeat)
-			s.Meter.Integrate(m.PowerW, tBeat)
-			if s.mon != nil {
-				s.mon.Beat()
-			}
-			s.beat++
-			s.workCarry = 0
-		} else {
-			rem := end - s.clock.Now()
-			s.workCarry += rem * m.IPS
-			s.clock.Advance(rem)
-			s.Meter.Integrate(m.PowerW, rem)
+		step, beat, serr := s.cur.Step(s.inst, m.IPS, s.clock.Now(), end)
+		if serr != nil {
+			return m, fmt.Errorf("xeon: %w", serr)
+		}
+		s.clock.Advance(step)
+		s.Meter.Integrate(m.PowerW, step)
+		if beat && s.mon != nil {
+			s.mon.Beat()
 		}
 	}
 	return m, nil
@@ -274,99 +265,45 @@ func (s *Server) Actuators() ([]*actuator.Actuator, error) {
 	if s.inst == nil {
 		return nil, fmt.Errorf("xeon: attach a workload before building actuators")
 	}
-	spec := s.inst.Spec
-	base := s.cfg
+	spec, base := s.inst.Spec, s.cfg
 	baseM, err := Evaluate(s.p, spec, base)
 	if err != nil {
 		return nil, err
 	}
-	effect := func(cfg Config) (actuator.Effect, error) {
-		m, merr := Evaluate(s.p, spec, cfg)
-		if merr != nil {
-			return actuator.Effect{}, merr
-		}
-		return actuator.Effect{
-			Speedup: m.HeartRate / baseM.HeartRate,
-			PowerX:  (m.PowerW - s.p.IdleW) / (baseM.PowerW - s.p.IdleW),
-			Distort: 1,
-		}, nil
+	// One knob is one Config field: with returns a configuration holding
+	// value v there, both to price the setting against base and to apply
+	// it to the live server.
+	knobs := []struct {
+		name    string
+		values  []int
+		nominal int
+		delay   float64
+		label   func(v int) string
+		with    func(c Config, v int) Config
+	}{
+		{"core-allocation", actuator.Range(1, s.p.Cores), base.Cores, 0.05,
+			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c Config, v int) Config { c.Cores = v; return c }},
+		{"clock-speed", actuator.Range(0, len(s.p.FreqsGHz)-1), base.PState, 0.01,
+			func(v int) string { return fmt.Sprintf("%.2fGHz", s.p.FreqsGHz[v]) }, func(c Config, v int) Config { c.PState = v; return c }},
+		{"idle-cycles", actuator.Range(1, s.p.DutyLevels), base.Duty, 0.001,
+			func(v int) string { return fmt.Sprintf("duty %d/%d", v, s.p.DutyLevels) }, func(c Config, v int) Config { c.Duty = v; return c }},
 	}
-	axes := []actuator.Axis{actuator.Performance, actuator.Power}
-
-	var coreSettings []actuator.Setting
-	for c := 1; c <= s.p.Cores; c++ {
-		cfg := base
-		cfg.Cores = c
-		eff := actuator.Nominal()
-		if c != base.Cores {
-			if eff, err = effect(cfg); err != nil {
-				return nil, err
-			}
-		}
-		coreSettings = append(coreSettings, actuator.Setting{
-			Label: fmt.Sprintf("%d cores", c), Value: c, Effect: eff,
-		})
-	}
-	var freqSettings []actuator.Setting
-	for ps := range s.p.FreqsGHz {
-		cfg := base
-		cfg.PState = ps
-		eff := actuator.Nominal()
-		if ps != base.PState {
-			if eff, err = effect(cfg); err != nil {
-				return nil, err
-			}
-		}
-		freqSettings = append(freqSettings, actuator.Setting{
-			Label: fmt.Sprintf("%.2fGHz", s.p.FreqsGHz[ps]), Value: ps, Effect: eff,
-		})
-	}
-	var dutySettings []actuator.Setting
-	for d := 1; d <= s.p.DutyLevels; d++ {
-		cfg := base
-		cfg.Duty = d
-		eff := actuator.Nominal()
-		if d != base.Duty {
-			if eff, err = effect(cfg); err != nil {
-				return nil, err
-			}
-		}
-		dutySettings = append(dutySettings, actuator.Setting{
-			Label: fmt.Sprintf("duty %d/%d", d, s.p.DutyLevels), Value: d, Effect: eff,
-		})
-	}
-
-	acts := []*actuator.Actuator{
-		{
-			Name: "core-allocation", Settings: coreSettings, NominalIndex: base.Cores - 1,
-			Apply: func(i int) error {
-				cfg := s.cfg
-				cfg.Cores = coreSettings[i].Value
-				return s.SetConfig(cfg)
+	acts := make([]*actuator.Actuator, len(knobs))
+	for i, k := range knobs {
+		acts[i], err = actuator.Sweep(k.name, k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+			func(v int) (actuator.Effect, error) {
+				m, merr := Evaluate(s.p, spec, k.with(base, v))
+				if merr != nil {
+					return actuator.Effect{}, merr
+				}
+				return actuator.Effect{
+					Speedup: m.HeartRate / baseM.HeartRate,
+					PowerX:  (m.PowerW - s.p.IdleW) / (baseM.PowerW - s.p.IdleW),
+					Distort: 1,
+				}, nil
 			},
-			DelaySeconds: 0.05, Scope: actuator.GlobalScope, Axes: axes,
-		},
-		{
-			Name: "clock-speed", Settings: freqSettings, NominalIndex: base.PState,
-			Apply: func(i int) error {
-				cfg := s.cfg
-				cfg.PState = freqSettings[i].Value
-				return s.SetConfig(cfg)
-			},
-			DelaySeconds: 0.01, Scope: actuator.GlobalScope, Axes: axes,
-		},
-		{
-			Name: "idle-cycles", Settings: dutySettings, NominalIndex: base.Duty - 1,
-			Apply: func(i int) error {
-				cfg := s.cfg
-				cfg.Duty = dutySettings[i].Value
-				return s.SetConfig(cfg)
-			},
-			DelaySeconds: 0.001, Scope: actuator.GlobalScope, Axes: axes,
-		},
-	}
-	for _, a := range acts {
-		if err := a.Validate(); err != nil {
+			func(level int) error { return s.SetConfig(k.with(s.cfg, k.values[level])) })
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -189,6 +189,33 @@ func TestServerRunIntervalEmitsBeats(t *testing.T) {
 	}
 }
 
+// Regression: RunInterval had no rate guard, so a model that evaluated
+// to a non-positive IPS walked the clock backwards and panicked in
+// sim.Clock.Advance ("clock advanced by negative dt"). It must return an
+// error and leave the clock alone.
+func TestServerRunIntervalRejectsNonPositiveIPS(t *testing.T) {
+	for _, ghz := range []float64{-1, math.NaN()} {
+		p := DefaultParams()
+		p.FreqsGHz = []float64{ghz}
+		clock := sim.NewClock(0)
+		srv, err := NewServer(p, Config{Cores: 1, PState: 0, Duty: 10}, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Attach(workload.NewInstance(spec(t, "water"), 1), heartbeat.New(clock))
+		m, err := srv.RunInterval(1.0)
+		if err == nil {
+			t.Fatalf("%g GHz: interval accepted IPS %g", ghz, m.IPS)
+		}
+		if m.IPS > 0 {
+			t.Fatalf("%g GHz still evaluates to IPS %g; the test no longer reaches the guard", ghz, m.IPS)
+		}
+		if clock.Now() != 0 || srv.BeatCount() != 0 {
+			t.Fatalf("%g GHz: rejected interval moved the clock to %g (%d beats)", ghz, clock.Now(), srv.BeatCount())
+		}
+	}
+}
+
 func TestServerSetConfigValidates(t *testing.T) {
 	clock := sim.NewClock(0)
 	srv, _ := NewServer(DefaultParams(), Config{Cores: 1, PState: 0, Duty: 10}, clock)
