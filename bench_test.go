@@ -865,6 +865,36 @@ func BenchmarkMonitorBeatWindow4096(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorObserveWindow256 gates the observe step every runtime
+// pays once per decision period, at the chip fleet's window: a window
+// that reports no distortion must not be walked (quiet is O(1), where
+// it was 256 record copies), and one that does is summed in place
+// (reporting). Both are 0 allocs/op.
+func BenchmarkMonitorObserveWindow256(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		distortion float64
+	}{{"quiet", 0}, {"reporting", 0.125}} {
+		b.Run(c.name, func(b *testing.B) {
+			clock := sim.NewClock(0)
+			mon := heartbeat.New(clock, heartbeat.WithWindow(256))
+			for i := 0; i < 300; i++ { // past wrap-around
+				clock.Advance(1e-3)
+				mon.BeatWithAccuracy(c.distortion)
+			}
+			var obs heartbeat.Observation
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				obs = mon.Observe()
+			}
+			if obs.Distortion != c.distortion {
+				b.Fatalf("mean distortion %g, want %g", obs.Distortion, c.distortion)
+			}
+		})
+	}
+}
+
 // --- Chip-backed serving benchmarks (PR 3) --------------------------
 //
 // The chip-backed daemon's hot paths: the per-app Sensor read (gated at

@@ -182,7 +182,12 @@ func (a *Actuator) Set(index int) error {
 	return nil
 }
 
-// Current reports the current setting index.
+// Current reports the index most recently applied through Set (the
+// nominal index before any). It is the last request, not a reading: a
+// rate-limited or capped Knob may have landed elsewhere (Knob.Level
+// says where), and a driver that can see the platform already holds a
+// configuration — the chip-backed daemon's act phase reads its
+// partition — need not call Set to say so again.
 func (a *Actuator) Current() int { return a.current }
 
 // EffectOf returns the declared effect of setting index i.

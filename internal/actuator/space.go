@@ -98,7 +98,8 @@ func (s *Space) Apply(cfg Config) error {
 	return nil
 }
 
-// Current returns the currently applied configuration.
+// Current returns the configuration most recently applied through
+// Apply, actuator by actuator (see Actuator.Current).
 func (s *Space) Current() Config {
 	cfg := make(Config, len(s.Acts))
 	for i, a := range s.Acts {

@@ -1,6 +1,7 @@
 package angstrom
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -47,8 +48,8 @@ type SharedChip struct {
 	tiles  int
 	nocCap float64 // mesh flit-hop capacity (contention.go)
 
-	mu    sync.Mutex
-	used  float64 // sum over partitions of Cores × Share
+	mu   sync.Mutex
+	used float64 // sum over partitions of Cores × Share
 	// memScale derates the chip's off-chip bandwidth (thermal throttle,
 	// failed channel, chaos injection). 1 = nominal.
 	memScale float64
@@ -280,8 +281,15 @@ func (pt *Partition) Now() sim.Time {
 	return pt.now
 }
 
+// ErrShareRefused is SetShare's refusal of a share the tile pool has no
+// room for. A serving tick re-offers refused shares every period —
+// thousands of refusals a tick on a crowded fleet — so the refusal is a
+// sentinel: nothing is formatted for a caller that only counts it.
+var ErrShareRefused = errors.New("angstrom: time share would exceed the tile pool")
+
 // SetShare changes the partition's time share, adjusting the chip's
-// core-equivalent ledger. Growth beyond the free pool is refused.
+// core-equivalent ledger. Growth beyond the free pool is refused with
+// ErrShareRefused.
 //
 //angstrom:journaled mutator
 func (pt *Partition) SetShare(share float64) error {
@@ -298,7 +306,7 @@ func (pt *Partition) SetShare(share float64) error {
 	}
 	delta := float64(pt.cfg.Cores) * (share - pt.share)
 	if sc.used+delta > float64(sc.tiles)+1e-9 {
-		return fmt.Errorf("angstrom: share %g would exceed the tile pool", share)
+		return ErrShareRefused
 	}
 	sc.used += delta
 	pt.share = share

@@ -56,6 +56,10 @@ type Manager struct {
 
 	apps   []*managedApp
 	byName map[string]*managedApp
+	// byID indexes the managed applications by their stable handle (nil
+	// at a free ID): what a per-tick caller holding AppID's result pays
+	// instead of a name hash.
+	byID []*managedApp
 	// freeIDs recycles the stable integer handles of removed apps so
 	// ID-indexed caller tables stay bounded by the peak fleet size.
 	freeIDs []int
@@ -263,7 +267,9 @@ func (m *Manager) AddAppWithShape(name string, mon *heartbeat.Monitor, scaling f
 	} else {
 		a.id = m.nextID
 		m.nextID++
+		m.byID = append(m.byID, nil)
 	}
+	m.byID[a.id] = a
 	m.apps = append(m.apps, a)
 	m.byName[name] = a
 	m.orderValid = false
@@ -282,21 +288,23 @@ func (m *Manager) AppID(name string) (int, bool) {
 }
 
 // SetInterference reports the platform's measured contention factor for
-// one application: the multiplier (0, 1] by which shared-resource
-// contention (memory bandwidth, NoC) degrades its throughput below the
-// declared scaling curve. The manager divides it out of the observed
-// rate when estimating the base speed, and inflates the application's
-// unit demand so the water-filling pass provisions for *contended*
-// throughput rather than the per-app projection. Unknown names and
-// out-of-range factors are ignored. Interference feeds the journaled
-// tick's water-fill, so inside the daemon only tick writers call it.
+// one application, named by its AppID handle (the platform reports it
+// for every application every period): the multiplier (0, 1] by which
+// shared-resource contention (memory bandwidth, NoC) degrades its
+// throughput below the declared scaling curve. The manager divides it
+// out of the observed rate when estimating the base speed, and inflates
+// the application's unit demand so the water-filling pass provisions
+// for *contended* throughput rather than the per-app projection. IDs no
+// application holds and out-of-range factors are ignored. Interference
+// feeds the journaled tick's water-fill, so inside the daemon only tick
+// writers call it.
 //
 //angstrom:journaled mutator
-func (m *Manager) SetInterference(name string, factor float64) {
-	if factor <= 0 || factor > 1 {
+func (m *Manager) SetInterference(id int, factor float64) {
+	if factor <= 0 || factor > 1 || id < 0 || id >= len(m.byID) {
 		return
 	}
-	if a, ok := m.byName[name]; ok {
+	if a := m.byID[id]; a != nil {
 		a.interf = factor
 	}
 }
@@ -347,6 +355,7 @@ func (m *Manager) RemoveApp(name string) bool {
 	delete(m.byName, name)
 	for i, a := range m.apps {
 		if a.name == name {
+			m.byID[a.id] = nil
 			m.freeIDs = append(m.freeIDs, a.id)
 			m.apps = append(m.apps[:i], m.apps[i+1:]...)
 			break

@@ -121,8 +121,10 @@ func (f *propFleet) churnInterference(rng *rand.Rand) {
 	}
 	name := f.names[rng.Intn(len(f.names))]
 	factor := 0.05 + rng.Float64()*0.95
-	f.inc.SetInterference(name, factor)
-	f.ref.SetInterference(name, factor)
+	for _, m := range []*Manager{f.inc, f.ref} {
+		id, _ := m.AppID(name)
+		m.SetInterference(id, factor)
+	}
 }
 
 func (f *propFleet) churnPriority(rng *rand.Rand) {

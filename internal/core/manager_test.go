@@ -343,7 +343,11 @@ func TestManagerInterferenceInflatesDemand(t *testing.T) {
 
 	// Co-location halves delivered throughput: the platform reports the
 	// factor and the application's true rate drops to match.
-	h.mgr.SetInterference("a", 0.5)
+	id, ok := h.mgr.AppID("a")
+	if !ok {
+		t.Fatal("a has no manager handle")
+	}
+	h.mgr.SetInterference(id, 0.5)
 	h.bases[0] *= 0.5
 	for i := 0; i < 8; i++ {
 		h.run(20)
@@ -357,11 +361,31 @@ func TestManagerInterferenceInflatesDemand(t *testing.T) {
 		t.Fatalf("contended allocation %d units, want ~20", contended.Units)
 	}
 
-	// Out-of-range factors and unknown names are ignored.
-	h.mgr.SetInterference("a", 0)
-	h.mgr.SetInterference("a", 1.5)
-	h.mgr.SetInterference("nosuch", 0.5)
+	// Out-of-range factors and handles nobody holds are ignored.
+	h.mgr.SetInterference(id, 0)
+	h.mgr.SetInterference(id, 1.5)
+	h.mgr.SetInterference(-1, 0.25)
+	h.mgr.SetInterference(id+1, 0.25)
 	if f := h.mgr.apps[0].interf; f != 0.5 {
 		t.Fatalf("interference %g after invalid updates, want 0.5", f)
+	}
+	// A handle freed by RemoveApp names nobody until it is re-issued,
+	// and then names only the newcomer.
+	if !h.mgr.RemoveApp("a") {
+		t.Fatal("a not managed")
+	}
+	h.mgr.SetInterference(id, 0.25)
+	if err := h.mgr.AddApp("b", h.mons[0], linear); err != nil {
+		t.Fatal(err)
+	}
+	if bid, _ := h.mgr.AppID("b"); bid != id {
+		t.Fatalf("freed handle %d not re-issued: b holds %d", id, bid)
+	}
+	if f := h.mgr.apps[0].interf; f != 1 {
+		t.Fatalf("newcomer on a recycled handle starts at interference %g, want 1", f)
+	}
+	h.mgr.SetInterference(id, 0.25)
+	if f := h.mgr.apps[0].interf; f != 0.25 {
+		t.Fatalf("interference %g through the re-issued handle, want 0.25", f)
 	}
 }

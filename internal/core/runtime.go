@@ -90,7 +90,9 @@ type Decision struct {
 	Schedule      control.Schedule
 
 	// LoCfg/HiCfg are the concrete configurations behind the schedule;
-	// run HiCfg for HiFrac of the period, LoCfg for the rest.
+	// run HiCfg for HiFrac of the period, LoCfg for the rest. They alias
+	// the runtime's point table, which every decision of that runtime
+	// shares: read-only (Clone before changing one).
 	LoCfg, HiCfg actuator.Config
 	HiFrac       float64
 	// PredictedPower is the schedule's power multiplier under the
@@ -107,17 +109,22 @@ type Slice struct {
 // Slices splits a decision period into the at-most-two slices the
 // schedule requires, low-power slice first (SEEC runs the cheap
 // configuration first so a truncated period errs toward saving power).
-func (d Decision) Slices(period float64) []Slice {
+// The slices share the decision's configurations (read-only).
+func (d Decision) Slices(period float64) []Slice { return d.AppendSlices(nil, period) }
+
+// AppendSlices is Slices appending to dst: a loop that re-decides every
+// period passes last period's slices, cut to length zero, and allocates
+// nothing.
+func (d Decision) AppendSlices(dst []Slice, period float64) []Slice {
 	if d.HiFrac >= 1 || d.LoCfg.Equal(d.HiCfg) {
-		return []Slice{{Cfg: d.HiCfg, Duration: period}}
+		return append(dst, Slice{Cfg: d.HiCfg, Duration: period})
 	}
 	if d.HiFrac <= 0 {
-		return []Slice{{Cfg: d.LoCfg, Duration: period}}
+		return append(dst, Slice{Cfg: d.LoCfg, Duration: period})
 	}
-	return []Slice{
-		{Cfg: d.LoCfg, Duration: period * (1 - d.HiFrac)},
-		{Cfg: d.HiCfg, Duration: period * d.HiFrac},
-	}
+	return append(dst,
+		Slice{Cfg: d.LoCfg, Duration: period * (1 - d.HiFrac)},
+		Slice{Cfg: d.HiCfg, Duration: period * d.HiFrac})
 }
 
 // Runtime is the SEEC runtime for one application.
@@ -223,11 +230,11 @@ func (r *Runtime) candidates() []control.Candidate {
 // caller (the act phase) executes the decision's slices over the next
 // decision period, then calls Step again.
 func (r *Runtime) Step() (Decision, error) {
-	goals := r.mon.Goals()
-	if goals.Performance == nil {
+	minRate, maxRate, ok := r.mon.PerformanceBand()
+	if !ok {
 		return Decision{}, fmt.Errorf("core: application %q declared no performance goal", r.app)
 	}
-	goal := goals.Performance.Target()
+	goal := heartbeat.PerformanceGoal{MinRate: minRate, MaxRate: maxRate}.Target()
 	obs := r.mon.Observe()
 	now := r.clock.Now()
 
@@ -283,8 +290,8 @@ func (r *Runtime) Step() (Decision, error) {
 		BaseEstimate:   base,
 		TargetSpeedup:  target,
 		Schedule:       sch,
-		LoCfg:          r.points[sch.Lo.ID].Cfg.Clone(),
-		HiCfg:          r.points[sch.Hi.ID].Cfg.Clone(),
+		LoCfg:          r.points[sch.Lo.ID].Cfg,
+		HiCfg:          r.points[sch.Hi.ID].Cfg,
 		HiFrac:         sch.HiFrac,
 		PredictedPower: sch.AvgPower(),
 	}

@@ -11,6 +11,17 @@
 //   - the *application* side: Beat, BeatTagged, BeatWithAccuracy, and the
 //     Set*Goal functions;
 //   - the *observer* side: Observe and Goals, used by runtime deciders.
+//
+// Observe runs once per application per decision period, so it costs
+// O(1) whenever it can: the window's endpoints give the rates, and the
+// monitor remembers the sequence number of the newest beat that
+// reported a non-zero distortion. Once that beat has left the window —
+// or if there never was one: every application that never calls
+// BeatWithAccuracy — every retained distortion is zero, the
+// mean-distortion sum is exactly +0, and the ring is not walked. A
+// window that does hold a report is summed oldest first, as it always
+// was: a running float sum would drift from that by rounding; knowing
+// whether there is anything to sum cannot.
 package heartbeat
 
 import (
@@ -52,9 +63,14 @@ type Monitor struct {
 	ring   []Record // circular buffer of the last `window` beats
 	start  int      // ring index of the oldest retained record
 	size   int      // retained records (<= window)
-	count  uint64   // total beats ever emitted
-	first  sim.Time // time of first beat
-	goals  Goals
+	// lastReport is the Seq of the newest beat with Distortion != 0 (a
+	// NaN counts, -0 does not; 0 before any). Once that beat has left the
+	// window every retained distortion is zero, their sum is exactly +0,
+	// and Observe skips the ring.
+	lastReport uint64
+	count      uint64   // total beats ever emitted
+	first      sim.Time // time of first beat
+	goals      Goals
 }
 
 // DefaultWindow is the heart-rate averaging window (in beats) used when
@@ -220,8 +236,16 @@ func (m *Monitor) emitLocked(now sim.Time, tag uint64, distortion float64) {
 		m.ring[m.start] = rec
 		m.start = (m.start + 1) % m.window
 	}
+	if distortion != 0 {
+		m.lastReport = rec.Seq
+	}
 	m.count++
 }
+
+// reportsDistortion reports whether any retained record carries a
+// non-zero distortion: the window holds Seq count-size+1 .. count.
+// Caller holds m.mu.
+func (m *Monitor) reportsDistortion() bool { return m.lastReport+uint64(m.size) > m.count }
 
 // at returns the i-th oldest retained record (0 <= i < m.size); caller
 // holds m.mu.
@@ -266,7 +290,12 @@ type Observation struct {
 }
 
 // Observe returns the current snapshot. With fewer than two beats the
-// rates are zero.
+// rates are zero. It is the observe step of every runtime's decision
+// period: O(1) unless the window holds a non-zero distortion report
+// (see the package comment), and never allocating
+// (BenchmarkMonitorObserveWindow256 gates it at 0 allocs/op).
+//
+//angstrom:hotpath
 func (m *Monitor) Observe() Observation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -295,8 +324,20 @@ func (m *Monitor) Observe() Observation {
 		}
 	}
 	sum := 0.0
-	for i := 0; i < m.size; i++ {
-		sum += m.at(i).Distortion
+	if m.reportsDistortion() {
+		// Oldest first over the ring's two contiguous runs, in place: the
+		// summation order is part of the result.
+		end := m.start + m.size
+		wrapped := 0
+		if end > m.window {
+			end, wrapped = m.window, end-m.window
+		}
+		for i := m.start; i < end; i++ {
+			sum += m.ring[i].Distortion
+		}
+		for i := 0; i < wrapped; i++ {
+			sum += m.ring[i].Distortion
+		}
 	}
 	o.Distortion = sum / float64(m.size)
 	return o

@@ -190,9 +190,9 @@ type StatsResponse struct {
 	// totals through per-connection deltas, so Beats may trail the
 	// wire's ground truth by up to one flush threshold per connection
 	// until clients issue a flush barrier.
-	WireConns  int    `json:"wire_conns,omitempty"`
-	WireFrames uint64 `json:"wire_frames,omitempty"`
-	ClockSeconds float64 `json:"clock_seconds"`
+	WireConns     int     `json:"wire_conns,omitempty"`
+	WireFrames    uint64  `json:"wire_frames,omitempty"`
+	ClockSeconds  float64 `json:"clock_seconds"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	PeriodSeconds float64 `json:"period_seconds"`
 	Accelerated   bool    `json:"accelerated"`
@@ -202,10 +202,34 @@ type StatsResponse struct {
 	// fit under it (the caps are then floored and the overdraft is
 	// surfaced here instead of being silently hidden).
 	PowerOvercommitW float64 `json:"chip_power_overcommit_w,omitempty"`
+	// Tick and Chip count what the tick was refused and carried on past
+	// (Chip is absent for advisory daemons).
+	Tick TickStats  `json:"tick"`
+	Chip *ChipStats `json:"chip,omitempty"`
 	// Journal is the durability layer's state (absent without -data-dir):
 	// appended record count, newest snapshot, and whether the daemon has
 	// degraded to read-only after a journal failure.
 	Journal *JournalStats `json:"journal,omitempty"`
+}
+
+// TickStats counts the arbitration failures the tick has survived.
+type TickStats struct {
+	// StepErrors counts per-die arbitrations that did not run as asked:
+	// a broker budget the die's manager refused, or a Manager.Step that
+	// failed, leaving the die's tenants on last tick's grants. Any
+	// nonzero value wants looking at.
+	StepErrors uint64 `json:"step_errors"`
+}
+
+// ChipStats counts the chip fleet's refused actuations.
+type ChipStats struct {
+	// ShareRefusals counts time shares a die's tile ledger would not
+	// grant when the tick applied the arbiter's split. They are
+	// transient by design — the arbiter re-offers the share next tick —
+	// and routine wherever a die's manager is granted more units than
+	// the die has tiles; a count that keeps pace with ticks × apps means
+	// the arbiter and the ledger disagree about what fits.
+	ShareRefusals uint64 `json:"share_refusals"`
 }
 
 // ChipStatusResponse is one die's tile-ledger snapshot.

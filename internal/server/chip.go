@@ -62,7 +62,10 @@ type ChipConfig struct {
 	// KnobWrap, when non-nil, wraps each partition's raw hardware knobs
 	// before the daemon adds rate limiting and allocation clamping.
 	// Tests use it to interpose recording fakes at the exact
-	// Actuator/Sensor interface boundary.
+	// Actuator/Sensor interface boundary. The wrapper sees a SetLevel
+	// only when a knob has a rung to move, and its Level must report the
+	// knob it wraps: the act phase reads the partition's configuration
+	// and leaves knobs that already hold their target alone.
 	KnobWrap func(app string, k actuator.Knob) actuator.Knob
 }
 
@@ -146,14 +149,21 @@ type cappedKnob struct {
 }
 
 func (k *cappedKnob) SetLevel(level int) error {
-	if max := len(k.options) - 1; level > max {
+	return k.Knob.SetLevel(clampToUnits(k.options, level, k.units()))
+}
+
+// clampToUnits is the highest rung at or below level whose option fits
+// in units (rung 0 always does: every application holds one unit).
+//
+//angstrom:hotpath
+func clampToUnits(options []int, level, units int) int {
+	if max := len(options) - 1; level > max {
 		level = max
 	}
-	cap := k.units()
-	for level > 0 && k.options[level] > cap {
+	for level > 0 && options[level] > units {
 		level--
 	}
-	return k.Knob.SetLevel(level)
+	return level
 }
 
 // bindChipAt binds a to a partition of die a.chip acquired at an
@@ -364,6 +374,10 @@ func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config,
 // execute the previous decision's schedule (low slice first) over the
 // elapsed wall/simulated interval, advancing the partition so it emits
 // heartbeats at model-exact times. Called only from the tick goroutine.
+// It runs once per chip-backed app per tick, mostly to find that no knob
+// has anywhere to go (see actuate), so it formats and allocates nothing.
+//
+//angstrom:hotpath
 func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 	part := a.partition()
 	start := part.Now()
@@ -372,25 +386,25 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 		return
 	}
 	beatsBefore := a.mon.Count()
-	defer func() { d.beats.Add(a.mon.Count() - beatsBefore) }()
-	var actErr error
+	pc := part.Config()
+	var err, actErr error
 	t := start
 	for _, sl := range a.pending {
-		if err := a.rt.Apply(sl.Cfg); err != nil && actErr == nil {
+		if pc, err = d.actuate(a, part, pc, sl.Cfg); err != nil && actErr == nil {
 			actErr = err // knob refusals during rebalance are transient
 		}
 		t += sl.Duration * dt
 		if t > now {
 			t = now
 		}
-		if err := part.Advance(t); err != nil {
+		if err = part.Advance(t); err != nil {
 			if actErr == nil {
 				actErr = err
 			}
 			break
 		}
 	}
-	if err := part.Advance(now); err != nil && actErr == nil {
+	if err = part.Advance(now); err != nil && actErr == nil {
 		actErr = err
 	}
 	// Park the knobs at the schedule's duration-weighted configuration
@@ -401,7 +415,7 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 	// weighted middle. The settle apply always ratchets one rung toward
 	// that intent.
 	if len(a.settle) > 0 {
-		if err := a.rt.Apply(a.settle); err != nil && actErr == nil {
+		if _, err = d.actuate(a, part, pc, a.settle); err != nil && actErr == nil {
 			actErr = err
 		}
 	}
@@ -412,26 +426,68 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 		a.actErr = ""
 	}
 	a.mu.Unlock()
+	if emitted := a.mon.Count() - beatsBefore; emitted > 0 {
+		d.beats.Add(emitted)
+	}
+}
+
+// actuate drives a's knobs toward cfg, given pc, the configuration its
+// partition holds, and returns the configuration it holds afterwards. A
+// schedule asks for the same few configurations tick after tick and a
+// stepped knob moves one rung per call, so nearly every call finds every
+// knob already at its target; then the knob stack (actuator, allocation
+// clamp, rate limiter, hardware knob: a closure, two mutexes and a
+// ladder search per knob) has nothing to do and is not entered.
+//
+//angstrom:hotpath
+func (d *Daemon) actuate(a *app, part *angstrom.Partition, pc angstrom.Config, cfg actuator.Config) (angstrom.Config, error) {
+	if d.holds(a, pc, cfg) {
+		return pc, nil
+	}
+	err := a.rt.Apply(cfg)
+	return part.Config(), err
+}
+
+// holds reports whether a partition at pc already sits on the rung cfg
+// would drive each of a's knobs to — the order buildChipSpace declares
+// them in: cores (clamped to the manager's grant exactly as cappedKnob
+// clamps it), L2 capacity, DVFS. Anything it cannot vouch for (a
+// configuration of another shape, an index off a ladder) it leaves to
+// the knobs to refuse.
+//
+//angstrom:hotpath
+func (d *Daemon) holds(a *app, pc angstrom.Config, cfg actuator.Config) bool {
+	cc := d.cfg.Chip
+	if len(cfg) != 3 {
+		return false
+	}
+	cores, cache, vf := cfg[0], cfg[1], cfg[2]
+	if cores < 0 || cores >= len(cc.CoreOptions) || cache < 0 || cache >= len(cc.CacheOptionsKB) || vf < 0 || vf >= len(cc.Params.VF) {
+		return false
+	}
+	return cc.CoreOptions[clampToUnits(cc.CoreOptions, cores, a.allocUnits())] == pc.Cores &&
+		cc.CacheOptionsKB[cache] == pc.CacheKB && vf == pc.VF
 }
 
 // settleConfig is the schedule's duration-weighted configuration: the
 // per-axis rounded mean of the low and high settings. It is where the
 // knobs should rest between intervals so repeated schedules make
 // monotone progress toward the schedule's intent (see runChipInterval).
-func settleConfig(dec core.Decision) actuator.Config {
+// It is appended to dst, the app's previous settle configuration cut to
+// length zero.
+func settleConfig(dst actuator.Config, dec core.Decision) actuator.Config {
 	if len(dec.LoCfg) == 0 || len(dec.HiCfg) != len(dec.LoCfg) {
 		return nil
 	}
-	out := make(actuator.Config, len(dec.LoCfg))
 	for i := range dec.LoCfg {
 		w := float64(dec.LoCfg[i])*(1-dec.HiFrac) + float64(dec.HiCfg[i])*dec.HiFrac
 		// Ceil, not round: parking below the weighted level caps the
 		// real mix at the lower rung pair and can pin a saturated
 		// controller just under its band; erring high leaves the
 		// continuous HiFrac room to trim the overshoot.
-		out[i] = int(math.Ceil(w - 1e-9))
+		dst = append(dst, int(math.Ceil(w-1e-9)))
 	}
-	return out
+	return dst
 }
 
 // rebalancePowerCaps apportions the chip power budget beyond uncore

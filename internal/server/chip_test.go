@@ -9,6 +9,7 @@ import (
 
 	"angstrom/internal/actuator"
 	"angstrom/internal/angstrom"
+	"angstrom/internal/heartbeat"
 	"angstrom/internal/workload"
 )
 
@@ -565,5 +566,75 @@ func TestPowerCapOvercommitSurfaced(t *testing.T) {
 	_, starved := run(0.3)
 	if starved.PowerOvercommitW <= 0 {
 		t.Fatal("0.3W budget (below uncore + floors) reports no overcommit")
+	}
+}
+
+// The tick survives two kinds of refusal and used to drop both on the
+// floor: a die's tile ledger refusing a time share the arbiter granted,
+// and a die's arbitration failing outright. Both are counted and surface
+// in /v1/stats. The fleet here is lopsided — most tenants pinned to die
+// 0 — so the broker, splitting the pool by demand, grants die 0's
+// manager more units than the die has tiles: the shares it hands out
+// cannot all fit, every tick.
+func TestTickCountsWhatItIsRefused(t *testing.T) {
+	const tiles, apps = 8, 24
+	d, err := NewDaemon(Config{
+		Cores: 2 * tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
+		Chip: &ChipConfig{Chips: 2, Tiles: tiles, MigrateSlowdown: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Chip == nil || st.Chip.ShareRefusals != 0 || st.Tick.StepErrors != 0 {
+		t.Fatalf("fresh chip daemon reports refusals: %+v / %+v", st.Chip, st.Tick)
+	}
+	lo, hi := chipGoal(t, "water", 4, 1) // more than one time-shared unit can deliver
+	for i := 0; i < apps; i++ {
+		die := 0
+		if i%6 == 5 {
+			die = 1
+		}
+		if err := d.Enroll(EnrollRequest{Name: fmt.Sprintf("app-%02d", i), Workload: "water", Window: 64, MinRate: lo, MaxRate: hi, Chip: &die}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		d.Tick()
+	}
+	st := d.Stats()
+	if st.Chip.ShareRefusals == 0 {
+		t.Fatalf("%d apps crowd an %d-tile die for 40 ticks and its ledger never refused a share", apps-apps/6, tiles)
+	}
+	if st.Tick.StepErrors != 0 {
+		t.Fatalf("%d arbitration failures on a healthy fleet", st.Tick.StepErrors)
+	}
+	for _, cs := range d.ChipStatuses() {
+		if cs.CoreEquivalents > tiles+1e-9 || cs.LedgerFaults != 0 {
+			t.Fatalf("die %d: %g core-equivalents on %d tiles, %d ledger faults", cs.Chip, cs.CoreEquivalents, tiles, cs.LedgerFaults)
+		}
+	}
+
+	// A tenant the manager cannot price (no goal: unreachable through
+	// Enroll, which demands one) fails the die's Step every tick. The
+	// fleet keeps serving on its standing grants, and the failures count.
+	if err := d.mgrs[0].AddApp("goalless", heartbeat.New(d.clock), func(int) float64 { return 1 }); err != nil {
+		t.Fatal(err)
+	}
+	decided := st.Decisions
+	for i := 0; i < 3; i++ {
+		d.Tick()
+	}
+	st = d.Stats()
+	if st.Tick.StepErrors != 3 {
+		t.Fatalf("step_errors %d after 3 failed arbitrations, want 3", st.Tick.StepErrors)
+	}
+	if st.Decisions != decided+3*apps {
+		t.Fatalf("%d decisions across 3 ticks of %d apps without arbitration, want %d", st.Decisions-decided, apps, 3*apps)
+	}
+
+	if plain, err := NewDaemon(Config{Cores: 4, Accel: 1, Period: time.Hour}); err != nil {
+		t.Fatal(err)
+	} else if plain.Stats().Chip != nil {
+		t.Fatal("advisory daemon reports chip refusals")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,21 +172,26 @@ type app struct {
 	window int // heartbeat averaging window (persisted by snapshots)
 	// prio is the enrollment's declared water-fill weight (0 = default
 	// 1); persisted by snapshots so a restore re-weights the manager.
-	prio   float64
-	mgrID  int // the Manager's stable handle; indexes the tick's alloc table
+	prio  float64
+	mgrID int // the Manager's stable handle; indexes the tick's alloc table
 	// hash is the name's directory hash and shard the directory shard
 	// it selects, both stamped by insert: lookups compare hashes before
 	// names, and the ingestion path bumps the shard beat counter without
 	// rehashing the name per batch.
-	hash   uint64
-	shard  int
-	spec   workload.Spec
-	mon    *heartbeat.Monitor
-	rt     *core.Runtime // stepped only by the owning tick worker
+	hash  uint64
+	shard int
+	spec  workload.Spec
+	mon   *heartbeat.Monitor
+	rt    *core.Runtime // stepped only by the owning tick worker
 
 	// goalEpoch counts SetGoal calls; the tick's quiescence check uses
 	// it to re-decide after a goal change without re-reading the goal.
 	goalEpoch atomic.Uint64
+	// retired is set when retire takes the app out of the directory, and
+	// never cleared (a re-enrollment under the same name is a new app). A
+	// tick holds its per-shard snapshots across phases; this is how each
+	// phase learns an app in them has since been withdrawn.
+	retired atomic.Bool
 
 	// Chip-backed state (nil/zero for advisory apps). part is the app's
 	// slice of its chip — an atomic pointer because live migration
@@ -195,9 +201,10 @@ type app struct {
 	// latest unit grant for the core-knob clamp; pending is the previous
 	// decision's schedule, executed by the next tick; settle is the
 	// schedule's duration-weighted configuration the knobs are parked at
-	// between intervals (tick workers only).
-	part       atomic.Pointer[angstrom.Partition]
-	chip       int
+	// between intervals (tick workers only); every decision rewrites both
+	// in place, over the backing arrays the first one allocated.
+	part atomic.Pointer[angstrom.Partition]
+	chip int
 	// migratedAt is when the app last moved between dies (zero if
 	// never): the migration scan won't pick it as a victim again until
 	// its controller has had a cooldown to re-converge on the new die.
@@ -289,9 +296,15 @@ type Daemon struct {
 	chipBuf [][]*app // reused per-shard chip-app scratch
 	// chipApps is the tick's name-sorted chip-backed fleet, reused
 	// across ticks (tick goroutine only); the migration scan reads it
-	// after the tick. loadBuf is the placement/migration ledger scratch.
-	chipApps []*app
-	loadBuf  []angstrom.ChipLoad
+	// after the tick. chipSeq is the same fleet in the shard order the
+	// act phase gathered it in, last tick's kept in chipSeqPrev: while
+	// the two agree, pointer for pointer, membership has not changed and
+	// chipApps is still sorted. loadBuf is the placement/migration ledger
+	// scratch.
+	chipApps    []*app
+	chipSeq     []*app
+	chipSeqPrev []*app
+	loadBuf     []angstrom.ChipLoad
 	// loadAvgMem/loadAvgNoC are per-die EWMAs of the offered mem/NoC
 	// utilization (alpha = loadAvgAlpha, updated once per tick under
 	// d.mu). The migration scan prices these instead of the last
@@ -324,6 +337,12 @@ type Daemon struct {
 	decisions  atomic.Uint64
 	evicted    atomic.Uint64 // stale apps withdrawn by BeatTimeout
 	migrations atomic.Uint64 // apps moved between chips by maybeMigrate
+	// The tick's refusals, counted where it used to drop them: time
+	// shares a die's tile ledger would not grant (the arbiter re-offers
+	// them next tick), and per-die arbitrations skipped because SetBudget
+	// or Manager.Step failed. Both surface in /v1/stats.
+	shareRefusals heartbeat.Counter
+	stepErrors    heartbeat.Counter
 	// lastMigrate is when the most recent inter-die move was applied —
 	// the migration scan sits out a settle window after it so the
 	// re-decision transient a move causes is never priced as imbalance.
@@ -335,7 +354,7 @@ type Daemon struct {
 	// budget is satisfiable). Written by the tick goroutine, read by
 	// Stats.
 	powerOvercommit atomic.Uint64
-	started time.Time
+	started         time.Time
 
 	running  atomic.Bool // set by Start; Stop only waits when it ran
 	stopOnce sync.Once
@@ -741,6 +760,7 @@ func (d *Daemon) joinManager(a *app) error {
 func (d *Daemon) retire(a *app, done admitStage) {
 	if done >= stageAdmitted {
 		d.dir.remove(a.name)
+		a.retired.Store(true)
 	}
 	if done >= stageRegistered {
 		d.reg.Withdraw(a.name)
@@ -994,8 +1014,8 @@ func (d *Daemon) tickAt(now sim.Time) {
 	}
 
 	// Snapshot phase: one immutable slice header per shard. Withdrawn
-	// apps may linger in a snapshot; every later phase re-checks
-	// identity through the directory before acting.
+	// apps may linger in a snapshot; every later phase skips the ones
+	// retire has flagged.
 	for i := range d.snapBuf {
 		d.snapBuf[i] = d.dir.shardList(i)
 	}
@@ -1014,7 +1034,7 @@ func (d *Daemon) tickAt(now sim.Time) {
 				if a.partition() == nil {
 					continue
 				}
-				if cur, ok := d.lookup(a.name); !ok || cur != a {
+				if a.retired.Load() {
 					continue // withdrawn since the snapshot; partition released
 				}
 				chips = append(chips, a)
@@ -1023,17 +1043,25 @@ func (d *Daemon) tickAt(now sim.Time) {
 			d.chipBuf[i] = chips
 		})
 	}
-	chipApps := d.chipApps[:0]
 	if d.fleet != nil {
+		seq := d.chipSeqPrev[:0]
 		for i := range d.chipBuf {
-			chipApps = append(chipApps, d.chipBuf[i]...)
+			seq = append(seq, d.chipBuf[i]...)
 		}
+		d.chipSeq, d.chipSeqPrev = seq, d.chipSeq
 		// Name order, not shard order: the share-apply and power-cap
 		// passes below interact with the shared tile ledgers, so a stable
-		// order keeps them independent of the shard layout.
-		sort.Slice(chipApps, func(i, j int) bool { return chipApps[i].name < chipApps[j].name })
+		// order keeps them independent of the shard layout. Names are
+		// unique, so the order is a function of membership alone, and
+		// membership changes on a handful of ticks: the sort runs only
+		// when the gathered sequence differs from last tick's. (A withdraw
+		// and re-enroll under one name is a new *app: it differs.)
+		if !slices.Equal(d.chipSeq, d.chipSeqPrev) {
+			d.chipApps = append(d.chipApps[:0], d.chipSeq...)
+			sort.Slice(d.chipApps, func(i, j int) bool { return d.chipApps[i].name < d.chipApps[j].name })
+		}
 	}
-	d.chipApps = chipApps // the post-tick migration scan reads it
+	chipApps := d.chipApps // the post-tick migration scan reads it too
 
 	d.mu.Lock()
 	// Fold this tick's offered utilization into the per-die EWMAs the
@@ -1048,8 +1076,12 @@ func (d *Daemon) tickAt(now sim.Time) {
 	}
 	// Feed each chip app's measured contention factor to its die's
 	// manager so water-filling provisions for contended throughput.
+	// (retired is exact under d.mu: a handle freed since the act phase
+	// may already name a newcomer.)
 	for _, a := range chipApps {
-		d.mgrs[a.chip].SetInterference(a.name, a.partition().Interference().Slowdown)
+		if !a.retired.Load() {
+			d.mgrs[a.chip].SetInterference(a.mgrID, a.partition().Interference().Slowdown)
+		}
 	}
 	// Broker pass: split the global core pool across the per-chip
 	// managers by last tick's aggregate corrected demand. One manager is
@@ -1057,7 +1089,9 @@ func (d *Daemon) tickAt(now sim.Time) {
 	units := d.broker.SplitUnits(d.cfg.Cores, d.mgrs)
 	for i, m := range d.mgrs {
 		if m.Apps() > 0 {
-			_ = m.SetBudget(units[i])
+			if err := m.SetBudget(units[i]); err != nil {
+				d.stepErrors.Add(1) // the die arbitrates under last tick's budget
+			}
 		}
 	}
 	// Publish each manager's allocations into its ID-indexed table:
@@ -1071,6 +1105,7 @@ func (d *Daemon) tickAt(now sim.Time) {
 		}
 		allocs, err := m.Step()
 		if err != nil {
+			d.stepErrors.Add(1) // the die's tenants keep last tick's grants
 			continue
 		}
 		tbl, seen := d.allocByID[ci], d.allocSeen[ci]
@@ -1103,7 +1138,9 @@ func (d *Daemon) tickAt(now sim.Time) {
 			part := a.partition()
 			cur := part.Share()
 			if (pass == 0 && al.Share < cur) || (pass == 1 && al.Share > cur) {
-				_ = part.SetShare(al.Share) // transient refusals heal next tick
+				if err := part.SetShare(al.Share); err != nil {
+					d.shareRefusals.Add(1) // transient: re-offered next tick
+				}
 			}
 		}
 	}
@@ -1118,7 +1155,7 @@ func (d *Daemon) tickAt(now sim.Time) {
 		for _, a := range d.snapBuf[i] {
 			// Skip apps withdrawn since the snapshot: stepping them would
 			// count decisions for (and actuate) an app no longer enrolled.
-			if cur, ok := d.lookup(a.name); !ok || cur != a {
+			if a.retired.Load() {
 				continue
 			}
 			al, hasAlloc := d.allocFor(a.chip, a.mgrID)
@@ -1235,8 +1272,8 @@ func (d *Daemon) decide(a *app, al core.Allocation, hasAlloc bool) {
 	if a.partition() != nil && err == nil {
 		// Slices(1) yields fractions of the next interval; the next
 		// tick scales them by the real elapsed time.
-		a.pending = dec.Slices(1)
-		a.settle = settleConfig(dec)
+		a.pending = dec.AppendSlices(a.pending[:0], 1)
+		a.settle = settleConfig(a.settle[:0], dec)
 	}
 }
 
@@ -1462,9 +1499,11 @@ func (d *Daemon) Stats() StatsResponse {
 		PeriodSeconds:    d.cfg.Period.Seconds(),
 		Accelerated:      d.simClock != nil,
 		PowerOvercommitW: math.Float64frombits(d.powerOvercommit.Load()),
+		Tick:             TickStats{StepErrors: d.stepErrors.Load()},
 	}
 	if d.fleet != nil {
 		st.Chips = d.fleet.Chips()
+		st.Chip = &ChipStats{ShareRefusals: d.shareRefusals.Load()}
 	}
 	if jd := d.jd; jd != nil {
 		js := &JournalStats{

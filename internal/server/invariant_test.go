@@ -154,6 +154,78 @@ func TestShardedTickMatchesSerial(t *testing.T) {
 	}
 }
 
+// The chip passes that touch the shared tile ledgers walk the fleet in
+// name order whatever the shard layout, and the tick re-sorts only when
+// the membership it gathered differs from last tick's. So on the tick
+// after every kind of membership change — and on the quiet ticks between,
+// which reuse the standing order — chipApps must be exactly the enrolled
+// chip fleet, name-sorted, each entry the directory's *current* app (a
+// same-name re-enrollment is a different app than the one it replaced).
+func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		d, err := NewDaemon(Config{
+			Cores: 32, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: shards, TickWorkers: 1,
+			Chip: &ChipConfig{Chips: 2, Tiles: 16},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enroll := func(name string) {
+			t.Helper()
+			if err := d.Enroll(EnrollRequest{Name: name, Workload: "water", Window: 16, MinRate: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tickAndCheck := func(step string) {
+			t.Helper()
+			d.Tick()
+			list := d.List() // name-sorted by contract
+			if len(d.chipApps) != len(list) {
+				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.chipApps), len(list))
+			}
+			for i, st := range list {
+				if a := d.chipApps[i]; a.name != st.Name || a != mustApp(t, d, st.Name) {
+					t.Fatalf("shards=%d, tick after %s: chipApps[%d] is %q (current app: %v), want %q",
+						shards, step, i, a.name, a == mustApp(t, d, a.name), st.Name)
+				}
+			}
+		}
+		for i := 0; i < 40; i++ {
+			enroll(fmt.Sprintf("m-%02d", (i*17)%40)) // enrollment order is not name order
+		}
+		tickAndCheck("the first enrollments")
+		tickAndCheck("nothing")
+		enroll("a-first")
+		enroll("z-last")
+		tickAndCheck("enroll")
+		if err := d.Withdraw("m-20"); err != nil {
+			t.Fatal(err)
+		}
+		tickAndCheck("withdraw")
+		old := mustApp(t, d, "m-07")
+		if err := d.Withdraw("m-07"); err != nil {
+			t.Fatal(err)
+		}
+		enroll("m-07")
+		if mustApp(t, d, "m-07") == old {
+			t.Fatal("re-enrollment reused the withdrawn app")
+		}
+		tickAndCheck("same-name re-enroll")
+		tickAndCheck("nothing")
+		victim := d.chipApps[3]
+		if err := d.applyMigration(victim.name, 1-victim.chip, d.clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		tickAndCheck("migration")
+		for _, st := range d.List() {
+			if err := d.Withdraw(st.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tickAndCheck("the last withdrawal")
+	}
+}
+
 // A space-shared fleet (fewer apps than cores) must hold the same
 // contract through the integral water-fill path.
 func TestShardedTickMatchesSerialSpaceShared(t *testing.T) {
