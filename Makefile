@@ -4,9 +4,10 @@
 #   make vet     static analysis
 #   make lint    vet + angstromlint (the repo's contract analyzers)
 #   make docs    fail if any internal package lacks a package comment
+#   make fmt-check  fail if gofmt would change any Go file outside testdata/
 #   make loc     non-test Go lines outside benchmark/ (the figure a
 #                simplification PR reports the delta of in CHANGES.md)
-#   make test    tier-1 verification (build + lint + docs + scenarios + full test suite with -race)
+#   make test    tier-1 verification (build + fmt-check + lint + docs + scenarios + full test suite with -race)
 #   make scenarios  the scenario torture tier: builtin scenarios vs
 #                   oracle-regret budgets + byte-identical replay gates
 #   make bench   run all benchmarks with allocation stats into bench.out
@@ -20,7 +21,7 @@ GO ?= go
 # followed by bench-compare never compares a run against itself.
 OLD_BENCH ?= $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
 
-.PHONY: build test scenarios bench bench-json bench-compare vet lint docs loc clean
+.PHONY: build test scenarios bench bench-json bench-compare vet lint docs fmt-check loc clean
 
 build:
 	$(GO) build ./...
@@ -44,6 +45,16 @@ docs:
 	fi; \
 	echo "package docs: all internal and cmd packages documented"
 
+# Formatting gate: gofmt must have nothing to say about any committed Go
+# file. testdata/ is exempt (analyzer fixtures are laid out for their
+# // want comments) and so is the benchmark's build directory.
+fmt-check:
+	@unformatted=$$(gofmt -l . | grep -v -e '/testdata/' -e '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi; \
+	echo "gofmt: clean"
+
 # Lines of non-test Go outside benchmark/ (test data and the benchmark's
 # build directory excluded): compare against the parent commit's count.
 loc:
@@ -58,7 +69,7 @@ scenarios:
 
 # -shuffle=on randomizes test order within each package so inter-test
 # ordering dependencies fail loudly instead of lurking.
-test: build lint docs scenarios
+test: build fmt-check lint docs scenarios
 	$(GO) test -race -shuffle=on ./...
 
 # The root package holds the benchmarks that go through exported API;

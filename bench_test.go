@@ -1048,6 +1048,111 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 }
 
+// benchmarkAdmit times one admission — Enroll, up to the app being live
+// in the directory — into a class another app has already opened, so the
+// class tables are built and what is measured is what is new about the
+// app: monitor, (partition and knob stack,) runtime, manager entry. The
+// daemon is durable on a journal.MemFS, so the enrollment record is
+// encoded and committed but no fsync is in the number; the withdraw that
+// makes room for the next iteration is not timed.
+func benchmarkAdmit(b *testing.B, chip *server.ChipConfig, mode string) {
+	d, err := server.NewDaemon(server.Config{
+		Cores: 4096, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Chip: chip,
+		DataDir: "j", FS: journal.NewMemFS(), SnapshotEvery: -1, JournalFlush: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := server.EnrollRequest{Name: "resident", Workload: "ocean", Window: 256, Mode: mode, MinRate: 20, MaxRate: 30}
+	if err := d.Enroll(req); err != nil {
+		b.Fatal(err)
+	}
+	req.Name = "probe"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Enroll(req); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := d.Withdraw("probe"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkAdmitChip gates a chip-backed admission into a warm class.
+func BenchmarkAdmitChip(b *testing.B) {
+	benchmarkAdmit(b, &server.ChipConfig{Tiles: 1024}, server.ModeChip)
+}
+
+// BenchmarkAdmitAdvisory gates an advisory admission into a warm class.
+func BenchmarkAdmitAdvisory(b *testing.B) { benchmarkAdmit(b, nil, server.ModeAdvisory) }
+
+// BenchmarkEnrollChipOversub5k gates enrollment into a *full* die: 5,000
+// tenants on four 512-tile dies, the probes pinned to die 0, which the
+// placer has crowded with some 3,500 of them and which has no tile free,
+// so every enrollment has to shrink every incumbent of the die to fit
+// (makeRoom's oversubscribed path). One op is an enroll and its withdraw.
+// An enroll-withdraw pair on its own would miss the case — the withdraw
+// frees exactly the slot the next enroll asks for, and nothing shrinks —
+// so probes arrive in bursts of 64, each finding the die as full as the
+// last left it, and an untimed tick after each burst's withdrawals lets
+// the arbiter grow the incumbents back over what was freed.
+func BenchmarkEnrollChipOversub5k(b *testing.B) {
+	const tenants, tiles, burst = 5000, 512, 64
+	d, err := server.NewDaemon(server.Config{
+		Cores: 4 * tiles, Accel: 0.1, Period: time.Hour, Oversubscribe: true,
+		Chip: &server.ChipConfig{Chips: 4, Tiles: tiles},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"barnes", "ocean", "raytrace", "water", "volrend"}
+	request := func(name string, i int) server.EnrollRequest {
+		return server.EnrollRequest{Name: name, Workload: names[i%len(names)], Window: 256, MinRate: 20, MaxRate: 30}
+	}
+	for i := 0; i < tenants; i++ {
+		if err := d.Enroll(request(fmt.Sprintf("app-%05d", i), i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	die0 := 0
+	probes := make([]server.EnrollRequest, burst)
+	for i := range probes {
+		probes[i] = request(fmt.Sprintf("probe-%02d", i), i)
+		probes[i].Chip = &die0
+	}
+	refill := func() {
+		d.Tick()
+		if cs := d.ChipStatuses()[0]; float64(cs.Tiles)-cs.CoreEquivalents >= 1 {
+			b.Fatalf("die 0 holds %.2f of %d tiles after the tick: not full", cs.CoreEquivalents, cs.Tiles)
+		}
+	}
+	d.Tick() // first decisions: every share restarts from the arbiter's opening grant
+	d.Tick()
+	refill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += burst {
+		n := min(burst, b.N-done)
+		for _, req := range probes[:n] {
+			if err := d.Enroll(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, req := range probes[:n] {
+			if err := d.Withdraw(req.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		refill()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkScenarioFlashCrowd drives the builtin flash-crowd torture
 // scenario (internal/scenario) end to end against a real daemon: a
 // steady fleet, a 10x arrival burst in one tick, exponential decay, a

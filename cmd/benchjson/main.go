@@ -106,7 +106,7 @@ func parse(r io.Reader) (Snapshot, error) {
 // simulator hot paths whose trajectories PRs must not regress (see
 // BENCHMARKS.md). Subbenchmark names include the parent, e.g.
 // DetailedAccess/directory.
-const defaultGates = `^(PartitionSense$|DetailedAccess/|DaemonBeat$|DaemonChipTick|DaemonTick10k$|DaemonTick10kJournaled$|DaemonTickFederated$|Placement$|JournalAppend$|Recovery10k$|MonitorBeatWindow4096$|MonitorObserveWindow256/|ChipEvaluate$|ScenarioFlashCrowd$|BeatIngestWire$|BeatIngestWireParallel$|BeatIngestDurable$|Recovery10kTail$|DirectoryInsert/)`
+const defaultGates = `^(PartitionSense$|DetailedAccess/|DaemonBeat$|DaemonChipTick|DaemonTick10k$|DaemonTick10kJournaled$|DaemonTickFederated$|Placement$|JournalAppend$|Recovery10k$|MonitorBeatWindow4096$|MonitorObserveWindow256/|ChipEvaluate$|ScenarioFlashCrowd$|BeatIngestWire$|BeatIngestWireParallel$|BeatIngestDurable$|Recovery10kTail$|DirectoryInsert/|AdmitChip$|AdmitAdvisory$|EnrollChipOversub5k$)`
 
 // regression is one gated benchmark that got worse.
 type regression struct {

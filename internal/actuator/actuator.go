@@ -11,6 +11,15 @@
 // nominal setting, whose effects are 1 on all axes. Each actuator
 // specifies a delay ... [and] whether it works on only the application
 // that registered it or if it works on all applications." (§3.2)
+//
+// That description has two halves with different lifetimes. The declared
+// model — the settings, their effects, and the sorted cross product a
+// Space materializes from them — is fixed per (application class,
+// platform) by the designer; the function that changes the setting, and
+// the setting last asked for, belong to one running application.
+// Space.Rebind derives a space that shares the first half (the same
+// Settings and Points slices, read-only once NewSpace returns) and owns
+// the second, so a server tabulates each class's model once.
 package actuator
 
 import (

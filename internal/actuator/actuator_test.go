@@ -2,6 +2,7 @@ package actuator
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -359,5 +360,57 @@ func TestAxisAndScopeStrings(t *testing.T) {
 	}
 	if GlobalScope.String() != "global" || ApplicationScope.String() != "application" {
 		t.Fatal("scope names wrong")
+	}
+}
+
+// A re-bound space shares the template's declaration and nothing else:
+// its Apply functions are its own, and what it sets is invisible through
+// the template and through a sibling re-bound from the same template.
+func TestRebindSharesTablesNotKnobs(t *testing.T) {
+	tmplApplied := 0
+	a, b := knob("a", 0.5, 1, 2), knob("b", 1, 3)
+	a.Apply = func(int) error { tmplApplied++; return nil }
+	tmpl, err := NewSpace(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]int
+	bind := func(i int) *Space {
+		s, err := tmpl.Rebind(
+			func(level int) error { got[i] = append(got[i], level); return nil },
+			func(level int) error { got[i] = append(got[i], 10+level); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	one, two := bind(0), bind(1)
+	before := tmpl.Current()
+	if !one.Current().Equal(tmpl.Nominal()) {
+		t.Fatalf("a re-bound space starts at %v, want nominal %v", one.Current(), tmpl.Nominal())
+	}
+	if err := one.Apply(Config{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := two.Acts[0].Set(0); err != nil {
+		t.Fatal(err)
+	}
+	if !one.Current().Equal(Config{2, 1}) || !two.Current().Equal(Config{0, 0}) || !tmpl.Current().Equal(before) {
+		t.Fatalf("current: one %v two %v template %v; want [2 1] [0 0] %v", one.Current(), two.Current(), tmpl.Current(), before)
+	}
+	if fmt.Sprint(got) != "[[2 11] [0]]" || tmplApplied != 0 {
+		t.Fatalf("applies reached %v (template %d), want [[2 11] [0]] (0)", got, tmplApplied)
+	}
+	if &one.Points()[0] != &tmpl.Points()[0] || &two.Acts[1].Settings[0] != &b.Settings[0] {
+		t.Fatal("a re-bound space copied the point table or the settings")
+	}
+	if one.Effect(Config{2, 1}) != tmpl.Effect(Config{2, 1}) || one.Size() != tmpl.Size() || one.MaxDelay() != tmpl.MaxDelay() {
+		t.Fatal("a re-bound space declares a different model")
+	}
+	if _, err := tmpl.Rebind(func(int) error { return nil }); err == nil {
+		t.Fatal("Rebind accepted one apply function for two actuators")
+	}
+	if _, err := tmpl.Rebind(nil, func(int) error { return nil }); err == nil {
+		t.Fatal("Rebind accepted a nil apply function")
 	}
 }

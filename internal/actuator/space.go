@@ -35,6 +35,8 @@ func (c Config) Equal(o Config) bool {
 // the whole product space instead of one closed slice of it).
 type Space struct {
 	Acts []*Actuator
+
+	points []Point // see Points; shared by every space re-bound from this one
 }
 
 // NewSpace validates the actuators and builds their joint space.
@@ -52,7 +54,34 @@ func NewSpace(acts ...*Actuator) (*Space, error) {
 		}
 		seen[a.Name] = true
 	}
-	return &Space{Acts: acts}, nil
+	s := &Space{Acts: acts}
+	s.points = s.materialize()
+	return s, nil
+}
+
+// Rebind returns a space over the model s declares whose actuator i is
+// driven by apply[i] and records its own current setting, starting at
+// nominal. The declaration is shared, not copied — the new actuators
+// alias s's Settings and Axes, the new space s's point table, all
+// read-only since NewSpace returned — so nothing done through the new
+// space (Apply, Set, Current) shows through s or a sibling re-bound from
+// it: a server tabulates one template per application class and re-binds
+// it to each admitted application's knobs.
+func (s *Space) Rebind(apply ...func(settingIndex int) error) (*Space, error) {
+	if len(apply) != len(s.Acts) {
+		return nil, fmt.Errorf("actuator: %d apply functions for %d actuators", len(apply), len(s.Acts))
+	}
+	acts := make([]Actuator, len(s.Acts))
+	out := &Space{Acts: make([]*Actuator, len(s.Acts)), points: s.points}
+	for i, t := range s.Acts {
+		if apply[i] == nil {
+			return nil, fmt.Errorf("actuator %q: nil Apply", t.Name)
+		}
+		acts[i] = Actuator{Name: t.Name, Settings: t.Settings, NominalIndex: t.NominalIndex, Apply: apply[i],
+			DelaySeconds: t.DelaySeconds, Scope: t.Scope, Axes: t.Axes, current: t.NominalIndex}
+		out.Acts[i] = &acts[i]
+	}
+	return out, nil
 }
 
 // Size reports the number of configurations in the space.
@@ -146,9 +175,13 @@ type Point struct {
 	Effect Effect
 }
 
-// Points materializes the full space with composed effects, sorted by
-// ascending speedup then ascending power.
-func (s *Space) Points() []Point {
+// Points is the full space with composed effects, sorted by ascending
+// speedup then ascending power: one table, materialized by NewSpace and
+// returned to every caller of this space and of every space re-bound
+// from it. Read-only (copy before sorting or editing it).
+func (s *Space) Points() []Point { return s.points }
+
+func (s *Space) materialize() []Point {
 	pts := make([]Point, 0, s.Size())
 	s.Enumerate(func(cfg Config) {
 		pts = append(pts, Point{Cfg: cfg.Clone(), Effect: s.Effect(cfg)})

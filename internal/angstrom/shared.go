@@ -313,6 +313,62 @@ func (pt *Partition) SetShare(share float64) error {
 	return nil
 }
 
+// ShrinkShares makes room on the die: it shrinks the time shares of
+// tenants — partitions of this chip, in the order the caller wants their
+// core-equivalents summed — proportionally toward floor until the ledger
+// holds at most target core-equivalents, and returns what it holds
+// afterwards. No share goes below floor, so the mass above it can fall
+// short of the excess: the deficit is re-spread over that mass once more,
+// after which the target is met or every tenant is floored and the pool
+// is genuinely full. Shares at or below floor, released partitions and
+// partitions of another chip are left alone; every change passes the
+// checks SetShare makes. Both passes run under one acquisition of the
+// ledger lock: a partition's share, core count and released flag are only
+// written with it held (SetShare, setConfig, Release), so it suffices to
+// read them; the partition's own lock is taken for the write, which Sense
+// and Advance — holding only theirs — would otherwise race.
+//
+//angstrom:journaled mutator
+func (sc *SharedChip) ShrinkShares(tenants []*Partition, floor, target float64) (coreEquivalents float64) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for pass := 0; pass < 2; pass++ {
+		excess := sc.used - target
+		if excess <= 1e-9 {
+			break
+		}
+		above := 0.0 // shrinkable core-equivalents: share mass beyond the floor
+		for _, pt := range tenants {
+			if pt.sc == sc && pt.share > floor {
+				above += float64(pt.cfg.Cores) * (pt.share - floor)
+			}
+		}
+		if above <= 1e-12 {
+			break // every tenant already at the floor
+		}
+		f := 1 - excess/above
+		if f < 0 {
+			f = 0
+		}
+		for _, pt := range tenants {
+			if pt.sc != sc || pt.released || pt.share <= floor {
+				continue
+			}
+			s := pt.share
+			share := floor + (s-floor)*f
+			delta := float64(pt.cfg.Cores) * (share - s)
+			if share <= 0 || share > 1 || sc.used+delta > float64(sc.tiles)+1e-9 {
+				continue // what SetShare refuses
+			}
+			sc.used += delta
+			pt.mu.Lock()
+			pt.share = share
+			pt.mu.Unlock()
+		}
+	}
+	return sc.used
+}
+
 // setConfig validates and applies a new configuration, adjusting the
 // tile ledger for core-count changes and re-evaluating the cached model.
 func (pt *Partition) setConfig(cfg Config) error {

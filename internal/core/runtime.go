@@ -91,8 +91,10 @@ type Decision struct {
 
 	// LoCfg/HiCfg are the concrete configurations behind the schedule;
 	// run HiCfg for HiFrac of the period, LoCfg for the rest. They alias
-	// the runtime's point table, which every decision of that runtime
-	// shares: read-only (Clone before changing one).
+	// the space's point table, which every decision of that runtime — and
+	// of every runtime whose space was re-bound from the same template
+	// (actuator.Space.Rebind) — shares, as they share the actuators'
+	// Settings: read-only (Clone before changing one).
 	LoCfg, HiCfg actuator.Config
 	HiFrac       float64
 	// PredictedPower is the schedule's power multiplier under the
@@ -159,7 +161,9 @@ type Runtime struct {
 // New builds a runtime for app, observing mon and acting on space. The
 // application must have declared a performance goal before the first
 // Step (the paper's experiments all use performance goals with power as
-// the cost to minimize).
+// the cost to minimize). The runtime reads the space's declared model
+// (Settings, Points) in place and never writes it; what it learns about
+// the application lives in its own corrector, filters and translator.
 func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space, opts Options) (*Runtime, error) {
 	if mon == nil || space == nil || clock == nil {
 		return nil, errors.New("core: nil monitor, space or clock")

@@ -39,7 +39,7 @@ func runClockDiscipline(pass *Pass) error {
 		pkg  *Package
 		decl *ast.FuncDecl
 	}
-	nodes := make(map[string]fnode)   // key -> declaration
+	nodes := make(map[string]fnode)    // key -> declaration
 	edges := make(map[string][]string) // caller key -> callee keys
 	for _, pkg := range pass.Module {
 		funcDecls(pkg, func(decl *ast.FuncDecl, obj *types.Func, key string) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -171,25 +172,21 @@ func clampToUnits(options []int, level, units int) int {
 // start at the base configuration; snapshot restore and migration
 // re-acquire each partition at its recorded placement, which re-sums
 // the tile ledger to its pre-crash value. The action space (and the
-// nominal power the power rebalance prices from) is always built
-// against the canonical base configuration, so a restored app's
-// controller sees the same effect tables an uncrashed one does. Reached
-// only from journaling writers (admit, applyMigration).
+// nominal power the power rebalance prices from) is the workload class's
+// (see classFor), declared against the canonical base configuration
+// whatever the placement, so a restored app's controller sees the same
+// effect tables an uncrashed one does. Reached only from journaling
+// writers (admit, applyMigration).
 //
 //angstrom:journaled writer
 func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now sim.Time) error {
 	cc := d.cfg.Chip
 	sc := d.fleet.Chip(a.chip)
-	p := *cc.Params
-	spec, base := a.spec, cc.baseConfig()
-	// Everything priced relative to nominal is priced at the *base*
-	// configuration, whatever placement the partition is acquired at, so
-	// a restore prices the power split identically.
-	baseM, err := angstrom.Evaluate(p, spec, base)
+	cl, err := d.classFor(a.spec, true)
 	if err != nil {
 		return err
 	}
-	inst := workload.NewInstance(spec, seedFor(a.name))
+	inst := workload.NewInstance(a.spec, seedFor(a.name))
 	part, err := sc.Acquire(a.name, inst, a.mon, start, share, now)
 	if err != nil {
 		return fmt.Errorf("server: %w: %v", ErrPoolExhausted, err)
@@ -207,10 +204,8 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 		return actuator.NewStepped(k)
 	}
 	coreKnob := &cappedKnob{Knob: wrap(coreK), options: cc.CoreOptions, units: a.allocUnits}
-	cacheKnob := wrap(cacheK)
-	vfKnob := wrap(vfK)
-
-	space, err := buildChipSpace(p, spec, base, baseM, cc, coreKnob, cacheKnob, vfKnob)
+	// The order buildChipSpace declares the knobs in.
+	space, err := cl.space.Rebind(coreKnob.SetLevel, wrap(cacheK).SetLevel, wrap(vfK).SetLevel)
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -227,24 +222,75 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 	a.rt = rt
 	a.mu.Unlock()
 	a.part.Store(part)
-	a.nomActiveW = math.Max(baseM.PowerW-p.UncoreW, 1e-6)
-	minX := math.Inf(1)
-	for _, pt := range space.Points() {
-		minX = math.Min(minX, pt.Effect.PowerX)
-	}
-	a.minPowerX = minX
+	a.nomActiveW, a.minPowerX = cl.nomActiveW, cl.minPowerX
 	return nil
+}
+
+// appClass is the part of an admission that depends only on the
+// application's workload, its mode, and this daemon's parameters: the
+// designer-declared model of §3.2, as opposed to what SEEC learns per
+// application and the knobs it drives, which admit builds per app.
+// Immutable once classFor has stored it.
+type appClass struct {
+	// space is the template action space: never applied, re-bound to each
+	// admitted app's knobs (actuator.Space.Rebind shares its Settings and
+	// point table with every app of the class).
+	space *actuator.Space
+	// Chip classes only: active watts at the base configuration, and the
+	// cheapest power multiplier in the space (see rebalancePowerCaps).
+	nomActiveW, minPowerX float64
+}
+
+type classKey struct {
+	spec workload.Spec
+	chip bool
+}
+
+// classFor returns the class of (spec, mode), tabulating it on the
+// class's first admission. d.classes is written here only, under d.mu or
+// during single-goroutine boot (admit's and applyMigration's contract).
+func (d *Daemon) classFor(spec workload.Spec, chip bool) (*appClass, error) {
+	key := classKey{spec, chip}
+	if cl := d.classes[key]; cl != nil {
+		return cl, nil
+	}
+	cl := &appClass{}
+	if chip {
+		cc := d.cfg.Chip
+		p, base := *cc.Params, cc.baseConfig()
+		baseM, err := angstrom.Evaluate(p, spec, base)
+		if err != nil {
+			return nil, err
+		}
+		if cl.space, err = buildChipSpace(p, spec, base, baseM, cc); err != nil {
+			return nil, err
+		}
+		cl.nomActiveW = math.Max(baseM.PowerW-p.UncoreW, 1e-6)
+		cl.minPowerX = math.Inf(1)
+		for _, pt := range cl.space.Points() {
+			cl.minPowerX = math.Min(cl.minPowerX, pt.Effect.PowerX)
+		}
+	} else {
+		var err error
+		if cl.space, err = buildSpace(spec); err != nil {
+			return nil, err
+		}
+	}
+	d.classes[key] = cl
+	return cl, nil
 }
 
 // makeRoom returns the time share a new chip partition on die `chip`
 // should start with. When that die has a free core the newcomer gets a
 // dedicated one; otherwise (oversubscribed fleet) every existing
 // partition *on that die* is shrunk proportionally toward the new fair
-// share so the newcomer fits — co-located dies are untouched. Called
-// with d.mu held (which serializes it against the tick's share pass);
-// the incumbent scan walks the sharded directory. Reached only from the
-// Enroll writer: the incumbent shrinks it applies are covered by the
-// enrollment record (replay re-runs the same shrink).
+// share so the newcomer fits — co-located dies are untouched. The
+// policy is here (when to shrink, the slot, the floor, what is refused);
+// the shrink itself is the die's ledger arithmetic
+// (angstrom.SharedChip.ShrinkShares). Called with d.mu held (which
+// serializes it against the tick's share pass and owns d.roomBuf).
+// Reached only from the Enroll writer: the incumbent shrinks it applies
+// are covered by the enrollment record (replay re-runs the same shrink).
 //
 //angstrom:journaled writer
 func (d *Daemon) makeRoom(chip int) (float64, error) {
@@ -265,48 +311,19 @@ func (d *Daemon) makeRoom(chip int) (float64, error) {
 	if slot < minChipShare {
 		return 0, fmt.Errorf("server: %w (chip oversubscribed beyond %gx)", ErrPoolExhausted, 1/minChipShare)
 	}
-	incumbents := d.dir.snapshot(make([]*app, 0, d.dir.len()))
-	// Shrink the incumbents until the newcomer's slot fits. A single
-	// proportional scale is not enough: shares clamped up to
-	// minChipShare shrink less than their proportion, leaving
-	// Σ(cores × share) above tiles − slot — so the deficit is re-spread
-	// over the mass still above the floor until the invariant holds (or
-	// everyone is floored and the pool is genuinely full).
-	for iter := 0; iter < 2; iter++ {
-		_, used = sc.Usage()
-		excess := used - (tiles - slot)
-		if excess <= 1e-9 {
-			break
-		}
-		above := 0.0 // shrinkable core-equivalents: share mass beyond the floor
-		for _, other := range incumbents {
-			part := other.partition()
-			if part == nil || other.chip != chip {
-				continue
-			}
-			if s := part.Share(); s > minChipShare {
-				above += float64(part.Config().Cores) * (s - minChipShare)
-			}
-		}
-		if above <= 1e-12 {
-			break // every incumbent already at the floor
-		}
-		f := 1 - excess/above
-		if f < 0 {
-			f = 0
-		}
-		for _, other := range incumbents {
-			part := other.partition()
-			if part == nil || other.chip != chip {
-				continue
-			}
-			if s := part.Share(); s > minChipShare {
-				// shrink only: cannot overdraw the ledger
-				_ = part.SetShare(minChipShare + (s-minChipShare)*f)
+	// The die's tenants in directory order (shard by shard): the ledger
+	// sums their shares as floats, so the order is part of the result.
+	tenants := d.roomBuf[:0]
+	for i := range d.dir.shards {
+		for _, other := range d.dir.shardList(i) {
+			if part := other.partition(); part != nil && other.chip == chip {
+				tenants = append(tenants, part)
 			}
 		}
 	}
-	_, used = sc.Usage()
+	used = sc.ShrinkShares(tenants, minChipShare, tiles-slot)
+	clear(tenants) // the scratch must not keep withdrawn partitions alive
+	d.roomBuf = tenants
 	free = tiles - used
 	if free < minChipShare {
 		return 0, fmt.Errorf("server: %w (chip pool full)", ErrPoolExhausted)
@@ -322,36 +339,38 @@ func (d *Daemon) makeRoom(chip int) (float64, error) {
 // meaningful within one decision period.
 const minChipShare = 0.01
 
-// buildChipSpace turns the partition's knobs into SEEC actuators whose
-// declared effects are the chip model's predicted multipliers relative
-// to the base configuration (the designer-declared model of §3.2; the
-// runtime's RLS layer corrects divergence on line).
-func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, baseM angstrom.Metrics, cc *ChipConfig,
-	coreKnob, cacheKnob, vfKnob actuator.Knob) (*actuator.Space, error) {
+// buildChipSpace declares a workload's chip action space: one SEEC
+// actuator per partition knob (angstrom.Partition.Knobs: same names, same
+// order), whose declared effects are the chip model's predicted
+// multipliers relative to the base configuration (the designer-declared
+// model of §3.2; the runtime's RLS layer corrects divergence on line).
+// The result is a class template (see appClass): it drives nothing until
+// bindChipAt re-binds it to a partition's knobs.
+func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, baseM angstrom.Metrics, cc *ChipConfig) (*actuator.Space, error) {
 	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
+	unbound := func(int) error { return errors.New("server: class template space drives no partition") }
 	// One knob is one Config field: with returns a configuration holding
-	// value v there, to price the setting against base; the hardware knob
-	// applies it by level.
+	// value v there, to price the setting against base.
 	knobs := []struct {
-		knob    actuator.Knob
+		name    string
 		values  []int
 		nominal int
 		delay   float64
 		label   func(v int) string
 		with    func(c angstrom.Config, v int) angstrom.Config
 	}{
-		{coreKnob, cc.CoreOptions, base.Cores, 0.001,
+		{"cores", cc.CoreOptions, base.Cores, 0.001,
 			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c angstrom.Config, v int) angstrom.Config { c.Cores = v; return c }},
-		{cacheKnob, cc.CacheOptionsKB, base.CacheKB, 0.0001,
+		{"l2-capacity", cc.CacheOptionsKB, base.CacheKB, 0.0001,
 			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c angstrom.Config, v int) angstrom.Config { c.CacheKB = v; return c }},
-		{vfKnob, actuator.Range(0, len(p.VF)-1), base.VF, 0.0005,
+		{"dvfs", actuator.Range(0, len(p.VF)-1), base.VF, 0.0005,
 			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[v].Volts, p.VF[v].FHz/1e6) },
 			func(c angstrom.Config, v int) angstrom.Config { c.VF = v; return c }},
 	}
 	acts := make([]*actuator.Actuator, len(knobs))
 	for i, k := range knobs {
 		var err error
-		acts[i], err = actuator.Sweep(k.knob.Name(), k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+		acts[i], err = actuator.Sweep(k.name, k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
 			func(v int) (actuator.Effect, error) {
 				m, merr := angstrom.Evaluate(p, spec, k.with(base, v))
 				if merr != nil {
@@ -362,7 +381,7 @@ func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config,
 					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
 					Distort: 1,
 				}, nil
-			}, k.knob.SetLevel)
+			}, unbound)
 		if err != nil {
 			return nil, err
 		}

@@ -86,8 +86,8 @@ func newSwapClock(n sim.Nower) *swapClock {
 	return c
 }
 
-func (c *swapClock) Now() sim.Time      { return (*c.inner.Load()).Now() }
-func (c *swapClock) swap(n sim.Nower)   { c.inner.Store(&n) }
+func (c *swapClock) Now() sim.Time    { return (*c.inner.Load()).Now() }
+func (c *swapClock) swap(n sim.Nower) { c.inner.Store(&n) }
 
 var (
 	_ sim.Nower = (*WallClock)(nil)

@@ -64,6 +64,19 @@ const MaxBeatBatch = 10000
 // and poison the accuracy goal check.
 const MaxDistortion = 1e150
 
+// MaxWindow bounds a heartbeat averaging window, in beats: a monitor
+// allocates its whole ring (56 bytes a beat) when it is built, so without
+// a bound one enrollment request, or one snapshot entry, could ask for
+// more memory than the machine has. Far above any useful window.
+const MaxWindow = 1 << 16
+
+func validWindow(w int) error {
+	if w < 2 || w > MaxWindow {
+		return fmt.Errorf("server: window %d outside [2, %d]", w, MaxWindow)
+	}
+	return nil
+}
+
 func validDistortion(d float64) error {
 	if math.IsNaN(d) || d > MaxDistortion || d < -MaxDistortion {
 		return fmt.Errorf("server: distortion %g outside [-%g, %g]", d, MaxDistortion, MaxDistortion)
@@ -196,8 +209,9 @@ type app struct {
 	// Chip-backed state (nil/zero for advisory apps). part is the app's
 	// slice of its chip — an atomic pointer because live migration
 	// rebinds it while lock-free beat/status readers race the tick;
-	// chip is the die index it is placed on (0 for advisory apps,
-	// rewritten under d.mu on migration); units mirrors the manager's
+	// chip is the die index it is placed on (0 for advisory apps;
+	// rewritten by a migration — between ticks, under d.mu and a.mu;
+	// status readers read it under a.mu); units mirrors the manager's
 	// latest unit grant for the core-knob clamp; pending is the previous
 	// decision's schedule, executed by the next tick; settle is the
 	// schedule's duration-weighted configuration the knobs are parked at
@@ -281,6 +295,10 @@ type Daemon struct {
 	broker    *core.Broker
 	appSeq    uint64 // enrollment counter behind app.seq (under mu)
 	chipCount atomic.Int64
+	// classes holds what admission derives once per (workload, mode)
+	// instead of once per app (see appClass); written by classFor only,
+	// under mu or during single-goroutine boot.
+	classes map[classKey]*appClass
 
 	// The tick's allocation table, indexed by [chip][Manager app ID]
 	// (no string hashing on the per-app path): an entry is valid for
@@ -305,6 +323,7 @@ type Daemon struct {
 	chipSeq     []*app
 	chipSeqPrev []*app
 	loadBuf     []angstrom.ChipLoad
+	roomBuf     []*angstrom.Partition // makeRoom's tenant scratch (under mu)
 	// loadAvgMem/loadAvgNoC are per-die EWMAs of the offered mem/NoC
 	// utilization (alpha = loadAvgAlpha, updated once per tick under
 	// d.mu). The migration scan prices these instead of the last
@@ -368,8 +387,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("server: %d cores", cfg.Cores)
 	}
-	if cfg.Window < 2 {
-		return nil, fmt.Errorf("server: window %d too small (need >= 2)", cfg.Window)
+	if err := validWindow(cfg.Window); err != nil {
+		return nil, err
 	}
 	if cfg.Shards < 1 || cfg.Shards > 1<<16 {
 		return nil, fmt.Errorf("server: shard count %d outside [1, 65536]", cfg.Shards)
@@ -382,6 +401,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		workers: cfg.TickWorkers,
 		reg:     heartbeat.NewRegistry(),
 		dir:     newDirectory(cfg.Shards),
+		classes: make(map[classKey]*appClass),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -451,11 +471,10 @@ func (d *Daemon) Clock() sim.Nower { return d.clock }
 // buildSpace builds the app's advisory action space: a thread-count
 // ladder whose speedups come from the workload's declared Amdahl curve
 // (power scales with active cores) crossed with a DVFS-like frequency
-// ladder (power ~ f³). The rungs drive nothing and belong to the app:
-// the daemon decides a rung; the application reads it back and actuates
-// on its side.
+// ladder (power ~ f³). The rungs drive nothing (advisory): the daemon
+// decides a rung; the application reads it back and actuates on its
+// side. The result is a class template (see appClass), re-bound per app.
 func buildSpace(spec workload.Spec) (*actuator.Space, error) {
-	advisory := func(int) error { return nil }
 	threads, err := actuator.Sweep("threads", []int{1, 2, 4, 8, 16}, 1, 0, actuator.ApplicationScope,
 		func(t int) string { return fmt.Sprintf("%d threads", t) },
 		func(t int) (actuator.Effect, error) {
@@ -475,6 +494,9 @@ func buildSpace(spec workload.Spec) (*actuator.Space, error) {
 	}
 	return actuator.NewSpace(threads, dvfs)
 }
+
+// advisory is the Apply of an advisory rung: nothing to drive.
+func advisory(int) error { return nil }
 
 // curveShapes memoizes core.VerifyCurve per scaling curve. The key
 // mirrors workload's speedup-table memo — the curve is a pure function
@@ -591,8 +613,8 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	if window == 0 {
 		window = d.cfg.Window
 	}
-	if window < 2 {
-		return fmt.Errorf("server: window %d too small (need >= 2)", window)
+	if err := validWindow(window); err != nil {
+		return err
 	}
 
 	a := d.newApp(name, spec, window, req.MinRate, req.MaxRate, req.Priority)
@@ -686,7 +708,11 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 			return err
 		}
 	} else {
-		space, err := buildSpace(a.spec)
+		cl, err := d.classFor(a.spec, false)
+		if err != nil {
+			return err
+		}
+		space, err := cl.space.Rebind(advisory, advisory) // threads, dvfs
 		if err != nil {
 			return err
 		}
@@ -1347,7 +1373,7 @@ func (d *Daemon) status(a *app) AppStatus {
 		st.Goal = GoalView{MinRate: g.MinRate, MaxRate: g.MaxRate}
 	}
 	if part := a.partition(); part != nil {
-		st.Chip = d.chipView(a, part)
+		st.Chip = d.chipView(part)
 	}
 	a.mu.Lock()
 	st.EnrolledAt = a.enrolledAt
@@ -1359,6 +1385,7 @@ func (d *Daemon) status(a *app) AppStatus {
 	}
 	st.DecisionErr = a.decisionErr
 	if st.Chip != nil {
+		st.Chip.Chip = a.chip
 		st.Chip.ActuationErr = a.actErr
 	}
 	if a.hasDecision {
@@ -1402,14 +1429,14 @@ func decisionView(dec core.Decision, space *actuator.Space) DecisionView {
 
 // chipView renders one chip-backed app's hardware state for the wire.
 // The caller passes the partition it already loaded so the view is
-// internally consistent even while a migration rebinds the app.
-func (d *Daemon) chipView(a *app, part *angstrom.Partition) *ChipView {
+// internally consistent even while a migration rebinds the app (and
+// fills in the die index and actuation error under the app's mutex).
+func (d *Daemon) chipView(part *angstrom.Partition) *ChipView {
 	s := part.Sense()
 	cfg := part.Config()
 	in := part.Interference()
 	vf := d.cfg.Chip.Params.VF[cfg.VF]
 	return &ChipView{
-		Chip:      a.chip,
 		Cores:     cfg.Cores,
 		CacheKB:   cfg.CacheKB,
 		VF:        fmt.Sprintf("%.1fV/%.0fMHz", vf.Volts, vf.FHz/1e6),

@@ -269,7 +269,9 @@ func (d *Daemon) applyMigration(name string, to int, now sim.Time) error {
 	// bind puts the app on one die: partition first, then that die's
 	// manager; a manager refusal gives the partition back.
 	bind := func(chip int) error {
+		a.mu.Lock() // status readers render the die index
 		a.chip = chip
+		a.mu.Unlock()
 		if err := d.bindChipAt(a, cfg, share, now); err != nil {
 			return err
 		}

@@ -121,6 +121,7 @@ func FuzzEnrollRequestJSON(f *testing.F) {
 		`{"name": "fz", "min_rate": 1}`,
 		`{"name": "w", "window": 1, "min_rate": 1}`,
 		`{"name": "w", "window": -5, "min_rate": 1}`,
+		`{"name": "w", "window": 2000000000, "min_rate": 1}`,
 		`not json`,
 	}
 	for _, s := range seeds {

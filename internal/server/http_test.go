@@ -148,6 +148,35 @@ func TestHTTPRejectsBadJSON(t *testing.T) {
 	}
 }
 
+// One request cannot ask for an unbounded monitor ring: a window above
+// MaxWindow is a 400 at every door it could come in by (the API, the
+// daemon's own default, a snapshot entry), and nothing is enrolled.
+func TestWindowIsBounded(t *testing.T) {
+	d, ts := testServer(t)
+	resp, err := http.Post(ts.URL+"/v1/apps", "application/json",
+		bytes.NewBufferString(`{"name": "hog", "window": 2000000000, "min_rate": 10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("window 2e9: status %d, want 400", resp.StatusCode)
+	}
+	doJSON(t, "POST", ts.URL+"/v1/apps", EnrollRequest{Name: "hog", Window: MaxWindow + 1, MinRate: 10}, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/apps/hog", nil, http.StatusNotFound, nil)
+	doJSON(t, "POST", ts.URL+"/v1/apps", EnrollRequest{Name: "wide", Window: MaxWindow, MinRate: 10}, http.StatusCreated, nil)
+
+	if _, err := NewDaemon(Config{Cores: 4, Window: MaxWindow + 1}); err == nil {
+		t.Fatal("NewDaemon accepted a default window above MaxWindow")
+	}
+	if err := d.restoreApp(snapApp{Name: "snap", Workload: "barnes", Window: MaxWindow + 1, MinRate: 10}); err == nil {
+		t.Fatal("restoreApp accepted a window above MaxWindow")
+	}
+	if got := d.Stats().Apps; got != 1 {
+		t.Fatalf("%d apps enrolled, want 1", got)
+	}
+}
+
 // Pool exhaustion surfaces as 429 so load generators can back off.
 func TestHTTPPoolExhaustion(t *testing.T) {
 	d, err := NewDaemon(Config{Cores: 2, Accel: 1, Period: time.Hour})

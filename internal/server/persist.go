@@ -227,18 +227,18 @@ func (rd *recordDecoder) decodeData(p []byte, rec *record) error {
 // and the chip's contention pass iterate in — so restoring them
 // re-enrolls the fleet exactly as it was built.
 type snapImage struct {
-	Seq         uint64    `json:"seq"`
-	Clock       sim.Time  `json:"clock"`
-	Ticks       uint64    `json:"ticks"`
-	Beats       uint64    `json:"beats"`
-	Decisions   uint64    `json:"decisions"`
-	Evicted     uint64    `json:"evicted"`
-	Migrations  uint64    `json:"migrations,omitempty"`
+	Seq        uint64   `json:"seq"`
+	Clock      sim.Time `json:"clock"`
+	Ticks      uint64   `json:"ticks"`
+	Beats      uint64   `json:"beats"`
+	Decisions  uint64   `json:"decisions"`
+	Evicted    uint64   `json:"evicted"`
+	Migrations uint64   `json:"migrations,omitempty"`
 	// LastMigrate is when the most recent inter-die move applied (zero
 	// if never): restores must resume the migration scan's settle window
 	// exactly where the imaged daemon left it.
-	LastMigrate sim.Time  `json:"last_migrate,omitempty"`
-	OvercommitW float64   `json:"overcommit_w,omitempty"`
+	LastMigrate sim.Time `json:"last_migrate,omitempty"`
+	OvercommitW float64  `json:"overcommit_w,omitempty"`
 	// ChipScales is each die's bandwidth derating (absent when every die
 	// is nominal; a shorter slice leaves the remaining dies at 1).
 	ChipScales []float64 `json:"chip_scales,omitempty"`
@@ -252,11 +252,11 @@ type snapImage struct {
 }
 
 type snapApp struct {
-	Name       string   `json:"name"`
-	Workload   string   `json:"workload"`
-	Window     int      `json:"window"`
-	MinRate    float64  `json:"min_rate"`
-	MaxRate    float64  `json:"max_rate,omitempty"`
+	Name     string  `json:"name"`
+	Workload string  `json:"workload"`
+	Window   int     `json:"window"`
+	MinRate  float64 `json:"min_rate"`
+	MaxRate  float64 `json:"max_rate,omitempty"`
 	// Priority is the declared water-fill weight (0 = default 1).
 	Priority   float64  `json:"priority,omitempty"`
 	EnrolledAt sim.Time `json:"enrolled_at"`
@@ -639,8 +639,8 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	if err != nil {
 		return err
 	}
-	if sa.Window < 2 {
-		return fmt.Errorf("server: snapshot window %d too small", sa.Window)
+	if err := validWindow(sa.Window); err != nil {
+		return err
 	}
 	if err := validGoal(sa.MinRate, sa.MaxRate); err != nil {
 		return err
