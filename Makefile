@@ -7,21 +7,23 @@
 #   make fmt-check  fail if gofmt would change any Go file outside testdata/
 #   make loc     non-test Go lines outside benchmark/ (the figure a
 #                simplification PR reports the delta of in CHANGES.md)
-#   make test    tier-1 verification (build + fmt-check + lint + docs + scenarios + full test suite with -race)
+#   make test    tier-1 verification (build + fmt-check + lint + docs +
+#                scenarios + the allocation contracts without -race +
+#                full test suite with -race)
 #   make scenarios  the scenario torture tier: builtin scenarios vs
 #                   oracle-regret budgets + byte-identical replay gates
-#   make bench   run all benchmarks with allocation stats into bench.out
-#   make bench-json  bench + record the BENCH_<date>.json trajectory file
-#   make bench-compare  bench + fail on >20% regression of gated
-#                       benchmarks vs OLD_BENCH (default: the latest
-#                       BENCH_*.json snapshot)
+#   make allocs  the zero-allocation contracts (Test*Alloc*) without
+#                -race, so the !race ones run too
+#   make bench   run all benchmarks with allocation stats into bench.out,
+#                for profiling and per-layer attribution
+#
+# The performance gate is benchmark/ (see BENCHMARKS.md): repeated
+# end-to-end runs compared against the parent commit's within each
+# metric's bound. Allocation-free hot paths are gated by exact tests.
 
 GO ?= go
-# Default baseline: the latest *committed* snapshot, so bench-json
-# followed by bench-compare never compares a run against itself.
-OLD_BENCH ?= $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
 
-.PHONY: build test scenarios bench bench-json bench-compare vet lint docs fmt-check loc clean
+.PHONY: build test scenarios allocs bench vet lint docs fmt-check loc clean
 
 build:
 	$(GO) build ./...
@@ -67,9 +69,15 @@ loc:
 scenarios:
 	$(GO) test -race -run 'TestScenario' ./internal/scenario
 
+# The zero-allocation contracts fail on a single allocation. Those that
+# go through a sync.Pool are built !race (the race detector makes Put
+# drop items on purpose), so -race alone would skip them.
+allocs:
+	$(GO) test -run 'Alloc' ./...
+
 # -shuffle=on randomizes test order within each package so inter-test
 # ordering dependencies fail loudly instead of lurking.
-test: build fmt-check lint docs scenarios
+test: build fmt-check lint docs scenarios allocs
 	$(GO) test -race -shuffle=on ./...
 
 # The root package holds the benchmarks that go through exported API;
@@ -77,18 +85,5 @@ test: build fmt-check lint docs scenarios
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/server | tee bench.out
 
-bench-json: bench
-	$(GO) run ./cmd/benchjson bench.out
-
-# The baseline is read from HEAD, not the working tree, so a bench-json
-# run that rewrote today's snapshot cannot be compared against itself;
-# an explicitly supplied OLD_BENCH that is not committed falls back to
-# the file on disk.
-bench-compare: bench
-	$(if $(OLD_BENCH),,$(error bench-compare: no BENCH_*.json baseline; set OLD_BENCH=<snapshot>))
-	@(git show HEAD:$(OLD_BENCH) 2>/dev/null || cat $(OLD_BENCH)) > .bench-baseline.json; \
-	$(GO) run ./cmd/benchjson -compare .bench-baseline.json bench.out; st=$$?; \
-	rm -f .bench-baseline.json; exit $$st
-
 clean:
-	rm -f bench.out .bench-baseline.json
+	rm -f bench.out

@@ -1,8 +1,8 @@
 // Top-level benchmarks: one per table/figure of the paper's evaluation,
-// plus ablations for the design choices DESIGN.md calls out. Each bench
-// regenerates its artifact end to end, so `go test -bench . -benchmem`
-// doubles as the reproduction driver; per-figure data lands in
-// EXPERIMENTS.md via cmd/figures.
+// plus ablations for the design choices ARCHITECTURE.md describes. Each
+// bench regenerates its artifact end to end, so `go test -bench .
+// -benchmem` doubles as a reproduction of every figure; the full-size
+// per-figure data is what cmd/figures prints.
 package main
 
 import (
@@ -269,7 +269,8 @@ func BenchmarkCoherenceProtocols(b *testing.B) {
 // sweep (EvaluateDetailed performs exactly one per trace element). The
 // sharded open-addressing directory, uint64 sharer bitsets, and the
 // mesh's memoized per-pair latency table make the steady state
-// allocation-free; the acceptance gate for this bench is 0 allocs/op.
+// allocation-free, which internal/cache's
+// TestDetailedAccessAllocatesNothing enforces.
 func BenchmarkDetailedAccess(b *testing.B) {
 	const tiles = 16
 	newCaches := func() []*cache.Cache {
@@ -336,7 +337,8 @@ func (a meshAdapter) LatencyCycles(src, dst int) float64 { return a.m.LatencyCyc
 func (a meshAdapter) Hops(src, dst int) int              { return a.m.Hops(src, dst) }
 
 // BenchmarkChipEvaluate measures the interval chip model — the inner
-// loop of every Figure-4 sweep.
+// loop of every Figure-4 sweep. internal/angstrom's
+// TestEvaluateAllocatesNothing holds it allocation-free.
 func BenchmarkChipEvaluate(b *testing.B) {
 	p := angstrom.DefaultParams()
 	spec, err := workload.ByName("ocean")
@@ -398,6 +400,8 @@ func newBenchDaemon(b *testing.B, n int) *server.Daemon {
 
 // BenchmarkDaemonBeat measures direct beat ingestion — registry lookup
 // plus the O(1) monitor ring insert — under full parallel contention.
+// internal/server's TestDaemonBeatAllocatesNothing holds it
+// allocation-free.
 func BenchmarkDaemonBeat(b *testing.B) {
 	d := newBenchDaemon(b, 64)
 	b.ReportAllocs()
@@ -426,8 +430,9 @@ func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
 func (discardFile) Sync() error                 { return nil }
 func (discardFile) Close() error                { return nil }
 
-// BenchmarkBeatIngestDurable is BenchmarkDaemonBeat's durable twin and
-// gates the journaled ingest path at 0 allocs/op: Daemon.Beat with the
+// BenchmarkBeatIngestDurable is BenchmarkDaemonBeat's durable twin,
+// held allocation-free by internal/server's
+// TestBeatIngestDurableAllocatesNothing: Daemon.Beat with the
 // journal on encodes one binary record into a recycled buffer and
 // appends it to the group-commit buffer (the interval flusher drains it
 // in the background) — no json.Marshal, no allocation per batch.
@@ -493,9 +498,10 @@ func BenchmarkDaemonHTTPBeats(b *testing.B) {
 // BenchmarkBeatIngestWire measures the binary beat wire path end to
 // end over a real TCP connection: 100-beat frames streamed unack'd,
 // decoded by the server into the monitor ring through the same ingest
-// helpers as the JSON path. Gated against BenchmarkDaemonHTTPBeats
-// (the acceptance bar is ≥5x its beats/s) and at ~0 allocs/op — both
-// sides of the warm path run on reused buffers.
+// helpers as the JSON path. Its acceptance bar was ≥5x
+// BenchmarkDaemonHTTPBeats' beats/s. Both sides of the warm path run on
+// reused buffers: internal/server's TestBeatIngestWireAllocatesNothing
+// holds every frame allocation-free.
 func BenchmarkBeatIngestWire(b *testing.B) {
 	d := newBenchDaemon(b, 8)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -613,11 +619,11 @@ func BenchmarkDaemonTick1000(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonTick10k gates fleet-scale serving (the PR 5 sharding
-// work): one decision period over 10,000 enrolled applications on an
+// BenchmarkDaemonTick10k measures fleet-scale serving (the sharded
+// directory): one decision period over 10,000 enrolled applications on an
 // oversubscribed 4096-core pool. The pre-shard daemon (single mutex
 // directory, full O(n·cores) re-price and re-sort every tick) took
-// ~28.3ms here; the acceptance gate is ≥5x faster. The incremental
+// ~28.3ms here; the acceptance bar was ≥5x faster. The incremental
 // manager re-prices only apps whose demand inputs moved, the decide
 // phase skips quiescent apps, and the sharded directory keeps beat
 // ingestion off every lock the tick takes.
@@ -689,7 +695,7 @@ func BenchmarkDaemonTick10kActive(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonTick10kJournaled is the durable-serving gate: the same
+// BenchmarkDaemonTick10kJournaled measures durable serving: the same
 // 10k-app decision period with the journal enabled. The tick path only
 // buffers its epoch record (no I/O, no fsync — the background flusher
 // owns durability), so journaling must cost the tick nearly nothing
@@ -731,10 +737,11 @@ func BenchmarkDaemonTick10kJournaled(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalAppend gates the journal's hot-path entry: appending
-// one framed record is pure buffering — no I/O, no fsync, amortized
-// zero allocations — so beats and tick records can journal from the
-// serving path without touching the disk.
+// BenchmarkJournalAppend measures the journal's hot-path entry:
+// appending one framed record is pure buffering — no I/O, no fsync, no
+// allocation once the buffers are warm (internal/journal's
+// TestAppendAllocatesNothing) — so beats and tick records can journal
+// from the serving path without touching the disk.
 func BenchmarkJournalAppend(b *testing.B) {
 	w, err := journal.NewWriter(journal.NewMemFS(), "j", 0, journal.Options{})
 	if err != nil {
@@ -851,9 +858,10 @@ func BenchmarkRecovery10kTail(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorBeatWindow4096 gates the circular-buffer fix: the
+// BenchmarkMonitorBeatWindow4096 measures the circular-buffer fix: the
 // per-beat cost must not scale with the window (the pre-PR-2 ring
-// shifted O(window) records per beat).
+// shifted O(window) records per beat). internal/heartbeat's
+// TestBeatAllocatesNothing holds it allocation-free.
 func BenchmarkMonitorBeatWindow4096(b *testing.B) {
 	clock := sim.NewClock(0)
 	mon := heartbeat.New(clock, heartbeat.WithWindow(4096))
@@ -865,11 +873,12 @@ func BenchmarkMonitorBeatWindow4096(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorObserveWindow256 gates the observe step every runtime
+// BenchmarkMonitorObserveWindow256 measures the observe step every runtime
 // pays once per decision period, at the chip fleet's window: a window
 // that reports no distortion must not be walked (quiet is O(1), where
 // it was 256 record copies), and one that does is summed in place
-// (reporting). Both are 0 allocs/op.
+// (reporting). Both are allocation-free (internal/heartbeat's
+// TestObserveAllocatesNothing).
 func BenchmarkMonitorObserveWindow256(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -897,8 +906,8 @@ func BenchmarkMonitorObserveWindow256(b *testing.B) {
 
 // --- Chip-backed serving benchmarks (PR 3) --------------------------
 //
-// The chip-backed daemon's hot paths: the per-app Sensor read (gated at
-// 0 allocs/op — it sits on every status request and every budget
+// The chip-backed daemon's hot paths: the per-app Sensor read
+// (allocation-free — it sits on every status request and every budget
 // rebalance) and the full chip-backed ODA tick, which executes every
 // partition's schedule, emits its heartbeats, water-fills the pool, and
 // steps every decision engine.
@@ -930,8 +939,9 @@ func newChipBenchDaemon(b *testing.B, n, tiles int) *server.Daemon {
 	return d
 }
 
-// BenchmarkPartitionSense gates the per-app observe path of chip-backed
-// serving at 0 allocs/op: one Sensor sample off the shared chip.
+// BenchmarkPartitionSense measures the per-app observe path of
+// chip-backed serving: one Sensor sample off the shared chip, held
+// allocation-free by internal/angstrom's TestSenseZeroAlloc.
 func BenchmarkPartitionSense(b *testing.B) {
 	sc, err := angstrom.NewSharedChip(angstrom.DefaultParams(), 64)
 	if err != nil {
@@ -1007,7 +1017,7 @@ func newFederatedBenchDaemon(b *testing.B, n int) *server.Daemon {
 	return d
 }
 
-// BenchmarkDaemonTickFederated gates fleet-scale federated serving: one
+// BenchmarkDaemonTickFederated measures fleet-scale federated serving: one
 // decision period over 10,000 chip-backed applications placed across a
 // four-die fleet (2,500 partitions per 1,024-tile die, oversubscribed).
 // Each tick runs every die's contention pass, executes every
@@ -1025,7 +1035,7 @@ func BenchmarkDaemonTickFederated(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacement gates the interference-aware enroll path on a
+// BenchmarkPlacement measures the interference-aware enroll path on a
 // populated four-die fleet: one Enroll — the placer pricing the
 // candidate's predicted mem/NoC contribution against every die's
 // ledger, then partition acquire and manager add on the winner — plus
@@ -1082,15 +1092,15 @@ func benchmarkAdmit(b *testing.B, chip *server.ChipConfig, mode string) {
 	}
 }
 
-// BenchmarkAdmitChip gates a chip-backed admission into a warm class.
+// BenchmarkAdmitChip measures a chip-backed admission into a warm class.
 func BenchmarkAdmitChip(b *testing.B) {
 	benchmarkAdmit(b, &server.ChipConfig{Tiles: 1024}, server.ModeChip)
 }
 
-// BenchmarkAdmitAdvisory gates an advisory admission into a warm class.
+// BenchmarkAdmitAdvisory measures an advisory admission into a warm class.
 func BenchmarkAdmitAdvisory(b *testing.B) { benchmarkAdmit(b, nil, server.ModeAdvisory) }
 
-// BenchmarkEnrollChipOversub5k gates enrollment into a *full* die: 5,000
+// BenchmarkEnrollChipOversub5k measures enrollment into a *full* die: 5,000
 // tenants on four 512-tile dies, the probes pinned to die 0, which the
 // placer has crowded with some 3,500 of them and which has no tile free,
 // so every enrollment has to shrink every incumbent of the die to fit
@@ -1156,9 +1166,9 @@ func BenchmarkEnrollChipOversub5k(b *testing.B) {
 // BenchmarkScenarioFlashCrowd drives the builtin flash-crowd torture
 // scenario (internal/scenario) end to end against a real daemon: a
 // steady fleet, a 10x arrival burst in one tick, exponential decay, a
-// mass withdrawal, and oracle-regret scoring of every tick. Gated in
-// bench-compare: a slowdown here means the whole serve-observe-decide
-// loop got slower under churn, not just one hot path.
+// mass withdrawal, and oracle-regret scoring of every tick. A slowdown
+// here means the whole serve-observe-decide loop got slower under
+// churn, not just one hot path.
 func BenchmarkScenarioFlashCrowd(b *testing.B) {
 	spec, err := scenario.ByName("flash-crowd")
 	if err != nil {

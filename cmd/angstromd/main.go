@@ -71,6 +71,7 @@ import (
 	"syscall"
 	"time"
 
+	"angstrom/internal/angstrom"
 	"angstrom/internal/server"
 )
 
@@ -111,13 +112,19 @@ func main() {
 		BeatTimeout:   *beatTimeout,
 	}
 	if *chip || *chips > 1 {
+		params := angstrom.DefaultParams()
+		if *chipMemBW > 0 {
+			params.MemBandwidthBps = *chipMemBW * 1e9
+		}
+		if *chipNoCBW > 0 {
+			params.NoCFlitBW = *chipNoCBW
+		}
 		cc := &server.ChipConfig{
 			Chips:           *chips,
 			Tiles:           *chipTiles,
 			PowerBudgetW:    *chipPower,
-			MemBandwidthBps: *chipMemBW * 1e9,
-			NoCFlitBW:       *chipNoCBW,
 			MigrateSlowdown: *migrateSlowdown,
+			Params:          &params,
 		}
 		if *chipCache > 0 {
 			// A three-rung ladder topping out at the requested size.

@@ -64,13 +64,17 @@ func main() {
 		// feasible while co-location still shows up in mem-rho.
 		*memBW = 200
 	}
+	params := angstrom.DefaultParams()
+	if *memBW > 0 {
+		params.MemBandwidthBps = *memBW * 1e9
+	}
 
 	d, err := server.NewDaemon(server.Config{
 		Cores:         *tiles,
 		Period:        time.Hour, // ticked manually
 		Accel:         *accel,
 		Oversubscribe: true,
-		Chip:          &server.ChipConfig{Tiles: *tiles, PowerBudgetW: *budget, MemBandwidthBps: *memBW * 1e9},
+		Chip:          &server.ChipConfig{Tiles: *tiles, PowerBudgetW: *budget, Params: &params},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -204,7 +208,7 @@ func runColocate(tiles int, accel, memBWGBps float64) {
 	d, err := server.NewDaemon(server.Config{
 		Cores: tiles, Period: time.Hour, Accel: accel,
 		// The same bandwidth part 1 used, so both parts run one chip.
-		Chip: &server.ChipConfig{Tiles: tiles, MemBandwidthBps: p.MemBandwidthBps},
+		Chip: &server.ChipConfig{Tiles: tiles, Params: &p},
 	})
 	if err != nil {
 		log.Fatal(err)

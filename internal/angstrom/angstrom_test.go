@@ -575,3 +575,26 @@ func TestRunIntervalStillBeats(t *testing.T) {
 		t.Fatal("no energy accounted")
 	}
 }
+
+// The interval chip model — the inner loop of every Figure-4 sweep —
+// allocates nothing (BenchmarkChipEvaluate). AllocsPerRun truncates its
+// mean to an integer, so it makes one run of n evaluations and the
+// count it returns is every allocation they made.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	const n = 1024
+	p := DefaultParams()
+	ocean := defaultSpec(t, "ocean")
+	cfg := Config{Cores: 256, CacheKB: 64, VF: 1}
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n && err == nil; i++ {
+			_, err = Evaluate(p, ocean, cfg)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d evaluations allocated %g objects, want 0", n, allocs)
+	}
+}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"angstrom/internal/noc"
 	"angstrom/internal/sim"
 )
 
@@ -460,5 +461,55 @@ func TestFlushAllResetsProtocols(t *testing.T) {
 	out := d.Access(2, 1, false)
 	if out.MemAccesses != 1 {
 		t.Fatal("directory state survived FlushAll")
+	}
+}
+
+// A warmed coherence access over the real mesh allocates nothing, under
+// the directory and under NUCA (BenchmarkDetailedAccess/directory and
+// /nuca): the sharded directory table, the sharer bitsets and the
+// mesh's per-pair latency memo stop growing once warm. AllocsPerRun
+// truncates its mean to an integer, so it makes one run of n accesses
+// and the count it returns is every allocation they made.
+func TestDetailedAccessAllocatesNothing(t *testing.T) {
+	const tiles, n = 16, 1 << 14
+	for _, tc := range []struct {
+		name string
+		make func([]*Cache, Network) (Protocol, error)
+	}{
+		{"directory", func(c []*Cache, net Network) (Protocol, error) { return NewDirectory(c, net, 2, 100) }},
+		{"nuca", func(c []*Cache, net Network) (Protocol, error) { return NewNUCA(c, net, 2, 100) }},
+	} {
+		mesh, err := noc.NewMesh(noc.DefaultConfig(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := tc.make(newTiles(t, tiles, 64), mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(3)
+		i := 0
+		access := func() {
+			core := rng.Intn(tiles)
+			var line uint64
+			if i%2 == 0 {
+				line = uint64(rng.Intn(4096)) // shared
+			} else {
+				line = uint64(core*100000 + rng.Intn(256)) // private
+			}
+			p.Access(core, line, rng.Float64() < 0.3)
+			i++
+		}
+		for i < 200000 { // warm until the directory table and latency memos stop growing
+			access()
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for j := 0; j < n; j++ {
+				access()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %d warm accesses allocated %g objects, want 0", tc.name, n, allocs)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // The experiment tests run reduced-size versions of each figure and
 // assert the paper's qualitative claims — who wins, in which direction —
-// rather than absolute numbers (see EXPERIMENTS.md for the full-size
+// rather than absolute numbers (cmd/figures prints the full-size
 // paper-vs-measured comparison).
 
 func fig3Quick(t *testing.T) Fig3Result {
@@ -28,7 +28,7 @@ func TestFig3OrderingMatchesPaper(t *testing.T) {
 		t.Fatalf("%d rows, want 5 benchmarks", len(res.Rows))
 	}
 	// §5.2 headline claims (thresholds loosened for the shortened run;
-	// EXPERIMENTS.md records the full-length numbers).
+	// cmd/figures prints the full-length numbers).
 	if res.SEECOverStatic < 1.08 {
 		t.Errorf("SEEC/static = %.3f, paper reports > 1.15", res.SEECOverStatic)
 	}

@@ -210,7 +210,7 @@ func initialConfig(p xeon.Params) xeon.Config {
 // overshoot in one window cannot compensate undershoot in another — a
 // video encoder alternating 60 and 10 fps is not delivering 35 fps — and
 // without this reading every dynamic policy degenerates to the best
-// static mix under a volume-only phase model (see EXPERIMENTS.md).
+// static mix under a volume-only phase model.
 type measurement struct {
 	mon    *heartbeat.Monitor
 	meter  *xeon.PowerMeter

@@ -293,7 +293,7 @@ type Observation struct {
 // rates are zero. It is the observe step of every runtime's decision
 // period: O(1) unless the window holds a non-zero distortion report
 // (see the package comment), and never allocating
-// (BenchmarkMonitorObserveWindow256 gates it at 0 allocs/op).
+// (TestObserveAllocatesNothing holds it at 0 allocations).
 //
 //angstrom:hotpath
 func (m *Monitor) Observe() Observation {

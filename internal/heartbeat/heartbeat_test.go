@@ -538,3 +538,25 @@ func TestLastTimeBeforeFirstBeat(t *testing.T) {
 		t.Fatalf("LastTime before any beat = %g, want 0", got)
 	}
 }
+
+// A beat into a 4096-record window allocates nothing, before and after
+// the ring wraps (BenchmarkMonitorBeatWindow4096). AllocsPerRun
+// truncates its mean to an integer, so it makes one run of n beats and
+// the count it returns is every allocation they made.
+func TestBeatAllocatesNothing(t *testing.T) {
+	const window, n = 4096, 3 * 4096
+	c := sim.NewClock(0)
+	m := New(c, WithWindow(window))
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			c.Advance(1e-6)
+			m.Beat()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d beats allocated %g objects, want 0", n, allocs)
+	}
+	if m.Count() != 2*n {
+		t.Fatalf("%d beats counted, want %d", m.Count(), 2*n)
+	}
+}

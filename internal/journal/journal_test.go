@@ -473,3 +473,37 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// Append is pure buffering into the writer's two recycled group-commit
+// buffers: once both have grown to a drain interval's worth of frames,
+// it allocates nothing (BenchmarkJournalAppend, which drains every
+// 4,096 appends). AllocsPerRun truncates its mean to an integer, so it
+// makes one run of n appends and the count it returns is every
+// allocation they made; its warm-up run appends n more before the
+// measured one, so the buffers are warmed to 2n frames.
+func TestAppendAllocatesNothing(t *testing.T) {
+	const n = 4096
+	w, err := NewWriter(NewMemFS(), "j", 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"op":"beat","t":123.456,"name":"app-01234","count":8}`)
+	appendN := func(k int) {
+		for i := 0; i < k && err == nil; i++ {
+			_, err = w.Append(payload)
+		}
+	}
+	for range 2 { // grow both buffers; each drain swaps them
+		appendN(2 * n)
+		if err == nil {
+			err = w.Flush()
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() { appendN(n) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d appends allocated %g objects, want 0", n, allocs)
+	}
+}

@@ -9,7 +9,7 @@ import (
 // Hotpath turns the bench gate's after-the-fact 0-alloc check into a
 // compile-time one: functions annotated //angstrom:hotpath (Sense,
 // Monitor.emit, journal.AppendFrame, the directory's beat reads) are
-// the paths BenchmarkDetailedAccess-style gates pin at 0 allocs/op,
+// the paths the Test*Alloc* contracts pin at 0 allocations,
 // and this analyzer rejects the constructs that silently reintroduce
 // an allocation:
 //

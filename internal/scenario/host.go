@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"angstrom/internal/angstrom"
 	"angstrom/internal/journal"
 	"angstrom/internal/server"
 )
@@ -43,8 +44,12 @@ func NewDaemonHost(spec Spec, opts Options) (*DaemonHost, error) {
 		h.cfg.Chip = &server.ChipConfig{
 			Chips:           spec.Chips,
 			Tiles:           spec.ChipTiles,
-			MemBandwidthBps: spec.ChipMemBWGBps * 1e9,
 			MigrateSlowdown: spec.MigrateSlowdown,
+		}
+		if spec.ChipMemBWGBps > 0 {
+			p := angstrom.DefaultParams()
+			p.MemBandwidthBps = spec.ChipMemBWGBps * 1e9
+			h.cfg.Chip.Params = &p
 		}
 	}
 	if spec.needsJournal() {

@@ -45,20 +45,16 @@ type ChipConfig struct {
 	// chip-backed applications and caps each decision engine's power
 	// multiplier accordingly.
 	PowerBudgetW float64
-	// MemBandwidthBps, when positive, overrides the chip model's
-	// aggregate off-chip bandwidth — the capacity the cross-partition
-	// contention ledger divides among co-located applications.
-	MemBandwidthBps float64
-	// NoCFlitBW, when positive, overrides the mesh's per-link bandwidth
-	// in flits/cycle (the NoC side of the contention ledger).
-	NoCFlitBW float64
 	// MigrateSlowdown is the contention slowdown below which a
 	// chip-backed application becomes a migration candidate in a
 	// multi-die fleet (default 0.8: an app losing more than 20% of its
 	// isolated throughput to co-tenant traffic may move). Negative
 	// disables migration.
 	MigrateSlowdown float64
-	// Params overrides the chip model constants (default DefaultParams).
+	// Params overrides the chip model constants (default DefaultParams),
+	// among them the off-chip bandwidth (MemBandwidthBps) and mesh link
+	// bandwidth (NoCFlitBW) the cross-partition contention ledger
+	// divides among co-located applications.
 	Params *angstrom.Params
 	// KnobWrap, when non-nil, wraps each partition's raw hardware knobs
 	// before the daemon adds rate limiting and allocation clamping.
@@ -80,16 +76,6 @@ func (c *ChipConfig) fill(cores int) {
 	}
 	if c.Params == nil {
 		p := angstrom.DefaultParams()
-		c.Params = &p
-	}
-	if c.MemBandwidthBps > 0 || c.NoCFlitBW > 0 {
-		p := *c.Params // never mutate a caller-supplied Params
-		if c.MemBandwidthBps > 0 {
-			p.MemBandwidthBps = c.MemBandwidthBps
-		}
-		if c.NoCFlitBW > 0 {
-			p.NoCFlitBW = c.NoCFlitBW
-		}
 		c.Params = &p
 	}
 	if c.Tiles == 0 {

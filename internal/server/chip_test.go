@@ -73,6 +73,14 @@ func chipGoal(t *testing.T, wl string, cores int, frac float64) (lo, hi float64)
 	return target * 0.9, target * 1.1
 }
 
+// withMemBandwidth is the default chip model with its aggregate
+// off-chip bandwidth set to bps.
+func withMemBandwidth(bps float64) *angstrom.Params {
+	p := angstrom.DefaultParams()
+	p.MemBandwidthBps = bps
+	return &p
+}
+
 // The chip-backed ODA loop closes end to end: the partition emits the
 // heartbeats, the decision engine actuates real knobs, and the app
 // converges into its goal band with no client-side beats at all.
@@ -407,7 +415,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 	newD := func() *Daemon {
 		d, err := NewDaemon(Config{
 			Cores: 256, Accel: 0.5, Period: time.Hour,
-			Chip: &ChipConfig{Tiles: 256, MemBandwidthBps: 24e9},
+			Chip: &ChipConfig{Tiles: 256, Params: withMemBandwidth(24e9)},
 		})
 		if err != nil {
 			t.Fatal(err)

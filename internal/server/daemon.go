@@ -934,12 +934,6 @@ func (d *Daemon) ingestShifted(a *app, ts []float64, distortion float64) {
 // and non-decreasing; beats that would land before the application's
 // previous beat are clamped to it by the monitor.
 func (d *Daemon) BeatTimestamps(name string, ts []float64, distortion float64) error {
-	if len(ts) < 1 || len(ts) > MaxBeatBatch {
-		return fmt.Errorf("server: beat count %d outside [1, %d]", len(ts), MaxBeatBatch)
-	}
-	if err := validDistortion(distortion); err != nil {
-		return err
-	}
 	for i, t := range ts {
 		// NaN also passes ordered comparisons, so check finiteness
 		// first: a NaN timestamp would corrupt the monitor's frontier.

@@ -309,7 +309,7 @@ func TestFederationCrashAtEveryCommitBoundary(t *testing.T) {
 	base := Config{
 		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
 		Shards: 4, TickWorkers: 1,
-		Chip: &ChipConfig{Chips: 2, MemBandwidthBps: 12e9},
+		Chip: &ChipConfig{Chips: 2, Params: withMemBandwidth(12e9)},
 	}
 	fs := journal.NewMemFS()
 	cfg := journalOnly(base, fs)

@@ -445,7 +445,7 @@ func TestMakeRoomChurnInvariants(t *testing.T) {
 	}
 }
 
-// BenchmarkDirectoryInsert gates the directory's write path at three
+// BenchmarkDirectoryInsert measures the directory's write path at three
 // fleet sizes: one op inserts the whole fleet into a fresh 8-shard
 // directory, and ns/insert must stay flat from 1k to 100k — the
 // copy-on-write directory it replaced grew linearly (every insert

@@ -182,7 +182,7 @@ func (ws *WireServer) serveConn(c net.Conn) {
 // wireConn is one connection's decoder state. All buffers are owned by
 // the connection's single handler goroutine and reused frame to frame —
 // the warm decode path performs no allocation (gated by
-// BenchmarkBeatIngestWire). The reader and writer are interface-typed
+// TestBeatIngestWireAllocatesNothing). The reader and writer are interface-typed
 // fields (not the net.Conn) so the fuzz harness can drive the decoder
 // from a byte slice, and so the annotated hot path never converts a
 // concrete type at a call site.

@@ -49,6 +49,7 @@ func TestWireChurnRace(t *testing.T) {
 		wireGround  atomic.Uint64 // per-beat ground truth, wire transport
 		jsonGround  atomic.Uint64 // ground truth for the direct/JSON path
 		churnGround atomic.Uint64 // beats to churned apps (direct path)
+		churnedChip []*app        // churned chip-backed apps, for their emitted beats
 		wg          sync.WaitGroup
 		stopTick    = make(chan struct{})
 		stopChurn   = make(chan struct{})
@@ -84,6 +85,9 @@ func TestWireChurnRace(t *testing.T) {
 			}
 			chipName := fmt.Sprintf("hw-%04d", j)
 			if err := d.Enroll(EnrollRequest{Name: chipName, MinRate: 10, MaxRate: 30}); err == nil {
+				if a, ok := d.lookup(chipName); ok {
+					churnedChip = append(churnedChip, a)
+				}
 				_ = d.Withdraw(chipName)
 			}
 			advName := fmt.Sprintf("adv-%04d", j)
@@ -183,9 +187,17 @@ func TestWireChurnRace(t *testing.T) {
 	}
 
 	want := wireGround.Load() + jsonGround.Load() + churnGround.Load()
-	if got := d.Stats().Beats; got != want {
-		t.Fatalf("fleet beat total %d != ground truth %d (wire %d + json %d + churn %d)",
-			got, want, wireGround.Load(), jsonGround.Load(), churnGround.Load())
+	// A tick that runs a churned chip-backed app before its withdrawal
+	// lands emits beats into the fleet total (not into the per-shard
+	// transport counters); with the ticks stopped, each app's monitor
+	// holds exactly what it emitted.
+	var chipEmitted uint64
+	for _, a := range churnedChip {
+		chipEmitted += a.mon.Count()
+	}
+	if got := d.Stats().Beats; got != want+chipEmitted {
+		t.Fatalf("fleet beat total %d != ground truth %d (wire %d + json %d + churn %d + chip-emitted %d)",
+			got, want+chipEmitted, wireGround.Load(), jsonGround.Load(), churnGround.Load(), chipEmitted)
 	}
 	var shardSum uint64
 	for _, n := range d.ShardBeats() {
