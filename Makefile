@@ -3,7 +3,8 @@
 #   make build   compile every package
 #   make vet     static analysis
 #   make lint    vet + angstromlint (the repo's contract analyzers)
-#   make docs    fail if any internal package lacks a package comment
+#   make docs    fail if any internal, cmd or examples package lacks a
+#                package comment
 #   make fmt-check  fail if gofmt would change any Go file outside testdata/
 #   make loc     non-test Go lines outside benchmark/ (the figure a
 #                simplification PR reports the delta of in CHANGES.md)
@@ -37,15 +38,16 @@ vet:
 lint: vet
 	$(GO) run ./cmd/angstromlint ./...
 
-# Godoc coverage gate: every internal package must carry a package
-# comment (go list's .Doc is the synopsis go doc renders; empty means
-# the package clause has no doc comment anywhere in the package).
+# Godoc coverage gate: every internal, cmd and examples package must
+# carry a package comment (go list's .Doc is the synopsis go doc
+# renders; empty means the package clause has no doc comment anywhere
+# in the package).
 docs:
-	@missing=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/... ./cmd/...); \
+	@missing=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/... ./cmd/... ./examples/...); \
 	if [ -n "$$missing" ]; then \
 		echo "packages missing a package comment:"; echo "$$missing"; exit 1; \
 	fi; \
-	echo "package docs: all internal and cmd packages documented"
+	echo "package docs: all internal, cmd and examples packages documented"
 
 # Formatting gate: gofmt must have nothing to say about any committed Go
 # file. testdata/ is exempt (analyzer fixtures are laid out for their

@@ -181,9 +181,9 @@ func main() {
 		}
 	}()
 
-	if st, ok := d.ChipStatus(); ok {
-		log.Printf("angstromd: chip-backed (%d tiles, budget %gW)", st.Tiles, st.PowerBudgetW)
-	} else if sts := d.ChipStatuses(); len(sts) > 1 {
+	if sts := d.ChipStatuses(); len(sts) == 1 {
+		log.Printf("angstromd: chip-backed (%d tiles, budget %gW)", sts[0].Tiles, sts[0].PowerBudgetW)
+	} else if len(sts) > 1 {
 		log.Printf("angstromd: chip fleet (%d dies × %d tiles, budget %gW/die)",
 			len(sts), sts[0].Tiles, sts[0].PowerBudgetW)
 	}

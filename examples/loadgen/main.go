@@ -25,11 +25,8 @@
 //
 // Requests retry with capped exponential backoff + jitter, so the
 // fleet rides through a daemon restart instead of counting errors.
-// With -restart-after the spawned daemon demonstrates it: mid-run it
-// is drained and replaced by a fresh one restored from -data-dir, and
-// the streams keep beating against the recovered fleet:
-//
-//	go run ./examples/loadgen -apps 1000 -duration 20s -restart-after 8s
+// Loadgen drives load and reports throughput and convergence; request
+// latency is measured with spread and bounds by the benchmark/ harness.
 //
 // Run: go run ./examples/loadgen -apps 1000 -duration 10s
 package main
@@ -43,9 +40,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,18 +63,12 @@ func main() {
 	oversub := flag.Bool("oversubscribe", true, "admit fleets larger than the core pool (time-sharing)")
 	shards := flag.Int("shards", 0, "directory shards of the spawned daemon (0 = auto)")
 	retries := flag.Int("retries", 5, "max retries per request on transient errors (backoff + jitter)")
-	dataDir := flag.String("data-dir", "", "data directory of the spawned daemon (empty = volatile, or temp with -restart-after)")
-	restartAfter := flag.Duration("restart-after", 0, "restart the spawned daemon after this long (restore from -data-dir)")
+	dataDir := flag.String("data-dir", "", "data directory of the spawned daemon (empty = volatile)")
 	wire := flag.Bool("wire", false, "stream beats over the binary wire protocol (enrollment stays JSON)")
 	wireAddr := flag.String("wire-addr", "", "wire listener address (spawned daemon: auto; required with -addr and -wire)")
 	wireConns := flag.Int("wire-conns", 0, "wire connections shared by the fleet (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if *wire && *restartAfter > 0 {
-		// Wire connections fail-fast and do not reconnect; the restart
-		// demo is a JSON-path feature.
-		log.Fatal("-wire and -restart-after are mutually exclusive")
-	}
 	if *wire && *addr != "" && *wireAddr == "" {
 		log.Fatal("-wire against an external -addr needs -wire-addr")
 	}
@@ -87,14 +76,6 @@ func main() {
 	base := *addr
 	wireTarget := *wireAddr
 	if base == "" {
-		if *restartAfter > 0 && *dataDir == "" {
-			tmp, err := os.MkdirTemp("", "loadgen-journal-")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			*dataDir = tmp
-		}
 		cfg := server.Config{
 			Cores:         *cores,
 			Period:        *period,
@@ -102,26 +83,22 @@ func main() {
 			Shards:        *shards,
 			DataDir:       *dataDir,
 		}
-		spawn := func(listen string) (*server.Daemon, *http.Server, net.Listener) {
-			d, err := server.NewDaemon(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d.Start()
-			ln, err := net.Listen("tcp", listen)
-			if err != nil {
-				log.Fatal(err)
-			}
-			srv := &http.Server{Handler: d.Handler()}
-			go func() {
-				if err := srv.Serve(ln); err != http.ErrServerClosed {
-					log.Print(err)
-				}
-			}()
-			return d, srv, ln
+		d, err := server.NewDaemon(cfg)
+		if err != nil {
+			log.Fatal(err)
 		}
-		d, srv, ln := spawn("127.0.0.1:0")
+		d.Start()
 		defer func() { _ = d.Close() }()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		srv := &http.Server{Handler: d.Handler()}
+		go func() {
+			if err := srv.Serve(ln); err != http.ErrServerClosed {
+				log.Print(err)
+			}
+		}()
 		defer srv.Close()
 		base = "http://" + ln.Addr().String()
 		log.Printf("spawned angstromd on %s (cores=%d period=%s data-dir=%q)", base, *cores, *period, *dataDir)
@@ -140,24 +117,6 @@ func main() {
 			defer ws.Close()
 			wireTarget = wln.Addr().String()
 			log.Printf("binary beat wire protocol on %s", wireTarget)
-		}
-
-		if *restartAfter > 0 {
-			// Mid-run restart: drain the daemon (final snapshot), drop the
-			// listener, and bring up a fresh daemon restored from the data
-			// directory on the same port. In-flight requests fail and ride
-			// through on the client's retry/backoff path.
-			time.AfterFunc(*restartAfter, func() {
-				log.Printf("restarting daemon (drain + restore from %s)...", *dataDir)
-				srv.Close()
-				if err := d.Close(); err != nil {
-					log.Printf("drain: %v", err)
-				}
-				d2, _, _ := spawn(ln.Addr().String())
-				ri := d2.RecoveryInfo()
-				log.Printf("restarted: %d apps restored (snapshot %d + %d journal records)",
-					ri.Apps, ri.SnapshotSeq, ri.ReplayedRecords)
-			})
 		}
 	}
 
@@ -199,20 +158,11 @@ func main() {
 		frames   atomic.Uint64
 		errs     atomic.Uint64
 		retried  atomic.Uint64
-		latMu    sync.Mutex
-		lats     []time.Duration
 	)
-	// stream is one worker's private accumulation state: a counter delta
-	// plus 1-in-8 sampled request latencies, merged once at stream end.
-	type stream struct {
-		del  heartbeat.Delta
-		lats []time.Duration
-		reqs uint64
-	}
 	// post retries transport errors and 5xx responses (a restarting or
 	// journal-degraded daemon) with capped exponential backoff plus full
 	// jitter; 4xx client errors fail immediately.
-	post := func(s *stream, path string, body any) error {
+	post := func(path string, body any) error {
 		buf, err := json.Marshal(body)
 		if err != nil {
 			return err
@@ -220,14 +170,9 @@ func main() {
 		backoff := 50 * time.Millisecond
 		const maxBackoff = 2 * time.Second
 		for attempt := 0; ; attempt++ {
-			t0 := time.Now()
 			resp, err := client.Post(base+path, "application/json", bytes.NewReader(buf))
 			if err == nil {
 				resp.Body.Close()
-				if s.reqs%8 == 0 {
-					s.lats = append(s.lats, time.Since(t0))
-				}
-				s.reqs++
 				requests.Add(1)
 				if resp.StatusCode < 300 {
 					return nil
@@ -250,7 +195,8 @@ func main() {
 
 	// In wire mode a background flusher per connection publishes pending
 	// counter deltas and keeps the server's totals fresh between the
-	// unacknowledged beat frames.
+	// unacknowledged beat frames. A failed flush means a dead connection:
+	// count it now rather than at the final barrier.
 	stopFlush := make(chan struct{})
 	var flushWG sync.WaitGroup
 	for _, wc := range wcs {
@@ -264,7 +210,10 @@ func main() {
 				case <-stopFlush:
 					return
 				case <-t.C:
-					_, _ = c.Flush()
+					if _, err := c.Flush(); err != nil {
+						errs.Add(1)
+						return
+					}
 				}
 			}
 		}(wc)
@@ -279,15 +228,8 @@ func main() {
 		// instead of shadowing it with a parameter.
 		go func() {
 			defer wg.Done()
-			s := &stream{del: heartbeat.Delta{C: &ingested}}
-			defer func() {
-				s.del.Flush()
-				if len(s.lats) > 0 {
-					latMu.Lock()
-					lats = append(lats, s.lats...)
-					latMu.Unlock()
-				}
-			}()
+			del := heartbeat.Delta{C: &ingested}
+			defer del.Flush()
 			name := fmt.Sprintf("app-%04d", i)
 			goal := *rate
 			// No window inflation: the daemon spreads each batch's
@@ -301,7 +243,7 @@ func main() {
 				MinRate:  goal * 0.9,
 				MaxRate:  goal * 1.1,
 			}
-			if err := post(s, "/v1/apps", req); err != nil {
+			if err := post("/v1/apps", req); err != nil {
 				errs.Add(1)
 				return
 			}
@@ -330,11 +272,11 @@ func main() {
 						return
 					}
 					frames.Add(1)
-					s.del.Add(uint64(*batch))
-				} else if err := post(s, "/v1/apps/"+name+"/beats", server.BeatRequest{Count: *batch}); err != nil {
+					del.Add(uint64(*batch))
+				} else if err := post("/v1/apps/"+name+"/beats", server.BeatRequest{Count: *batch}); err != nil {
 					errs.Add(1)
 				} else {
-					s.del.Add(uint64(*batch))
+					del.Add(uint64(*batch))
 				}
 				time.Sleep(interval)
 			}
@@ -356,16 +298,15 @@ func main() {
 		serverAcked += total
 	}
 
-	// Read the fleet's end state back through the API.
+	// Read the fleet's end state back through the API. A failed read is
+	// fatal: zeroes would print as if they were a measurement.
 	var stats server.StatsResponse
-	if resp, err := client.Get(base + "/v1/stats"); err == nil {
-		json.NewDecoder(resp.Body).Decode(&stats)
-		resp.Body.Close()
+	if err := getJSON(client, base+"/v1/stats", &stats); err != nil {
+		log.Fatalf("read back /v1/stats: %v", err)
 	}
 	var list []server.AppStatus
-	if resp, err := client.Get(base + "/v1/apps"); err == nil {
-		json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
+	if err := getJSON(client, base+"/v1/apps", &list); err != nil {
+		log.Fatalf("read back /v1/apps: %v", err)
 	}
 	decided, met := 0, 0
 	for _, st := range list {
@@ -377,18 +318,6 @@ func main() {
 		}
 	}
 
-	latMu.Lock()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(lats)-1))
-		return lats[idx]
-	}
-	p50, p99, max := pct(0.50), pct(0.99), pct(1.0)
-	latMu.Unlock()
-
 	elapsed := duration.Seconds()
 	beats := ingested.Load()
 	fmt.Printf("\n=== loadgen: %d apps for %s against %s ===\n", *apps, duration, base)
@@ -399,7 +328,6 @@ func main() {
 		fmt.Printf("wire       %d frames over %d conns, %d beats server-acked\n",
 			frames.Load(), len(wcs), serverAcked)
 	}
-	fmt.Printf("latency    p50 %s  p99 %s  max %s\n", p50, p99, max)
 	fmt.Printf("oda loop   %d ticks, %d decisions (%.0f decisions/s)\n",
 		stats.Ticks, stats.Decisions, float64(stats.Decisions)/elapsed)
 	inBand := 0.0
@@ -417,4 +345,17 @@ func main() {
 	if inBand < 90 {
 		log.Printf("WARNING: only %.1f%% of the fleet converged in-band", inBand)
 	}
+}
+
+// getJSON decodes a 200 response from url into v.
+func getJSON(client *http.Client, url string, v any) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }

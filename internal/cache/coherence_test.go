@@ -235,6 +235,14 @@ func TestAdaptiveSelectsNUCAForCapacityBoundSharing(t *testing.T) {
 	if ad.Active() != "shared-nuca" {
 		t.Fatalf("adaptive protocol settled on %s, want shared-nuca", ad.Active())
 	}
+	// When the sharing phase ends the protocol follows the workload back.
+	for i := 0; i < 120000; i++ {
+		core := rng.Intn(tiles)
+		ad.Access(core, uint64(core*10000+rng.Intn(256)), false)
+	}
+	if ad.Active() != "directory-msi" {
+		t.Fatalf("after a return to private locality the protocol stayed on %s, want directory-msi", ad.Active())
+	}
 }
 
 func TestAdaptiveSelectsDirectoryForPrivateLocality(t *testing.T) {

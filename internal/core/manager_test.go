@@ -155,6 +155,16 @@ func TestManagerMeetsBothGoalsWhenFeasible(t *testing.T) {
 	if total > 16 {
 		t.Fatalf("allocated %d of 16 units", total)
 	}
+	// b raises its goal to one that needs ~10 units: the manager must
+	// reapportion the pool without losing a's goal.
+	h.mons[1].SetPerformanceGoal(48, 52)
+	for i := 0; i < 30; i++ {
+		allocs = h.step(t)
+		h.run(1.0)
+	}
+	if !allocs[0].GoalMet || !allocs[1].GoalMet || allocs[1].Units < 10 {
+		t.Fatalf("after b raised its goal: %+v, want both met with b on ~10 units", allocs)
+	}
 }
 
 func TestManagerScalesDownOversubscription(t *testing.T) {

@@ -20,13 +20,14 @@ import (
 
 // The golden tests pin the simulation side's numbers byte for byte: the
 // three figures as rendered at the reduced test options, and one closed
-// loop per platform model (examples/angstromchip and the Figure-3 SEEC
-// run in miniature) recorded at full float precision — every beat time,
-// energy integral, declared effect, and chosen configuration. They are
-// what proves a refactor of the beat-emission loop or the actuator
-// tabulation bit-identical, the way chip_fleet's state_hash does on the
-// serving side. Regenerate with `go test ./internal/experiment -run
-// Golden -update` only when a change means to move the numbers.
+// loop per platform model (SEEC on the Angstrom chip's core, L2 and DVFS
+// knobs, and the Figure-3 SEEC run in miniature) recorded at full float
+// precision — every beat time, energy integral, declared effect, and
+// chosen configuration. They are what proves a refactor of the
+// beat-emission loop or the actuator tabulation bit-identical, the way
+// chip_fleet's state_hash does on the serving side. Regenerate with
+// `go test ./internal/experiment -run Golden -update` only when a change
+// means to move the numbers.
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 func checkGolden(t *testing.T, name, got string) {
@@ -109,6 +110,12 @@ func TestGoldenChipRun(t *testing.T) {
 	}
 	mon := heartbeat.New(clock, heartbeat.WithEnergyMeter(chip.Energy), heartbeat.WithWindow(41))
 	chip.Attach(workload.NewInstance(spec, 3), mon)
+	// A probe on tile 0's L2 miss counter queues records for its partner
+	// core (§4.1, §4.3); it observes and must not move a number.
+	probe := &angstrom.Probe{Counter: angstrom.CtrL2Misses, Op: angstrom.OpGE, Trigger: 10_000_000, Queue: chip.Tiles[0].Queue}
+	if err := chip.Tiles[0].Probes.Attach(probe); err != nil {
+		t.Fatal(err)
+	}
 	coreOpts, cacheOpts := []int{1, 4, 16, 64, 256}, []int{32, 64, 128}
 	maxRate, err := chip.MaxHeartRate(coreOpts, cacheOpts)
 	if err != nil {
@@ -154,6 +161,9 @@ func TestGoldenChipRun(t *testing.T) {
 	}
 	dumpWindow(&b, mon)
 	checkGolden(t, "chip_run.golden", b.String())
+	if ev := chip.Tiles[0].Partner.DrainEvents(100); len(ev) == 0 {
+		t.Fatal("the L2-miss probe queued no event for the partner core")
+	}
 }
 
 func TestGoldenXeonRun(t *testing.T) {

@@ -123,8 +123,8 @@ func TestChipDaemonConvergesToGoal(t *testing.T) {
 	if st.Chip.IPS <= 0 || st.Chip.PowerW <= 0 || st.Chip.EnergyJ <= 0 {
 		t.Fatalf("sensor sample degenerate: %+v", st.Chip)
 	}
-	if cs, ok := d.ChipStatus(); !ok || cs.Partitions != 1 || cs.PowerW <= cs.UncoreW {
-		t.Fatalf("chip status %+v", cs)
+	if css := d.ChipStatuses(); len(css) != 1 || css[0].Partitions != 1 || css[0].PowerW <= css[0].UncoreW {
+		t.Fatalf("chip status %+v", css)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestEnrollModes(t *testing.T) {
 	if err := plain.Enroll(EnrollRequest{Name: "x", Mode: ModeChip, MinRate: 10}); err == nil {
 		t.Fatal("chip mode accepted without a chip")
 	}
-	if _, ok := plain.ChipStatus(); ok {
+	if len(plain.ChipStatuses()) != 0 {
 		t.Fatal("chip status on an advisory daemon")
 	}
 }
@@ -387,7 +387,7 @@ func TestChipPowerBudget(t *testing.T) {
 				met++
 			}
 		}
-		cs, _ := d.ChipStatus()
+		cs := d.ChipStatuses()[0]
 		return met, cs.PowerW
 	}
 	met, power := run(20)
@@ -446,7 +446,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 	if stSolo.Chip.Slowdown < 0.99 {
 		t.Fatalf("solo slowdown %g, want ~1 (no co-tenant)", stSolo.Chip.Slowdown)
 	}
-	soloChip, _ := solo.ChipStatus()
+	soloChip := solo.ChipStatuses()[0]
 
 	// Co-located, the fleet breathes around the band (the contention
 	// couples the two control loops), so assert over a window rather
@@ -469,7 +469,7 @@ func TestChipContentionCoLocation(t *testing.T) {
 			inBand++
 		}
 		slowSum += (stA.Chip.Slowdown + stB.Chip.Slowdown) / 2 / tail
-		cs, _ := duo.ChipStatus()
+		cs := duo.ChipStatuses()[0]
 		rhoSum += cs.MemRho / tail
 	}
 	if inBand < tail*6/10 {

@@ -1446,17 +1446,6 @@ func (d *Daemon) chipView(part *angstrom.Partition) *ChipView {
 	}
 }
 
-// ChipStatus reports the shared chip's ledger for a single-die daemon,
-// or ok=false when the daemon is not chip-backed or runs more than one
-// die (clients of a fleet must use ChipStatuses — the legacy view would
-// silently hide every other die).
-func (d *Daemon) ChipStatus() (ChipStatusResponse, bool) {
-	if d.fleet == nil || d.fleet.Chips() != 1 {
-		return ChipStatusResponse{}, false
-	}
-	return d.chipStatusAt(0), true
-}
-
 // ChipStatuses reports every die's ledger, in die order (nil when the
 // daemon is not chip-backed).
 func (d *Daemon) ChipStatuses() []ChipStatusResponse {

@@ -39,16 +39,14 @@ func (d *Daemon) Handler() http.Handler {
 		// Back-compat: pre-fleet clients get exactly the old view as long
 		// as exactly one die is configured. Multi-die daemons refuse it —
 		// a single-chip answer would silently hide the rest of the fleet.
-		st, ok := d.ChipStatus()
-		if !ok {
-			if d.fleet != nil {
-				writeError(w, http.StatusNotFound, errors.New("server: multi-chip fleet; use /v1/chips"))
-				return
-			}
+		switch sts := d.ChipStatuses(); {
+		case sts == nil:
 			writeError(w, http.StatusNotFound, errors.New("server: chip mode not enabled"))
-			return
+		case len(sts) != 1:
+			writeError(w, http.StatusNotFound, errors.New("server: multi-chip fleet; use /v1/chips"))
+		default:
+			writeJSON(w, http.StatusOK, sts[0])
 		}
-		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/chips", func(w http.ResponseWriter, r *http.Request) {
 		sts := d.ChipStatuses()

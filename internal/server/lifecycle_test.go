@@ -266,9 +266,9 @@ func TestSharedChipConfigIsNotFilledInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, ok := d.ChipStatus()
-		if !ok || cs.Tiles != cores {
-			t.Fatalf("daemon with %d cores reports %d tiles (ok=%v); tile count defaults to the core pool", cores, cs.Tiles, ok)
+		css := d.ChipStatuses()
+		if len(css) != 1 || css[0].Tiles != cores {
+			t.Fatalf("daemon with %d cores reports %+v; tile count defaults to the core pool", cores, css)
 		}
 		if top := d.cfg.Chip.CoreOptions[len(d.cfg.Chip.CoreOptions)-1]; top != cores {
 			t.Fatalf("daemon with %d cores offers core options up to %d", cores, top)

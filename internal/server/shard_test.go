@@ -344,8 +344,8 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 							}
 						}
 					}
-					if st, ok := d.ChipStatus(); ok {
-						if st.CoreEquivalents > float64(tiles)+1e-6 {
+					if sts := d.ChipStatuses(); len(sts) == 1 {
+						if st := sts[0]; st.CoreEquivalents > float64(tiles)+1e-6 {
 							t.Errorf("ledger overcommitted mid-churn: %g > %d", st.CoreEquivalents, tiles)
 							return
 						}
