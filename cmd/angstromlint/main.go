@@ -1,8 +1,8 @@
 // Command angstromlint is the repository's contract multichecker: it
 // runs the internal/lint analyzers (determinism, hotpath,
-// journalbefore, clockdiscipline, plus stdlib-quality shadow and
-// nilness passes) over the packages matching its arguments and exits
-// non-zero on any finding.
+// journalbefore, clockdiscipline, plus the stdlib-quality shadow pass)
+// over the packages matching its arguments and exits non-zero on any
+// finding.
 //
 //	go run ./cmd/angstromlint ./...
 //	go run ./cmd/angstromlint -only determinism,hotpath ./internal/...

@@ -127,8 +127,8 @@ type Actuator struct {
 	current int // current setting index
 }
 
-// Validate checks the declaration for internal consistency. Every
-// registry rejects invalid actuators, so downstream code can assume these
+// Validate checks the declaration for internal consistency. NewSpace and
+// Sweep reject invalid actuators, so downstream code can assume these
 // invariants.
 func (a *Actuator) Validate() error {
 	if a.Name == "" {

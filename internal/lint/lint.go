@@ -99,17 +99,16 @@ type Analyzer struct {
 }
 
 // All is the angstromlint multichecker: the four contract analyzers
-// plus the stdlib-quality extra passes `go vet` does not run by
-// default. (shadow and nilness are self-contained reimplementations of
-// the x/tools passes of the same names; the x/tools originals cannot be
-// vendored into this offline, zero-dependency build.)
+// plus shadow, a stricter-than-vet pass `go vet` does not run by
+// default. (shadow is a self-contained reimplementation of the x/tools
+// pass of the same name; the x/tools original cannot be vendored into
+// this offline, zero-dependency build.)
 var All = []*Analyzer{
 	Determinism,
 	Hotpath,
 	JournalBefore,
 	ClockDiscipline,
 	Shadow,
-	Nilness,
 }
 
 // ByName resolves an analyzer in All (nil if unknown).

@@ -177,7 +177,3 @@ func TestClockDisciplineTestdata(t *testing.T) {
 func TestShadowTestdata(t *testing.T) {
 	runTestdata(t, []*Analyzer{Shadow}, "shadowed")
 }
-
-func TestNilnessTestdata(t *testing.T) {
-	runTestdata(t, []*Analyzer{Nilness}, "nilcheck")
-}

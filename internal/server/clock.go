@@ -88,9 +88,3 @@ func newSwapClock(n sim.Nower) *swapClock {
 
 func (c *swapClock) Now() sim.Time    { return (*c.inner.Load()).Now() }
 func (c *swapClock) swap(n sim.Nower) { c.inner.Store(&n) }
-
-var (
-	_ sim.Nower = (*WallClock)(nil)
-	_ sim.Nower = (*AtomicClock)(nil)
-	_ sim.Nower = (*swapClock)(nil)
-)

@@ -151,12 +151,12 @@ func (d *Daemon) maybeMigrate(now sim.Time) {
 	// threshold, the one whose share-scaled memory demand is largest —
 	// moving the heaviest contributor relieves its die the most. Apps
 	// still inside their post-migration cooldown are ineligible.
-	// d.chipApps is this tick's name-sorted fleet, so ties resolve by
+	// d.tick.chipApps is this tick's name-sorted fleet, so ties resolve by
 	// name.
 	var victim *app
 	var victimPart *angstrom.Partition
 	var victimLoad float64
-	for _, a := range d.chipApps {
+	for _, a := range d.tick.chipApps {
 		part := a.partition()
 		if part == nil {
 			continue

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"angstrom/internal/sim"
 )
 
 // The sharded-tick invariant harness: the daemon's determinism contract
@@ -180,11 +182,11 @@ func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
 			t.Helper()
 			d.Tick()
 			list := d.List() // name-sorted by contract
-			if len(d.chipApps) != len(list) {
-				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.chipApps), len(list))
+			if len(d.tick.chipApps) != len(list) {
+				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.tick.chipApps), len(list))
 			}
 			for i, st := range list {
-				if a := d.chipApps[i]; a.name != st.Name || a != mustApp(t, d, st.Name) {
+				if a := d.tick.chipApps[i]; a.name != st.Name || a != mustApp(t, d, st.Name) {
 					t.Fatalf("shards=%d, tick after %s: chipApps[%d] is %q (current app: %v), want %q",
 						shards, step, i, a.name, a == mustApp(t, d, a.name), st.Name)
 				}
@@ -212,7 +214,7 @@ func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
 		}
 		tickAndCheck("same-name re-enroll")
 		tickAndCheck("nothing")
-		victim := d.chipApps[3]
+		victim := d.tick.chipApps[3]
 		if err := d.applyMigration(victim.name, 1-victim.chip, d.clock.Now()); err != nil {
 			t.Fatal(err)
 		}
@@ -321,24 +323,42 @@ func TestWithdrawMidTickReleasesTilesOnce(t *testing.T) {
 	}
 	d.Tick() // warm: schedules queued, knobs moved
 
-	decided := d.Stats().Decisions
-	_ = decided
-	d.testHookAfterSnapshot = func() {
-		// The snapshots now hold m-03 and m-07; withdraw them mid-tick,
-		// and immediately re-enroll one name so a stale snapshot entry
-		// coexists with a live successor app.
-		if err := d.Withdraw("m-03"); err != nil {
-			t.Error(err)
-		}
-		if err := d.Withdraw("m-07"); err != nil {
-			t.Error(err)
-		}
-		if err := d.Enroll(EnrollRequest{Name: "m-07", Workload: "water", MinRate: 2}); err != nil {
-			t.Error(err)
+	// Run the next tick phase by phase. Once the snapshots hold m-03 and
+	// m-07, withdraw both, and immediately re-enroll one name so a stale
+	// snapshot entry coexists with a live successor app.
+	d.simClock.Advance(d.cfg.Accel)
+	now := d.clock.Now()
+	d.priceContention()
+	d.snapshotShards()
+	gone := []*app{mustApp(t, d, "m-03"), mustApp(t, d, "m-07")}
+	type standing struct {
+		at  sim.Time
+		err string
+	}
+	decided := func(a *app) standing {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return standing{a.decision.Time, a.decisionErr}
+	}
+	before := []standing{decided(gone[0]), decided(gone[1])}
+	if err := d.Withdraw("m-03"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Withdraw("m-07"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Enroll(EnrollRequest{Name: "m-07", Workload: "water", MinRate: 2}); err != nil {
+		t.Fatal(err)
+	}
+	d.actObserve(now)
+	d.arbitrate()
+	d.rebalancePowerCaps(d.tick.chipApps)
+	d.decideAll()
+	for i, a := range gone {
+		if got := decided(a); got != before[i] {
+			t.Fatalf("withdrawn %s stepped mid-tick: standing decision %+v became %+v", a.name, before[i], got)
 		}
 	}
-	d.Tick()
-	d.testHookAfterSnapshot = nil
 
 	if f := d.fleet.Chip(0).LedgerFaults(); f != 0 {
 		t.Fatalf("%d ledger faults after mid-tick withdraw", f)

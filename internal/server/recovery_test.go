@@ -528,19 +528,13 @@ func TestKillMidTickRestoresFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// kill -9 mid-tick: image the filesystem while the tick holds its
-	// per-shard snapshots, before the tick record could ever commit.
-	var img *journal.MemFS
-	d.testHookAfterSnapshot = func() {
-		if img == nil {
-			img = fs.Crash(0)
-		}
-	}
-	d.Tick()
-	d.testHookAfterSnapshot = nil
-	if img == nil {
-		t.Fatal("mid-tick hook never fired")
-	}
+	// kill -9 mid-tick: run the tick up to its snapshot phase and image
+	// the filesystem while it holds its per-shard snapshots, before the
+	// tick record could ever commit.
+	d.simClock.Advance(d.cfg.Accel)
+	d.priceContention()
+	d.snapshotShards()
+	img := fs.Crash(0)
 
 	restored, err := NewDaemon(journalOnly(base, img))
 	if err != nil {
@@ -715,6 +709,115 @@ func TestBeatTimeoutEvictsStale(t *testing.T) {
 	}
 	if rs := r.Stats(); rs.Apps != 1 || rs.Evicted != 2 {
 		t.Fatalf("restored stats: apps %d evicted %d", rs.Apps, rs.Evicted)
+	}
+}
+
+// An eviction judges the app the tick's snapshot holds, not its name. A
+// client that withdraws and re-enrolls between the snapshot and the
+// eviction scan has a fresh successor under the stale app's name: the
+// successor must survive, and no eviction may be journaled for it.
+func TestBeatTimeoutSparesSameNameSuccessor(t *testing.T) {
+	base := Config{Cores: 16, Accel: 1, Period: time.Hour, BeatTimeout: 5 * time.Second}
+	fs := journal.NewMemFS()
+	d, err := NewDaemon(journalOnly(base, fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Enroll(EnrollRequest{Name: "x", MinRate: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 5; tick++ {
+		d.Tick() // x is silent, but not yet past the timeout
+	}
+	// The next tick judges x stale; between its snapshot and its eviction
+	// scan, the client withdraws x and enrolls it afresh.
+	d.simClock.Advance(d.cfg.Accel)
+	now := d.clock.Now()
+	d.tickAt(now)
+	stale := mustApp(t, d, "x")
+	if err := d.Withdraw("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Enroll(EnrollRequest{Name: "x", MinRate: 10}); err != nil {
+		t.Fatal(err)
+	}
+	d.evictStale(now)
+	if a, ok := d.lookup("x"); !ok || a == stale {
+		t.Fatalf("successor evicted (enrolled %v, is the stale app %v)", ok, a == stale)
+	}
+	if got := d.Evicted(); got != 0 {
+		t.Fatalf("evicted %d apps, want 0", got)
+	}
+	if err := d.jd.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewDaemon(journalOnly(base, fs.Crash(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := r.Stats(); rs.Apps != 1 || rs.Evicted != 0 {
+		t.Fatalf("restored stats: apps %d evicted %d, want 1 and 0", rs.Apps, rs.Evicted)
+	}
+}
+
+// Replay re-enters the journaling paths (Enroll, Beat, tickAt, evicting
+// and client withdrawals, SetGoal) yet appends nothing: boot opens the
+// journal writer only after restore returns. So a daemon booted from a
+// snapshot plus a tail continues the journal at the tail's last record.
+func TestRestoreJournalsNothing(t *testing.T) {
+	base := Config{Cores: 16, Accel: 1, Period: time.Hour, BeatTimeout: 3 * time.Second}
+	fs := journal.NewMemFS()
+	d, err := NewDaemon(journalOnly(base, fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"beating", "silent", "goal"} {
+		if err := d.Enroll(EnrollRequest{Name: name, MinRate: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Tick()
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// The tail: one record of every kind replay re-executes.
+	if err := d.Enroll(EnrollRequest{Name: "leaver", MinRate: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetGoal("goal", 12, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Withdraw("leaver"); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 5; tick++ {
+		if err := d.Beat("beating", 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.BeatTimestamps("goal", []float64{1, 1.5, 2}, 0); err != nil {
+			t.Fatal(err)
+		}
+		d.Tick() // "silent" is evicted on the way
+	}
+	if d.Evicted() != 1 {
+		t.Fatalf("tail evicted %d apps, want 1", d.Evicted())
+	}
+	if err := d.jd.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live := d.Stats().Journal.Records
+
+	r, err := NewDaemon(journalOnly(base, fs.Crash(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri := r.RecoveryInfo()
+	if ri.SnapshotSeq == 0 || ri.ReplayedRecords == 0 || ri.BadRecords != 0 {
+		t.Fatalf("recovery %+v, want a snapshot, a clean tail, and records to replay", ri)
+	}
+	tail := ri.SnapshotSeq + uint64(ri.ReplayedRecords)
+	if got := r.Stats().Journal.Records; got != tail || got != live {
+		t.Fatalf("restored journal at record %d, want the tail's last record %d (live daemon: %d)", got, tail, live)
 	}
 }
 

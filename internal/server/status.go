@@ -1,0 +1,215 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"angstrom/internal/actuator"
+	"angstrom/internal/angstrom"
+	"angstrom/internal/core"
+)
+
+// Status reports one application's serving state.
+func (d *Daemon) Status(name string) (AppStatus, error) {
+	a, ok := d.lookup(name)
+	if !ok {
+		return AppStatus{}, fmt.Errorf("server: %q %w", name, ErrNotEnrolled)
+	}
+	return d.status(a), nil
+}
+
+// List reports every enrolled application, sorted by name.
+func (d *Daemon) List() []AppStatus {
+	snapshot := d.dir.snapshot(make([]*app, 0, d.dir.len()))
+	out := make([]AppStatus, len(snapshot))
+	for i, a := range snapshot {
+		out[i] = d.status(a)
+	}
+	sortAppStatuses(out)
+	return out
+}
+
+func (d *Daemon) status(a *app) AppStatus {
+	obs := a.mon.Observe()
+	goals := a.mon.Goals()
+	st := AppStatus{
+		Name:     a.name,
+		Workload: a.spec.Name,
+		Observation: ObservationView{
+			Beats:         obs.Beats,
+			WindowRate:    obs.WindowRate,
+			GlobalRate:    obs.GlobalRate,
+			InstantRate:   obs.InstantRate,
+			WindowLatency: obs.WindowLatency,
+			Distortion:    obs.Distortion,
+			LastTime:      obs.LastTime,
+		},
+		GoalMet: a.mon.Check().AllMet(),
+	}
+	if g := goals.Performance; g != nil {
+		st.Goal = GoalView{MinRate: g.MinRate, MaxRate: g.MaxRate}
+	}
+	if part := a.partition(); part != nil {
+		st.Chip = d.chipView(part)
+	}
+	a.mu.Lock()
+	st.EnrolledAt = a.enrolledAt
+	st.Cores = AllocationView{
+		Units:   a.alloc.Units,
+		Demand:  a.alloc.Demand,
+		Share:   a.alloc.Share,
+		GoalFit: a.alloc.GoalMet,
+	}
+	st.DecisionErr = a.decisionErr
+	if st.Chip != nil {
+		st.Chip.Chip = a.chip
+		st.Chip.ActuationErr = a.actErr
+	}
+	if a.hasDecision {
+		// Capture the runtime alongside the decision: a migration swaps
+		// a.rt under this mutex, and the decision must be rendered against
+		// the space it was decided in.
+		dec, rt := a.decision, a.rt
+		a.mu.Unlock()
+		v := decisionView(dec, rt.Space())
+		st.Decision = &v
+		return st
+	}
+	a.mu.Unlock()
+	return st
+}
+
+// decisionView renders a core.Decision with actuator settings resolved
+// to their human-readable labels.
+func decisionView(dec core.Decision, space *actuator.Space) DecisionView {
+	label := func(cfg actuator.Config) map[string]string {
+		out := make(map[string]string, len(space.Acts))
+		for i, act := range space.Acts {
+			if i < len(cfg) && cfg[i] >= 0 && cfg[i] < len(act.Settings) {
+				out[act.Name] = act.Settings[cfg[i]].Label
+			}
+		}
+		return out
+	}
+	return DecisionView{
+		Time:           dec.Time,
+		Goal:           dec.Goal,
+		Observed:       dec.Observed,
+		BaseEstimate:   dec.BaseEstimate,
+		TargetSpeedup:  dec.TargetSpeedup,
+		HiFrac:         dec.HiFrac,
+		PredictedPower: dec.PredictedPower,
+		LoConfig:       label(dec.LoCfg),
+		HiConfig:       label(dec.HiCfg),
+	}
+}
+
+// chipView renders one chip-backed app's hardware state for the wire.
+// The caller passes the partition it already loaded so the view is
+// internally consistent even while a migration rebinds the app (and
+// fills in the die index and actuation error under the app's mutex).
+func (d *Daemon) chipView(part *angstrom.Partition) *ChipView {
+	s := part.Sense()
+	cfg := part.Config()
+	in := part.Interference()
+	vf := d.cfg.Chip.Params.VF[cfg.VF]
+	return &ChipView{
+		Cores:     cfg.Cores,
+		CacheKB:   cfg.CacheKB,
+		VF:        fmt.Sprintf("%.1fV/%.0fMHz", vf.Volts, vf.FHz/1e6),
+		TimeShare: part.Share(),
+		IPS:       s.IPS,
+		PowerW:    s.PowerW,
+		StallFrac: s.StallFrac,
+		HeartRate: s.HeartRate,
+		EnergyJ:   s.EnergyJ,
+		Slowdown:  in.Slowdown,
+		MemRho:    in.MemRho,
+		NoCRho:    in.NoCRho,
+	}
+}
+
+// ChipStatuses reports every die's ledger, in die order (nil when the
+// daemon is not chip-backed).
+func (d *Daemon) ChipStatuses() []ChipStatusResponse {
+	if d.fleet == nil {
+		return nil
+	}
+	out := make([]ChipStatusResponse, d.fleet.Chips())
+	for i := range out {
+		out[i] = d.chipStatusAt(i)
+	}
+	return out
+}
+
+func (d *Daemon) chipStatusAt(i int) ChipStatusResponse {
+	sc := d.fleet.Chip(i)
+	parts, used := sc.Usage()
+	c := sc.Contention()
+	return ChipStatusResponse{
+		Chip:              i,
+		Tiles:             sc.Tiles(),
+		Partitions:        parts,
+		CoreEquivalents:   used,
+		PowerW:            sc.TotalPowerW(),
+		PowerBudgetW:      d.cfg.Chip.PowerBudgetW,
+		UncoreW:           d.cfg.Chip.Params.UncoreW,
+		MemBandwidthBps:   c.MemCapacityBps,
+		MemDemandBps:      c.MemDemandBps,
+		MemRho:            c.MemRho,
+		NoCRho:            c.NoCRho,
+		MemBandwidthScale: sc.MemBandwidthScale(),
+		LedgerFaults:      sc.LedgerFaults(),
+	}
+}
+
+// ShardBeats reports each directory shard's client-ingested beat count
+// (JSON and binary wire alike; chip-emitted beats are not client
+// ingestion). Under concurrent ingestion each entry is an independent
+// atomic load; once writers have flushed their deltas and stopped,
+// the slice sums exactly to Stats().Beats — the reconciliation the
+// churn race test enforces against per-beat ground truth.
+func (d *Daemon) ShardBeats() []uint64 {
+	return d.dir.ingestTotals(make([]uint64, 0, len(d.dir.shards)))
+}
+
+// Stats reports daemon-wide counters.
+func (d *Daemon) Stats() StatsResponse {
+	st := StatsResponse{
+		Apps:             d.dir.len(),
+		ChipApps:         int(d.chipCount.Load()),
+		Cores:            d.cfg.Cores,
+		Shards:           len(d.dir.shards),
+		Migrations:       d.migrations.Load(),
+		Ticks:            d.ticks.Load(),
+		Beats:            d.beats.Load(),
+		Decisions:        d.decisions.Load(),
+		Evicted:          d.evicted.Load(),
+		WireConns:        int(d.wireConns.Load()),
+		WireFrames:       d.wireFrames.Load(),
+		ClockSeconds:     d.clock.Now(),
+		UptimeSeconds:    time.Since(d.started).Seconds(),
+		PeriodSeconds:    d.cfg.Period.Seconds(),
+		Accelerated:      d.simClock != nil,
+		PowerOvercommitW: math.Float64frombits(d.powerOvercommit.Load()),
+		Tick:             TickStats{StepErrors: d.stepErrors.Load()},
+	}
+	if d.fleet != nil {
+		st.Chips = d.fleet.Chips()
+		st.Chip = &ChipStats{ShareRefusals: d.shareRefusals.Load()}
+	}
+	if jd := d.jd; jd != nil {
+		js := &JournalStats{
+			SnapshotSeq:    jd.snapSeq.Load(),
+			Degraded:       jd.degraded.Load(),
+			Error:          jd.reason(),
+			DroppedRecords: jd.dropped.Load(),
+		}
+		if jd.w != nil {
+			js.Records = jd.w.Seq()
+		}
+		st.Journal = js
+	}
+	return st
+}
