@@ -8,6 +8,11 @@
 #   make fmt-check  fail if gofmt would change any Go file outside testdata/
 #   make loc     non-test Go lines outside benchmark/ (the figure a
 #                simplification PR reports the delta of in CHANGES.md)
+#   make knobs   settable values, the other figure a simplification PR
+#                reports: flags the flag package defines in non-test
+#                cmd/ and examples/ code, plus Make ?= variables, plus
+#                exported fields of server.Config, server.ChipConfig and
+#                core.Options (a field list "A, B T" counts two)
 #   make test    tier-1 verification (build + fmt-check + lint + docs +
 #                scenarios + the allocation contracts without -race +
 #                full test suite with -race)
@@ -24,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: build test scenarios allocs bench vet lint docs fmt-check loc clean
+.PHONY: build test scenarios allocs bench vet lint docs fmt-check loc knobs clean
 
 build:
 	$(GO) build ./...
@@ -64,6 +69,21 @@ fmt-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+
+# Settable values (see the header for the rule): compare against the
+# parent commit's count.
+KNOB_STRUCTS = internal/server/daemon.go:Config internal/server/chip.go:ChipConfig internal/core/runtime.go:Options
+knobs:
+	@flags=$$(find cmd examples -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | \
+		grep -cE 'flag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\('); \
+	vars=$$(grep -cE '^[A-Za-z_][A-Za-z0-9_]* *\?=' Makefile); \
+	fields=0; for s in $(KNOB_STRUCTS); do \
+		n=$$(awk -v t="$${s#*:}" '$$0 == "type " t " struct {" {on=1; next} on && /^}/ {on=0} \
+			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {n += split(substr($$0, RSTART, RLENGTH), f, ",")} \
+			END {print n+0}' "$${s%%:*}"); \
+		fields=$$((fields + n)); \
+	done; \
+	echo "$$((flags + vars + fields)) settable values ($$flags flags, $$vars make variables, $$fields config fields)"
 
 # The scenario tier: every builtin torture scenario (flash crowd, goal
 # thrash, crash-restart, SLO classes, ...) must meet its oracle-regret

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // knob builds a valid test actuator whose speedups are the given values
@@ -187,82 +186,6 @@ func TestApplyRejectsWrongLength(t *testing.T) {
 	}
 }
 
-func TestMaxDelay(t *testing.T) {
-	a, b := knob("a", 1), knob("b", 1)
-	a.DelaySeconds = 0.25
-	b.DelaySeconds = 1.5
-	s, _ := NewSpace(a, b)
-	if d := s.MaxDelay(); d != 1.5 {
-		t.Fatalf("MaxDelay = %g, want 1.5", d)
-	}
-}
-
-func TestParetoFrontierBasic(t *testing.T) {
-	pts := []Point{
-		{Cfg: Config{0}, Effect: Effect{Speedup: 1, PowerX: 1, Distort: 1}},
-		{Cfg: Config{1}, Effect: Effect{Speedup: 2, PowerX: 4, Distort: 1}},
-		{Cfg: Config{2}, Effect: Effect{Speedup: 1.5, PowerX: 5, Distort: 1}}, // dominated by cfg1? no: slower and pricier than cfg1 -> dominated
-		{Cfg: Config{3}, Effect: Effect{Speedup: 3, PowerX: 9, Distort: 1}},
-	}
-	f := ParetoFrontier(pts)
-	if len(f) != 3 {
-		t.Fatalf("frontier size = %d, want 3 (dominated point kept?) %+v", len(f), f)
-	}
-	for i := 1; i < len(f); i++ {
-		if f[i].Effect.Speedup <= f[i-1].Effect.Speedup {
-			t.Fatal("frontier speedups not strictly increasing")
-		}
-		if f[i].Effect.PowerX <= f[i-1].Effect.PowerX {
-			t.Fatal("frontier powers not strictly increasing")
-		}
-	}
-}
-
-func TestParetoFrontierProperty(t *testing.T) {
-	// Property: no frontier point is dominated by any input point, and
-	// every input point is dominated-or-equal by some frontier point.
-	f := func(raw []struct{ S, P uint8 }) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		pts := make([]Point, len(raw))
-		for i, r := range raw {
-			pts[i] = Point{
-				Cfg:    Config{i},
-				Effect: Effect{Speedup: 1 + float64(r.S)/16, PowerX: 1 + float64(r.P)/16, Distort: 1},
-			}
-		}
-		front := ParetoFrontier(pts)
-		dominates := func(a, b Effect) bool {
-			return a.Speedup >= b.Speedup && a.PowerX <= b.PowerX &&
-				(a.Speedup > b.Speedup || a.PowerX < b.PowerX)
-		}
-		for _, fp := range front {
-			for _, p := range pts {
-				if dominates(p.Effect, fp.Effect) {
-					return false
-				}
-			}
-		}
-		for _, p := range pts {
-			covered := false
-			for _, fp := range front {
-				if fp.Effect.Speedup >= p.Effect.Speedup && fp.Effect.PowerX <= p.Effect.PowerX {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPointsSortedBySpeedup(t *testing.T) {
 	s, _ := NewSpace(knob("a", 1, 4, 2), knob("b", 1, 0.5))
 	pts := s.Points()
@@ -337,7 +260,7 @@ func TestRebindSharesTablesNotKnobs(t *testing.T) {
 	if &one.Points()[0] != &tmpl.Points()[0] || &two.Acts[1].Settings[0] != &b.Settings[0] {
 		t.Fatal("a re-bound space copied the point table or the settings")
 	}
-	if one.Effect(Config{2, 1}) != tmpl.Effect(Config{2, 1}) || one.Size() != tmpl.Size() || one.MaxDelay() != tmpl.MaxDelay() {
+	if one.Effect(Config{2, 1}) != tmpl.Effect(Config{2, 1}) || one.Size() != tmpl.Size() {
 		t.Fatal("a re-bound space declares a different model")
 	}
 	if _, err := tmpl.Rebind(func(int) error { return nil }); err == nil {

@@ -9,7 +9,8 @@ import "sync"
 //
 //   - A Knob is the act side: an ordered, discrete hardware setting
 //     (core allocation, cache capacity, a DVFS operating point) that a
-//     decision engine drives through an Actuator built with FromKnob.
+//     decision engine drives through an Actuator built with Sweep, whose
+//     apply is the knob's SetLevel.
 //   - A Sensor is the observe side: a point-in-time Sample of the
 //     hardware the knob settings act on (IPS, power, stall fraction),
 //     feeding model state back into the heartbeat-driven controller.

@@ -29,47 +29,6 @@ func (k *fakeKnob) SetLevel(level int) error {
 	return nil
 }
 
-func TestFromKnobBuildsActuator(t *testing.T) {
-	k := &fakeKnob{name: "dvfs", levels: 3}
-	a, err := FromKnob(k, []string{"low", "mid", "high"}, []float64{1, 2, 3}, []float64{1, 4, 9}, 0.001, GlobalScope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "dvfs" || a.NominalIndex != 0 || len(a.Settings) != 3 {
-		t.Fatalf("actuator %+v malformed", a)
-	}
-	if a.Scope != GlobalScope {
-		t.Fatalf("scope = %v", a.Scope)
-	}
-	if err := a.Set(2); err != nil {
-		t.Fatal(err)
-	}
-	if k.cur != 2 {
-		t.Fatalf("knob at %d after Set(2)", k.cur)
-	}
-}
-
-func TestFromKnobValidation(t *testing.T) {
-	k := &fakeKnob{name: "x", levels: 2}
-	cases := []struct {
-		labels         []string
-		speedup, power []float64
-	}{
-		{[]string{"a"}, []float64{1}, []float64{1}},             // label count != levels
-		{[]string{"a", "b"}, []float64{2, 3}, []float64{2, 3}},  // no nominal rung
-		{[]string{"a", "b"}, []float64{1, 2}, []float64{1}},     // slice mismatch
-		{[]string{"a", "b"}, []float64{1, -2}, []float64{1, 2}}, // non-positive multiplier
-	}
-	for i, c := range cases {
-		if _, err := FromKnob(k, c.labels, c.speedup, c.power, 0, GlobalScope); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-	if _, err := FromKnob(nil, nil, nil, nil, 0, GlobalScope); err == nil {
-		t.Fatal("nil knob accepted")
-	}
-}
-
 // Stepped moves one rung per call toward the target and clamps
 // out-of-range requests to the ladder.
 func TestSteppedOneRungPerCall(t *testing.T) {

@@ -60,8 +60,8 @@ func TestSweepRejections(t *testing.T) {
 	}
 }
 
-// NewLadder and FromKnob are the same constructor; they differ in what
-// Apply drives, the scope, and where the actuator starts.
+// NewLadder is Sweep over declared rungs: it drives nothing, at
+// application scope, starting at the nominal rung.
 func TestNewLadderIsAdvisory(t *testing.T) {
 	a, err := NewLadder("dvfs", []string{"slow", "nominal", "fast"}, []float64{0.5, 1, 2}, []float64{0.2, 1, 8})
 	if err != nil {
@@ -75,6 +75,9 @@ func TestNewLadderIsAdvisory(t *testing.T) {
 	}
 	if _, err := NewLadder("x", []string{"a", "b"}, []float64{2, 3}, []float64{2, 3}); err == nil {
 		t.Error("ladder without a nominal rung accepted")
+	}
+	if _, err := NewLadder("x", []string{"a", "b"}, []float64{1, 2}, []float64{1}); err == nil {
+		t.Error("ladder whose slices disagree accepted")
 	}
 }
 

@@ -137,19 +137,6 @@ func (s *Space) Current() Config {
 	return cfg
 }
 
-// MaxDelay reports the largest actuation delay in the space; the runtime
-// must wait at least this long before trusting observations after a
-// reconfiguration.
-func (s *Space) MaxDelay() float64 {
-	d := 0.0
-	for _, a := range s.Acts {
-		if a.DelaySeconds > d {
-			d = a.DelaySeconds
-		}
-	}
-	return d
-}
-
 // Enumerate calls fn for every configuration in the space, in
 // lexicographic order. fn must not retain cfg (it is reused).
 func (s *Space) Enumerate(fn func(cfg Config)) {
@@ -168,8 +155,8 @@ func (s *Space) Enumerate(fn func(cfg Config)) {
 	rec(0)
 }
 
-// Point is a configuration annotated with its composed effect, used for
-// Pareto analysis and by the translator.
+// Point is a configuration annotated with its composed effect, used by
+// the translator.
 type Point struct {
 	Cfg    Config
 	Effect Effect
@@ -193,54 +180,4 @@ func (s *Space) materialize() []Point {
 		return pts[i].Effect.PowerX < pts[j].Effect.PowerX
 	})
 	return pts
-}
-
-// ParetoFrontier filters pts (any order) to the subset not dominated in
-// the (speedup up, power down) sense: a point is kept iff no other point
-// has >= speedup and <= power with at least one strict. The result is
-// sorted by ascending speedup, and power is strictly increasing along it.
-func ParetoFrontier(pts []Point) []Point {
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	// Sort by speedup ascending; ties broken by power ascending.
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Effect.Speedup != sorted[j].Effect.Speedup {
-			return sorted[i].Effect.Speedup < sorted[j].Effect.Speedup
-		}
-		return sorted[i].Effect.PowerX < sorted[j].Effect.PowerX
-	})
-	// Walk from the fastest point down: keep a point iff its power is
-	// strictly below every faster point's power (minimum power suffix).
-	var out []Point
-	minPower := 0.0
-	first := true
-	for i := len(sorted) - 1; i >= 0; i-- {
-		p := sorted[i]
-		if first || p.Effect.PowerX < minPower {
-			// Skip ties on speedup where a same-speed, cheaper point exists
-			// later in `sorted` (it precedes in the reversed walk? no —
-			// ties are ordered power-ascending, so the cheaper tie comes
-			// first and would be visited last; handle by strict check).
-			out = append(out, p)
-			minPower = p.Effect.PowerX
-			first = false
-		}
-	}
-	// Reverse into ascending-speedup order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	// Remove speedup-duplicates keeping the cheaper (which, given the
-	// suffix-min walk, is the one that survived with lower power).
-	dedup := out[:0]
-	for _, p := range out {
-		if len(dedup) > 0 && dedup[len(dedup)-1].Effect.Speedup == p.Effect.Speedup {
-			if p.Effect.PowerX < dedup[len(dedup)-1].Effect.PowerX {
-				dedup[len(dedup)-1] = p
-			}
-			continue
-		}
-		dedup = append(dedup, p)
-	}
-	return dedup
 }

@@ -3,7 +3,6 @@ package angstrom
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"angstrom/internal/actuator"
@@ -215,18 +214,6 @@ func (sc *SharedChip) TotalPowerW() float64 {
 		total += pt.Sense().PowerW
 	}
 	return total
-}
-
-// PartitionNames lists held partitions, sorted.
-func (sc *SharedChip) PartitionNames() []string {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	names := make([]string, 0, len(sc.parts))
-	for n := range sc.parts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Partition is one application's slice of a SharedChip: a private

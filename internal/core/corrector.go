@@ -55,7 +55,11 @@ const correctionClamp = 0.7
 // adjacent periods for the pair to carry identification signal.
 const minExcitation = 0.02
 
-func newCorrector(space *actuator.Space, forgetting float64) *corrector {
+// correctionForgetting is the RLS forgetting factor: observations lose
+// half their weight in about 140 updates.
+const correctionForgetting = 0.995
+
+func newCorrector(space *actuator.Space) *corrector {
 	c := &corrector{space: space}
 	c.offsets = make([]int, len(space.Acts))
 	n := 0
@@ -64,7 +68,7 @@ func newCorrector(space *actuator.Space, forgetting float64) *corrector {
 		n += len(a.Settings)
 	}
 	c.nfeat = n
-	c.rls = control.NewRLS(n, forgetting, 0.5)
+	c.rls = control.NewRLS(n, correctionForgetting, 0.5)
 	c.features = make([]float64, n)
 	c.prevFeat = make([]float64, n)
 	return c

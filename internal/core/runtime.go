@@ -48,18 +48,14 @@ type Options struct {
 	// KalmanQ and KalmanR are the process/measurement noise covariances
 	// of the base-speed filter. Defaults 0.05 and 1.
 	KalmanQ, KalmanR float64
-	// DisableModelCorrection turns off the RLS actuator-model corrector
-	// (used by ablation benches).
-	DisableModelCorrection bool
-	// CorrectionForgetting is the RLS forgetting factor (default 0.995).
-	CorrectionForgetting float64
 	// Priors, if non-empty, enables the machine-learning layer for
 	// applications the runtime has no experience with.
 	Priors []Prior
-	// PriorRounds is how many decisions blend the prior models before
-	// trusting the Kalman filter alone (default 8).
-	PriorRounds int
 }
+
+// priorRounds is how many decisions blend the prior models before the
+// runtime trusts the Kalman filter alone.
+const priorRounds = 8
 
 func (o *Options) fill() {
 	if o.Pole == 0 {
@@ -70,12 +66,6 @@ func (o *Options) fill() {
 	}
 	if o.KalmanR == 0 {
 		o.KalmanR = 1
-	}
-	if o.CorrectionForgetting == 0 {
-		o.CorrectionForgetting = 0.995
-	}
-	if o.PriorRounds == 0 {
-		o.PriorRounds = 8
 	}
 }
 
@@ -143,8 +133,7 @@ type Runtime struct {
 	tr     *control.Translator
 	corr   *corrector
 
-	mw       *control.MW
-	mwRounds int
+	mw *control.MW
 
 	last      Decision
 	hasLast   bool
@@ -187,9 +176,7 @@ func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Sp
 		maxS = math.Max(maxS, p.Effect.Speedup)
 	}
 	r.ctl = control.NewIntegral(opts.Pole, minS, maxS)
-	if !opts.DisableModelCorrection {
-		r.corr = newCorrector(space, opts.CorrectionForgetting)
-	}
+	r.corr = newCorrector(space)
 	var err error
 	r.tr, err = control.NewTranslator(r.candidates())
 	if err != nil {
@@ -197,13 +184,9 @@ func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Sp
 	}
 	if len(opts.Priors) > 0 {
 		r.mw = control.NewMW(len(opts.Priors), 2)
-		r.mwRounds = opts.PriorRounds
 	}
 	return r, nil
 }
-
-// App returns the controlled application's name.
-func (r *Runtime) App() string { return r.app }
 
 // MarkIdle advances the observation interval without deciding. A
 // serving loop that holds an application's standing decision through a
@@ -221,11 +204,8 @@ func (r *Runtime) MarkIdle() { r.prevTime = r.clock.Now() }
 func (r *Runtime) candidates() []control.Candidate {
 	out := make([]control.Candidate, len(r.points))
 	for i, p := range r.points {
-		sp, pw := p.Effect.Speedup, p.Effect.PowerX
-		if r.corr != nil {
-			sp = r.corr.correctedSpeedup(p.Cfg, sp)
-		}
-		out[i] = control.Candidate{ID: i, Speedup: sp, Power: pw}
+		sp := r.corr.correctedSpeedup(p.Cfg, p.Effect.Speedup)
+		out[i] = control.Candidate{ID: i, Speedup: sp, Power: p.Effect.PowerX}
 	}
 	return out
 }
@@ -261,7 +241,7 @@ func (r *Runtime) Step() (Decision, error) {
 	var base float64
 	if obs.Beats >= 2 && observedRate > 0 {
 		base = r.kf.Update(observedRate, applied)
-		if r.corr != nil && r.hasLast {
+		if r.hasLast {
 			r.corr.observe(r.last, observedRate)
 			if r.corr.dirty() {
 				if err := r.tr.Rebuild(r.constrainedCandidates()); err != nil {
@@ -269,7 +249,7 @@ func (r *Runtime) Step() (Decision, error) {
 				}
 			}
 		}
-		if r.mw != nil && r.decisions < r.mwRounds {
+		if r.mw != nil && r.decisions < priorRounds {
 			base = r.blendPriors(observedRate, applied, base)
 		}
 	} else {
@@ -321,7 +301,7 @@ func (r *Runtime) blendPriors(h, applied, kalman float64) float64 {
 	blend := r.mw.Blend(preds)
 	// Weight shifts from the prior blend to the Kalman estimate as
 	// evidence accumulates.
-	alpha := float64(r.decisions+1) / float64(r.mwRounds+1)
+	alpha := float64(r.decisions+1) / float64(priorRounds+1)
 	return alpha*kalman + (1-alpha)*blend
 }
 
@@ -362,9 +342,6 @@ func (r *Runtime) Space() *actuator.Space { return r.space }
 
 // BaseEstimate reports the current base-speed estimate.
 func (r *Runtime) BaseEstimate() float64 { return r.kf.Estimate() }
-
-// Decisions reports how many Steps have completed.
-func (r *Runtime) Decisions() int { return r.decisions }
 
 // PriorWeights exposes the ML layer's current distribution (nil if the
 // layer is disabled); used in tests and reports.

@@ -1,7 +1,6 @@
 package heartbeat
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -275,37 +274,6 @@ func TestGoalsReturnsCopies(t *testing.T) {
 	}
 }
 
-func TestRegistryEnrollLookupWithdraw(t *testing.T) {
-	r := NewRegistry()
-	m := New(sim.NewClock(0))
-	if err := r.Enroll("barnes", m); err != nil {
-		t.Fatalf("Enroll: %v", err)
-	}
-	if err := r.Enroll("barnes", m); err == nil {
-		t.Fatal("duplicate Enroll did not error")
-	}
-	if got, ok := r.Lookup("barnes"); !ok || got != m {
-		t.Fatal("Lookup failed after Enroll")
-	}
-	if err := r.Enroll("ocean", New(sim.NewClock(0))); err != nil {
-		t.Fatalf("Enroll second app: %v", err)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "barnes" || names[1] != "ocean" {
-		t.Fatalf("Names() = %v, want [barnes ocean]", names)
-	}
-	r.Withdraw("barnes")
-	if _, ok := r.Lookup("barnes"); ok {
-		t.Fatal("Lookup succeeded after Withdraw")
-	}
-}
-
-func TestEnrollNilMonitorErrors(t *testing.T) {
-	if err := NewRegistry().Enroll("x", nil); err == nil {
-		t.Fatal("Enroll(nil) did not error")
-	}
-}
-
 func TestTinyWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -412,35 +380,27 @@ func (c *lockedClock) advance(dt sim.Time) {
 	c.mu.Unlock()
 }
 
-// Many goroutines beating monitors found through a shared Registry while
-// observers tick: must be race-detector clean and lose no beats.
+// Many goroutines beating shared monitors while observers tick: must be
+// race-detector clean and lose no beats.
 func TestConcurrentBeatsAndObservers(t *testing.T) {
 	clock := &lockedClock{}
-	reg := NewRegistry()
 	const apps = 8
 	const beatsPerApp = 500
-	for i := 0; i < apps; i++ {
-		m := New(clock, WithWindow(16))
-		m.SetPerformanceGoal(1, 0)
-		if err := reg.Enroll(fmt.Sprintf("app-%d", i), m); err != nil {
-			t.Fatal(err)
-		}
+	mons := make([]*Monitor, apps)
+	for i := range mons {
+		mons[i] = New(clock, WithWindow(16))
+		mons[i].SetPerformanceGoal(1, 0)
 	}
 	var wg sync.WaitGroup
-	for _, name := range reg.Names() {
+	for _, m := range mons {
 		wg.Add(1)
-		go func(name string) {
+		go func() {
 			defer wg.Done()
-			m, ok := reg.Lookup(name)
-			if !ok {
-				t.Errorf("%s not found", name)
-				return
-			}
 			for i := 0; i < beatsPerApp; i++ {
 				clock.advance(1e-6)
 				m.Beat()
 			}
-		}(name)
+		}()
 	}
 	stop := make(chan struct{})
 	var observers sync.WaitGroup
@@ -454,12 +414,10 @@ func TestConcurrentBeatsAndObservers(t *testing.T) {
 					return
 				default:
 				}
-				for _, name := range reg.Names() {
-					if m, ok := reg.Lookup(name); ok {
-						m.Observe()
-						m.Check()
-						m.Window()
-					}
+				for _, m := range mons {
+					m.Observe()
+					m.Check()
+					m.Window()
 				}
 			}
 		}()
@@ -467,10 +425,9 @@ func TestConcurrentBeatsAndObservers(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	observers.Wait()
-	for _, name := range reg.Names() {
-		m, _ := reg.Lookup(name)
+	for i, m := range mons {
 		if got := m.Count(); got != beatsPerApp {
-			t.Fatalf("%s count = %d, want %d", name, got, beatsPerApp)
+			t.Fatalf("monitor %d count = %d, want %d", i, got, beatsPerApp)
 		}
 	}
 }

@@ -116,10 +116,6 @@ type Options struct {
 	// the writer into the failed state (possibly from the background
 	// flusher's goroutine).
 	OnError func(error)
-	// BeforeSync, when non-nil, runs immediately before every fsync with
-	// the batch about to be made durable — the commit-boundary hook
-	// crash-injection tests use to image the filesystem.
-	BeforeSync func(batch []byte)
 }
 
 // Writer appends framed records to the current journal segment.
@@ -261,9 +257,6 @@ func (w *Writer) Sync(seq uint64) error {
 	upto := w.appended
 	w.mu.Unlock()
 
-	if w.opts.BeforeSync != nil {
-		w.opts.BeforeSync(batch)
-	}
 	if len(batch) > 0 {
 		if _, err := w.f.Write(batch); err != nil {
 			return w.fail(err)

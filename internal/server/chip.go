@@ -32,11 +32,6 @@ type ChipConfig struct {
 	// Tiles is the physical tile count of each die (default: the
 	// daemon's core pool, capped at the model's MaxCores).
 	Tiles int
-	// CoreOptions is the ascending core-allocation ladder offered to
-	// every application. Values must be powers of two and include 1
-	// (every app starts on one core). Default: 1..64 powers of two,
-	// capped at Tiles.
-	CoreOptions []int
 	// CacheOptionsKB is the ascending per-core L2 capacity ladder.
 	// Default: 32, 64, 128.
 	CacheOptionsKB []int
@@ -64,6 +59,11 @@ type ChipConfig struct {
 	// knob it wraps: the act phase reads the partition's configuration
 	// and leaves knobs that already hold their target alone.
 	KnobWrap func(app string, k actuator.Knob) actuator.Knob
+
+	// coreOptions is the ascending core-allocation ladder offered to every
+	// application, derived by fill: the powers of two from 1 (every app
+	// starts on one core) up to 64, capped at Tiles.
+	coreOptions []int
 }
 
 // fill selects defaults in place (Config.fill hands it a copy).
@@ -75,10 +75,9 @@ func (c *ChipConfig) fill(cores int) {
 		c.Params = &p
 	}
 	c.Tiles = min(cmp.Or(c.Tiles, cores), c.Params.MaxCores)
-	if len(c.CoreOptions) == 0 {
-		for v := 1; v <= 64 && v <= c.Tiles; v *= 2 {
-			c.CoreOptions = append(c.CoreOptions, v)
-		}
+	c.coreOptions = nil
+	for v := 1; v <= 64 && v <= c.Tiles; v *= 2 {
+		c.coreOptions = append(c.coreOptions, v)
 	}
 	if len(c.CacheOptionsKB) == 0 {
 		c.CacheOptionsKB = []int{32, 64, 128}
@@ -97,14 +96,6 @@ func (c *ChipConfig) validate() error {
 	}
 	if c.Tiles < 1 {
 		return fmt.Errorf("server: chip with %d tiles", c.Tiles)
-	}
-	if len(c.CoreOptions) == 0 || c.CoreOptions[0] != 1 {
-		return fmt.Errorf("server: chip core options %v must start at 1", c.CoreOptions)
-	}
-	for _, v := range c.CoreOptions {
-		if v > c.Tiles {
-			return fmt.Errorf("server: core option %d exceeds %d tiles", v, c.Tiles)
-		}
 	}
 	return nil
 }
@@ -163,7 +154,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 		return fmt.Errorf("server: %w: %v", ErrPoolExhausted, err)
 	}
 
-	coreK, cacheK, vfK, err := part.Knobs(cc.CoreOptions, cc.CacheOptionsKB)
+	coreK, cacheK, vfK, err := part.Knobs(cc.coreOptions, cc.CacheOptionsKB)
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -174,7 +165,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 		}
 		return actuator.NewStepped(k)
 	}
-	coreKnob := &cappedKnob{Knob: wrap(coreK), options: cc.CoreOptions, units: a.allocUnits}
+	coreKnob := &cappedKnob{Knob: wrap(coreK), options: cc.coreOptions, units: a.allocUnits}
 	// The order buildChipSpace declares the knobs in.
 	space, err := cl.space.Rebind(coreKnob.SetLevel, wrap(cacheK).SetLevel, wrap(vfK).SetLevel)
 	if err != nil {
@@ -330,7 +321,7 @@ func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config,
 		label   func(v int) string
 		with    func(c angstrom.Config, v int) angstrom.Config
 	}{
-		{"cores", cc.CoreOptions, base.Cores, 0.001,
+		{"cores", cc.coreOptions, base.Cores, 0.001,
 			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c angstrom.Config, v int) angstrom.Config { c.Cores = v; return c }},
 		{"l2-capacity", cc.CacheOptionsKB, base.CacheKB, 0.0001,
 			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c angstrom.Config, v int) angstrom.Config { c.CacheKB = v; return c }},
@@ -452,10 +443,10 @@ func (d *Daemon) holds(a *app, pc angstrom.Config, cfg actuator.Config) bool {
 		return false
 	}
 	cores, cache, vf := cfg[0], cfg[1], cfg[2]
-	if cores < 0 || cores >= len(cc.CoreOptions) || cache < 0 || cache >= len(cc.CacheOptionsKB) || vf < 0 || vf >= len(cc.Params.VF) {
+	if cores < 0 || cores >= len(cc.coreOptions) || cache < 0 || cache >= len(cc.CacheOptionsKB) || vf < 0 || vf >= len(cc.Params.VF) {
 		return false
 	}
-	return cc.CoreOptions[clampToUnits(cc.CoreOptions, cores, a.allocUnits())] == pc.Cores &&
+	return cc.coreOptions[clampToUnits(cc.coreOptions, cores, a.allocUnits())] == pc.Cores &&
 		cc.CacheOptionsKB[cache] == pc.CacheKB && vf == pc.VF
 }
 

@@ -60,7 +60,7 @@ func classTableObserver(t *testing.T) func(stage string, d *Daemon) {
 			if part := a.partition(); part != nil {
 				// buildChipSpace names and orders the actuators after the
 				// partition's knobs without having any to ask.
-				c, l, v, err := part.Knobs(d.cfg.Chip.CoreOptions, d.cfg.Chip.CacheOptionsKB)
+				c, l, v, err := part.Knobs(d.cfg.Chip.coreOptions, d.cfg.Chip.CacheOptionsKB)
 				if err != nil || space.Acts[0].Name != c.Name() || space.Acts[1].Name != l.Name() || space.Acts[2].Name != v.Name() {
 					t.Fatalf("%s: %s actuators do not match its partition's knobs (%v)", stage, a.name, err)
 				}

@@ -121,11 +121,6 @@ type Config struct {
 	// FS overrides the journal's filesystem (default: the real one).
 	// Tests interpose journal.MemFS to inject faults and crash images.
 	FS journal.FS
-
-	// journalBeforeSync, when set, runs before every journal fsync with
-	// the batch about to become durable — the commit-boundary hook the
-	// crash-injection tests image the filesystem from.
-	journalBeforeSync func(batch []byte)
 }
 
 func (c *Config) fill() {
@@ -241,13 +236,13 @@ type Daemon struct {
 	// hand over to the serving clock afterwards (non-nil iff DataDir).
 	swClock *swapClock
 
-	// jd is the durability layer (persist.go), nil without DataDir.
+	// jd is the durability layer (persist.go); without DataDir it has no
+	// writer and journals nothing.
 	jd *durability
 
-	reg   *heartbeat.Registry
 	fleet *angstrom.Fleet // non-nil iff cfg.Chip != nil
 
-	dir *directory // sharded app index; lock-free reads
+	dir *directory // the one index of enrolled apps; lock-free reads
 
 	// mu is the control-plane lock: the (single-threaded) per-chip
 	// Managers and broker, chip admission (makeRoom), placement,
@@ -258,10 +253,9 @@ type Daemon struct {
 	// non-chip daemon; advisory apps always live in mgrs[0]). broker
 	// splits the global core/power budget across them each tick by
 	// aggregate corrected demand.
-	mgrs      []*core.Manager
-	broker    *core.Broker
-	appSeq    uint64 // enrollment counter behind app.seq (under mu)
-	chipCount atomic.Int64
+	mgrs   []*core.Manager
+	broker *core.Broker
+	appSeq uint64 // enrollment counter behind app.seq (under mu)
 	// classes holds what admission derives once per (workload, mode)
 	// instead of once per app (see appClass); written by classFor only,
 	// under mu or during single-goroutine boot.
@@ -339,7 +333,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:     cfg,
-		reg:     heartbeat.NewRegistry(),
 		dir:     newDirectory(cfg.Shards),
 		classes: make(map[classKey]*appClass),
 		started: time.Now(),
@@ -394,16 +387,32 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d.broker = core.NewBroker()
 	d.tick.allocByID = make([][]core.Allocation, chips)
 	d.tick.allocSeen = make([][]uint64, chips)
-	if cfg.DataDir != "" {
-		if err := d.openJournal(); err != nil {
-			return nil, err
-		}
+	if cfg.DataDir == "" {
+		// A journal with no writer: it records nothing and has nothing to
+		// restore.
+		d.jd = &durability{}
+		d.jd.restored.Store(true)
+	} else if err := d.openJournal(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// Registry exposes the shared application directory (observer side).
-func (d *Daemon) Registry() *heartbeat.Registry { return d.reg }
+// Monitors is a read-only view of the enrolled applications' heartbeat
+// monitors: the observer side of the directory.
+type Monitors struct{ dir *directory }
+
+// Lookup returns the monitor of the application enrolled under name.
+func (m Monitors) Lookup(name string) (*heartbeat.Monitor, bool) {
+	a, ok := m.dir.get(name)
+	if !ok {
+		return nil, false
+	}
+	return a.mon, true
+}
+
+// Registry exposes the enrolled applications' monitors.
+func (d *Daemon) Registry() Monitors { return Monitors{d.dir} }
 
 // Start launches the ODA loop. It returns immediately; Stop shuts the
 // loop down and waits for it to exit.

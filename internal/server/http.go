@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -148,14 +149,20 @@ func statusFor(err error) int {
 	}
 }
 
+// readJSON decodes the request body into v: exactly one JSON value with
+// known fields, and nothing after it but whitespace.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		err = errors.New("server: data after the JSON value in the request body")
 	}
-	return true
+	writeError(w, http.StatusBadRequest, err)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

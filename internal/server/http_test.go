@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -125,26 +126,39 @@ func TestHTTPLifecycle(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/apps/svc", nil, http.StatusNotFound, nil)
 }
 
-// Malformed JSON and unknown fields are rejected, not silently dropped.
+// Malformed JSON, unknown fields and data after the JSON value are
+// rejected, not silently dropped: a rejected request enrolls nothing,
+// ingests no beat and changes no goal.
 func TestHTTPRejectsBadJSON(t *testing.T) {
-	_, ts := testServer(t)
-	resp, err := http.Post(ts.URL+"/v1/apps", "application/json",
-		bytes.NewBufferString(`{"name": "x", "min_rate": 10, "bogus": 1}`))
+	d, ts := testServer(t)
+	doJSON(t, "POST", ts.URL+"/v1/apps", EnrollRequest{Name: "svc", MinRate: 10, MaxRate: 20}, http.StatusCreated, nil)
+	for _, c := range []struct{ what, method, path, body string }{
+		{"unknown field", "POST", "/v1/apps", `{"name": "x", "min_rate": 10, "bogus": 1}`},
+		{"malformed body", "POST", "/v1/apps", `{not json`},
+		{"enroll then a second value", "POST", "/v1/apps", `{"name":"a","min_rate":5}{"name":"b"}`},
+		{"enroll then a stray brace", "POST", "/v1/apps", `{"name":"a","min_rate":5}}`},
+		{"beats then a second value", "POST", "/v1/apps/svc/beats", `{"count":3} {"count":4}`},
+		{"goal then garbage", "PUT", "/v1/apps/svc/goal", "{\"min_rate\":50,\"max_rate\":60}\nx"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.what, resp.StatusCode)
+		}
+	}
+	st, err := d.Status("svc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/v1/apps", "application/json",
-		bytes.NewBufferString(`{not json`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	if apps := d.Stats().Apps; apps != 1 || st.Observation.Beats != 0 || st.Goal != (GoalView{MinRate: 10, MaxRate: 20}) {
+		t.Fatalf("rejected requests left a trace: %d apps, %d beats, goal %+v", apps, st.Observation.Beats, st.Goal)
 	}
 }
 

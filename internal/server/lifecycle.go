@@ -113,7 +113,7 @@ func validGoal(minRate, maxRate float64) error {
 //angstrom:journaled writer
 //angstrom:deterministic
 func (d *Daemon) Enroll(req EnrollRequest) error {
-	// The name is an URL path segment and the registry key; accept only
+	// The name is an URL path segment and the directory key; accept only
 	// names that round-trip unchanged (no whitespace, no separators) so
 	// the client's name and the enrolled name can never diverge.
 	name := req.Name
@@ -170,7 +170,7 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	if _, dup := d.dir.get(name); dup {
 		return fmt.Errorf("server: %q %w", name, ErrDuplicate)
 	}
-	if apps := d.totalApps(); !d.cfg.Oversubscribe && apps >= d.cfg.Cores {
+	if apps := d.dir.len(); !d.cfg.Oversubscribe && apps >= d.cfg.Cores {
 		return fmt.Errorf("server: %w (%d apps on %d cores)", ErrPoolExhausted, apps, d.cfg.Cores)
 	}
 	// Place the enrollment before journaling and stamp the decision into
@@ -231,17 +231,16 @@ type placement struct {
 type admitStage int
 
 const (
-	stageBound      admitStage = iota + 1 // partition acquired, or advisory runtime built
-	stageManaged                          // enrolled with the die's manager
-	stageRegistered                       // in the heartbeat registry
-	stageAdmitted                         // in the directory: visible to beats, status, ticks
+	stageBound    admitStage = iota + 1 // partition acquired, or advisory runtime built
+	stageManaged                        // enrolled with the die's manager
+	stageAdmitted                       // in the directory: visible to beats, status, ticks
 )
 
 // admit is the one way an application enters the fleet; Enroll (live and
 // replayed) and restoreApp validate, build the app, and hand it here. It
 // binds the app to a chip partition at `at` (or, when at is nil, to an
-// advisory action space), then joins the die's manager, the registry, the
-// enrollment order, and the directory, in that order. A stage that
+// advisory action space), then joins the die's manager, the enrollment
+// order, and the directory, in that order. A stage that
 // refuses retires the stages before it, so a failed admission leaves no
 // trace. Called with d.mu held (or single-goroutine during boot),
 // downstream of the caller's durable record.
@@ -270,20 +269,13 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 		d.retire(a, stageBound)
 		return err
 	}
-	if err := d.reg.Enroll(a.name, a.mon); err != nil {
-		d.retire(a, stageManaged)
-		return err
-	}
 	d.appSeq++
 	a.seq = d.appSeq
 	if !d.dir.insert(a.name, a) {
 		// Unreachable while admissions serialize on d.mu, but keep the
 		// bookkeeping honest if that ever changes.
-		d.retire(a, stageRegistered)
+		d.retire(a, stageManaged)
 		return fmt.Errorf("server: %q %w", a.name, ErrDuplicate)
-	}
-	if a.partition() != nil {
-		d.chipCount.Add(1)
 	}
 	return nil
 }
@@ -334,27 +326,12 @@ func (d *Daemon) retire(a *app, done admitStage) {
 		d.dir.remove(a.name)
 		a.retired.Store(true)
 	}
-	if done >= stageRegistered {
-		d.reg.Withdraw(a.name)
-	}
 	if done >= stageManaged {
 		d.mgrs[a.chip].RemoveApp(a.name)
 	}
 	if a.partition() != nil {
 		d.fleet.Chip(a.chip).Release(a.name)
-		if done >= stageAdmitted {
-			d.chipCount.Add(-1)
-		}
 	}
-}
-
-// totalApps sums enrollments across the per-chip managers (under d.mu).
-func (d *Daemon) totalApps() int {
-	n := 0
-	for _, m := range d.mgrs {
-		n += m.Apps()
-	}
-	return n
 }
 
 // Withdraw removes an application and frees its core share.

@@ -11,19 +11,18 @@ import (
 )
 
 // footprint is everything an admission writes to: the directory, the
-// per-die tile ledgers, the per-die managers, and the registry.
+// per-die tile ledgers, and the per-die managers.
 type footprint struct {
 	Apps, ChipApps int
 	Parts          []int
 	Used           []float64
 	Managed        []int
-	Registered     []string
 }
 
 func footprintOf(t *testing.T, d *Daemon) footprint {
 	t.Helper()
 	st := d.Stats()
-	fp := footprint{Apps: st.Apps, ChipApps: st.ChipApps, Registered: d.Registry().Names()}
+	fp := footprint{Apps: st.Apps, ChipApps: st.ChipApps}
 	for _, cs := range d.ChipStatuses() {
 		fp.Parts = append(fp.Parts, cs.Partitions)
 		fp.Used = append(fp.Used, cs.CoreEquivalents)
@@ -42,9 +41,8 @@ func footprintOf(t *testing.T, d *Daemon) footprint {
 // another die — and whichever stage refuses it, the fleet is left
 // exactly as it was. Each fault is planted so that it trips one stage of
 // admit: the target die has no free tile (bind), the target manager
-// already holds the name (joinManager), the registry does (register), the
-// directory does (publish). A planted entry is somebody else's: the
-// rollback must leave it alone.
+// already holds the name (joinManager), the directory does (publish). A
+// planted entry is somebody else's: the rollback must leave it alone.
 func TestAdmissionFailureLeavesNoTrace(t *testing.T) {
 	const victim = "app" // the name being admitted; "r0" is the migrating resident
 	foreign := func(d *Daemon) *heartbeat.Monitor {
@@ -64,11 +62,6 @@ func TestAdmissionFailureLeavesNoTrace(t *testing.T) {
 		}},
 		{"manager refusal", func(t *testing.T, d *Daemon, name string) {
 			if err := d.mgrs[1].AddApp(name, foreign(d), func(int) float64 { return 1 }); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"registry duplicate", func(t *testing.T, d *Daemon, name string) {
-			if err := d.reg.Enroll(name, foreign(d)); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -97,8 +90,8 @@ func TestAdmissionFailureLeavesNoTrace(t *testing.T) {
 	}
 	for _, entry := range entries {
 		for _, fault := range faults {
-			if entry.name == "migrate" && (fault.name == "registry duplicate" || fault.name == "directory duplicate") {
-				continue // a migrating app stays registered and published under its own name
+			if entry.name == "migrate" && fault.name == "directory duplicate" {
+				continue // a migrating app stays published under its own name
 			}
 			t.Run(entry.name+"/"+fault.name, func(t *testing.T) {
 				// Two dies of two tiles, space-shared: r0 on die 0, r1 on
@@ -270,7 +263,7 @@ func TestSharedChipConfigIsNotFilledInPlace(t *testing.T) {
 		if len(css) != 1 || css[0].Tiles != cores {
 			t.Fatalf("daemon with %d cores reports %+v; tile count defaults to the core pool", cores, css)
 		}
-		if top := d.cfg.Chip.CoreOptions[len(d.cfg.Chip.CoreOptions)-1]; top != cores {
+		if top := d.cfg.Chip.coreOptions[len(d.cfg.Chip.coreOptions)-1]; top != cores {
 			t.Fatalf("daemon with %d cores offers core options up to %d", cores, top)
 		}
 	}

@@ -51,7 +51,9 @@ import (
 // state change can outlive what the journal can no longer record.
 var ErrDegraded = errors.New("journal degraded")
 
-// durability is the daemon's journal state (nil without -data-dir).
+// durability is the daemon's journal state. Without a data directory it
+// has no writer: it journals nothing, takes no snapshots and restores
+// nothing. With one, w is nil only while boot replays the journal.
 type durability struct {
 	fs        journal.FS
 	dir       string
@@ -115,9 +117,6 @@ type RecoveryInfo struct {
 // RecoveryInfo reports the last boot's restore summary (zero without a
 // data directory).
 func (d *Daemon) RecoveryInfo() RecoveryInfo {
-	if d.jd == nil {
-		return RecoveryInfo{}
-	}
 	ri := d.jd.recovery
 	ri.SnapshotSeq = d.jd.snapSeq.Load()
 	return ri
@@ -128,9 +127,6 @@ func (d *Daemon) RecoveryInfo() RecoveryInfo {
 // healthy. /readyz gates on it.
 func (d *Daemon) Ready() (bool, string) {
 	jd := d.jd
-	if jd == nil {
-		return true, ""
-	}
 	if !jd.restored.Load() {
 		return false, "restoring from journal"
 	}
@@ -141,7 +137,7 @@ func (d *Daemon) Ready() (bool, string) {
 }
 
 // Degraded reports read-only journal-degraded mode.
-func (d *Daemon) Degraded() bool { return d.jd != nil && d.jd.degraded.Load() }
+func (d *Daemon) Degraded() bool { return d.jd.degraded.Load() }
 
 // degrade latches the daemon into journal-degraded mode (first failure
 // wins). Reached from failed commits and from the journal's background
@@ -159,7 +155,7 @@ func (d *Daemon) degrade(err error) {
 // trails the directory.
 func (d *Daemon) journalCommit(rec record) error {
 	jd := d.jd
-	if jd == nil || jd.w == nil {
+	if jd.w == nil {
 		return nil
 	}
 	if jd.degraded.Load() {
@@ -185,7 +181,7 @@ func (d *Daemon) journalCommit(rec record) error {
 // mode, is dropped and counted, and serving continues.
 func (d *Daemon) journalAppend(rec record) {
 	jd := d.jd
-	if jd == nil || jd.w == nil {
+	if jd.w == nil {
 		return
 	}
 	if jd.degraded.Load() {
@@ -237,7 +233,6 @@ func (d *Daemon) openJournal() error {
 	jd.w, err = journal.NewWriter(jfs, d.cfg.DataDir, st.NextSeq, journal.Options{
 		FlushEvery: flush,
 		OnError:    d.degrade,
-		BeforeSync: d.cfg.journalBeforeSync,
 	})
 	if err != nil {
 		return err
@@ -412,7 +407,7 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 // no mutation can land in both the image and the replay tail.
 func (d *Daemon) Snapshot() error {
 	jd := d.jd
-	if jd == nil || jd.w == nil {
+	if jd.w == nil {
 		return errors.New("server: no data directory configured")
 	}
 	if jd.degraded.Load() {
@@ -444,7 +439,7 @@ func (d *Daemon) Snapshot() error {
 // the tick goroutine only.
 func (d *Daemon) maybeSnapshot() {
 	jd := d.jd
-	if jd == nil || jd.snapEvery <= 0 || jd.degraded.Load() {
+	if jd.snapEvery <= 0 || jd.degraded.Load() {
 		return
 	}
 	if time.Since(jd.lastSnap) < jd.snapEvery {
@@ -463,9 +458,6 @@ func (d *Daemon) maybeSnapshot() {
 func (d *Daemon) Close() error {
 	d.Stop()
 	jd := d.jd
-	if jd == nil {
-		return nil
-	}
 	var first error
 	if jd.snapEvery > 0 && !jd.degraded.Load() {
 		if err := d.Snapshot(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,34 @@ func journalOnly(base Config, fs journal.FS) Config {
 	base.SnapshotEvery = -1
 	base.JournalFlush = -1
 	return base
+}
+
+// syncImager is a journal filesystem that images the MemFS under it as
+// each file sync begins: the batch being synced is written but not yet
+// durable, so each image is the crash that commit boundary would leave.
+type syncImager struct {
+	*journal.MemFS
+	images []*journal.MemFS
+}
+
+// Create wraps the file so its Sync images first (the writer opens
+// every segment with Create).
+func (s *syncImager) Create(name string) (journal.File, error) {
+	f, err := s.MemFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return imagedFile{f, s}, nil
+}
+
+type imagedFile struct {
+	journal.File
+	s *syncImager
+}
+
+func (f imagedFile) Sync() error {
+	f.s.images = append(f.s.images, f.s.MemFS.Crash(0))
+	return f.File.Sync()
 }
 
 // The tentpole contract: crash a journaled advisory daemon after every
@@ -221,10 +250,10 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // Crash-inject a chip-backed daemon at every journal commit boundary
-// (the BeforeSync hook images the filesystem as each batch becomes
-// durable). Every image must restore without error, with the tile
-// ledger exact — zero faults, no overcommit — and restoring the same
-// image twice must be byte-identical.
+// (syncImager images the filesystem as each batch becomes durable).
+// Every image must restore without error, with the tile ledger exact —
+// zero faults, no overcommit — and restoring the same image twice must
+// be byte-identical.
 func TestChipCrashAtEveryCommitBoundary(t *testing.T) {
 	const tiles = 16
 	base := Config{
@@ -232,11 +261,8 @@ func TestChipCrashAtEveryCommitBoundary(t *testing.T) {
 		Shards: 4, TickWorkers: 1,
 		Chip: &ChipConfig{Tiles: tiles},
 	}
-	fs := journal.NewMemFS()
-	cfg := journalOnly(base, fs)
-	var images []*journal.MemFS
-	cfg.journalBeforeSync = func([]byte) { images = append(images, fs.Crash(0)) }
-	d, err := NewDaemon(cfg)
+	fs := &syncImager{MemFS: journal.NewMemFS()}
+	d, err := NewDaemon(journalOnly(base, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +288,7 @@ func TestChipCrashAtEveryCommitBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	images := fs.images
 	if len(images) < apps+6 {
 		t.Fatalf("only %d commit boundaries imaged", len(images))
 	}
@@ -311,11 +338,8 @@ func TestFederationCrashAtEveryCommitBoundary(t *testing.T) {
 		Shards: 4, TickWorkers: 1,
 		Chip: &ChipConfig{Chips: 2, Params: withMemBandwidth(12e9)},
 	}
-	fs := journal.NewMemFS()
-	cfg := journalOnly(base, fs)
-	var images []*journal.MemFS
-	cfg.journalBeforeSync = func([]byte) { images = append(images, fs.Crash(0)) }
-	d, err := NewDaemon(cfg)
+	fs := &syncImager{MemFS: journal.NewMemFS()}
+	d, err := NewDaemon(journalOnly(base, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,6 +375,7 @@ func TestFederationCrashAtEveryCommitBoundary(t *testing.T) {
 	if d.Migrations() == 0 {
 		t.Fatal("saturating die 0 produced no migrations; the boundaries exercise nothing new")
 	}
+	images := fs.images
 	if len(images) < apps+12 {
 		t.Fatalf("only %d commit boundaries imaged", len(images))
 	}
@@ -643,7 +668,9 @@ func TestDegradedMode(t *testing.T) {
 	}
 }
 
-// A healthy journaled daemon is ready.
+// A healthy journaled daemon is ready. So is one without a data
+// directory, whose journal has no writer: it restored nothing, reports
+// no journal, refuses a snapshot and closes cleanly.
 func TestReadyz(t *testing.T) {
 	fs := journal.NewMemFS()
 	d, err := NewDaemon(journalOnly(Config{Cores: 8, Accel: 1, Period: time.Hour}, fs))
@@ -655,6 +682,29 @@ func TestReadyz(t *testing.T) {
 	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz: %v %v", resp.StatusCode, err)
+	}
+
+	v, err := NewDaemon(Config{Cores: 8, Accel: 1, Period: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Enroll(EnrollRequest{Name: "a", MinRate: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := v.Ready(); !ok || reason != "" {
+		t.Fatalf("daemon without a data directory: Ready() = %v, %q", ok, reason)
+	}
+	if ri := v.RecoveryInfo(); !reflect.DeepEqual(ri, RecoveryInfo{}) {
+		t.Fatalf("daemon without a data directory recovered %+v", ri)
+	}
+	if js := v.Stats().Journal; js != nil {
+		t.Fatalf("daemon without a data directory reports a journal: %+v", js)
+	}
+	if err := v.Snapshot(); err == nil {
+		t.Fatal("daemon without a data directory took a snapshot")
+	}
+	if err := v.Close(); err != nil {
+		t.Fatalf("Close without a data directory: %v", err)
 	}
 }
 

@@ -178,7 +178,6 @@ func (d *Daemon) ShardBeats() []uint64 {
 func (d *Daemon) Stats() StatsResponse {
 	st := StatsResponse{
 		Apps:             d.dir.len(),
-		ChipApps:         int(d.chipCount.Load()),
 		Cores:            d.cfg.Cores,
 		Shards:           len(d.dir.shards),
 		Migrations:       d.migrations.Load(),
@@ -198,18 +197,19 @@ func (d *Daemon) Stats() StatsResponse {
 	if d.fleet != nil {
 		st.Chips = d.fleet.Chips()
 		st.Chip = &ChipStats{ShareRefusals: d.shareRefusals.Load()}
+		for i := range st.Chips {
+			parts, _ := d.fleet.Chip(i).Usage()
+			st.ChipApps += parts
+		}
 	}
-	if jd := d.jd; jd != nil {
-		js := &JournalStats{
+	if jd := d.jd; jd.w != nil {
+		st.Journal = &JournalStats{
+			Records:        jd.w.Seq(),
 			SnapshotSeq:    jd.snapSeq.Load(),
 			Degraded:       jd.degraded.Load(),
 			Error:          jd.reason(),
 			DroppedRecords: jd.dropped.Load(),
 		}
-		if jd.w != nil {
-			js.Records = jd.w.Seq()
-		}
-		st.Journal = js
 	}
 	return st
 }
