@@ -115,6 +115,79 @@ func BenchmarkSEECLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeStepFleet measures one runtime Step two ways: "fleet"
+// steps 10,000 runtimes of one advisory class round-robin, one decision
+// period per round, as the daemon's decide phase and a cold boot's
+// replayed ticks do, so every Step meets its runtime's state cold in
+// cache; "hot" steps one runtime in a loop, as core.runtime.step_us
+// does. The gap between them is what the layout of a runtime's
+// controller state costs. A profiling aid, not a gate.
+func BenchmarkRuntimeStepFleet(b *testing.B) {
+	spec, err := workload.ByName("barnes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	threads := []int{1, 2, 4, 8, 16}
+	tl, ts, tp := make([]string, len(threads)), make([]float64, len(threads)), make([]float64, len(threads))
+	for i, t := range threads {
+		tl[i], ts[i], tp[i] = fmt.Sprintf("%d threads", t), spec.ParallelSpeedup(t), float64(t)
+	}
+	ta, err := actuator.NewLadder("threads", tl, ts, tp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fa, err := actuator.NewLadder("dvfs", []string{"0.6x", "0.8x", "1.0x", "1.2x"},
+		[]float64{0.6, 0.8, 1, 1.2}, []float64{0.216, 0.512, 1, 1.728})
+	if err != nil {
+		b.Fatal(err)
+	}
+	template, err := actuator.NewSpace(ta, fa)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := core.NewClass(template)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nop := func(int) error { return nil }
+	run := func(b *testing.B, n int) {
+		clock := sim.NewClock(1)
+		mons := make([]*heartbeat.Monitor, n)
+		rts := make([]*core.Runtime, n)
+		for i := range rts {
+			mons[i] = heartbeat.New(clock)
+			mons[i].SetPerformanceGoal(50, 70)
+			space, err := template.Rebind(nop, nop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rts[i], err = cl.New(fmt.Sprint(i), clock, mons[i], space, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		step := func(i int) {
+			k := i % n
+			if k == 0 {
+				clock.Advance(0.1)
+			}
+			mons[k].BeatBatchSpreadAt(clock.Now(), 4+(i/n+k)%5, 0)
+			if _, err := rts[k].Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*n; i++ { // two decisions each before timing
+			step(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+	}
+	b.Run("fleet", func(b *testing.B) { run(b, 10000) })
+	b.Run("hot", func(b *testing.B) { run(b, 1) })
+}
+
 // BenchmarkUncoordinated is ablation A1: the per-knob multi-runtime
 // baseline's decision cost (it runs one full runtime per actuator).
 func BenchmarkUncoordinated(b *testing.B) {
@@ -398,7 +471,7 @@ func newBenchDaemon(b *testing.B, n int) *server.Daemon {
 	return d
 }
 
-// BenchmarkDaemonBeat measures direct beat ingestion — registry lookup
+// BenchmarkDaemonBeat measures direct beat ingestion — directory lookup
 // plus the O(1) monitor ring insert — under full parallel contention.
 // internal/server's TestDaemonBeatAllocatesNothing holds it
 // allocation-free.
@@ -473,7 +546,7 @@ func BenchmarkBeatIngestDurable(b *testing.B) {
 }
 
 // BenchmarkDaemonHTTPBeats measures the full request path of the
-// daemon's hottest endpoint: JSON decode, registry lookup, a 10-beat
+// daemon's hottest endpoint: JSON decode, directory lookup, a 10-beat
 // batch, JSON-free 202.
 func BenchmarkDaemonHTTPBeats(b *testing.B) {
 	d := newBenchDaemon(b, 8)

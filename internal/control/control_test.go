@@ -317,7 +317,7 @@ func TestRLSPanics(t *testing.T) {
 		"zero features": func() { NewRLS(0, 1, 1) },
 		"bad lambda":    func() { NewRLS(1, 0, 1) },
 		"bad p0":        func() { NewRLS(1, 1, 0) },
-		"bad predict":   func() { NewRLS(2, 1, 1).Predict([]float64{1}) },
+		"bad predict":   func() { r := NewRLS(2, 1, 1); r.Predict([]float64{1}) },
 	} {
 		func() {
 			defer func() {

@@ -18,15 +18,16 @@ type Integral struct {
 }
 
 // NewIntegral builds a controller with the given pole in [0, 1) and
-// control-signal saturation bounds 0 < min <= max.
-func NewIntegral(pole, min, max float64) *Integral {
+// control-signal saturation bounds 0 < min <= max. It returns the
+// controller by value, so an owner can hold it inline.
+func NewIntegral(pole, min, max float64) Integral {
 	if pole < 0 || pole >= 1 {
 		panic("control: pole must be in [0, 1)")
 	}
 	if min <= 0 || max < min {
 		panic("control: invalid saturation bounds")
 	}
-	return &Integral{pole: pole, s: min, min: min, max: max}
+	return Integral{pole: pole, s: min, min: min, max: max}
 }
 
 // Step computes the next speedup demand from the goal heart rate, the

@@ -32,12 +32,13 @@ type Kalman struct {
 
 // NewKalman builds a filter with the given noise covariances. q controls
 // how fast the estimate tracks workload phase changes; r how much a
-// single noisy heart-rate sample can move it.
-func NewKalman(q, r float64) *Kalman {
+// single noisy heart-rate sample can move it. It returns the filter by
+// value, so an owner can hold it inline.
+func NewKalman(q, r float64) Kalman {
 	if q <= 0 || r <= 0 {
 		panic("control: Kalman covariances must be positive")
 	}
-	return &Kalman{q: q, r: r, p: 1}
+	return Kalman{q: q, r: r, p: 1}
 }
 
 // Update folds in one measurement: observed heart rate h under applied

@@ -10,16 +10,16 @@ import "fmt"
 type RLS struct {
 	n      int
 	lambda float64
-	theta  []float64
-	p      [][]float64 // covariance matrix
-
-	scratch []float64 // reusable P·x buffer
+	// buf is the whole estimate in one block: θ (n), then the covariance
+	// matrix P row-major (n×n), then the reusable P·x buffer (n).
+	buf []float64
 }
 
 // NewRLS builds an estimator over n features with forgetting factor
 // lambda in (0, 1] and initial covariance p0·I (larger p0 = faster
-// initial learning).
-func NewRLS(n int, lambda, p0 float64) *RLS {
+// initial learning). It returns the estimator by value, so an owner can
+// hold it inline.
+func NewRLS(n int, lambda, p0 float64) RLS {
 	if n <= 0 {
 		panic("control: RLS with no features")
 	}
@@ -29,16 +29,10 @@ func NewRLS(n int, lambda, p0 float64) *RLS {
 	if p0 <= 0 {
 		panic("control: RLS initial covariance must be positive")
 	}
-	r := &RLS{
-		n:       n,
-		lambda:  lambda,
-		theta:   make([]float64, n),
-		p:       make([][]float64, n),
-		scratch: make([]float64, n),
-	}
-	for i := range r.p {
-		r.p[i] = make([]float64, n)
-		r.p[i][i] = p0
+	r := RLS{n: n, lambda: lambda, buf: make([]float64, n*n+2*n)}
+	p := r.buf[n : n+n*n]
+	for i := 0; i < n; i++ {
+		p[i*n+i] = p0
 	}
 	return r
 }
@@ -50,7 +44,7 @@ func (r *RLS) Predict(x []float64) float64 {
 	}
 	y := 0.0
 	for i, xi := range x {
-		y += xi * r.theta[i]
+		y += xi * r.buf[i]
 	}
 	return y
 }
@@ -59,36 +53,35 @@ func (r *RLS) Predict(x []float64) float64 {
 // before the update.
 func (r *RLS) Update(x []float64, y float64) float64 {
 	err := y - r.Predict(x)
+	n := r.n
+	theta, p, px := r.buf[:n], r.buf[n:n+n*n], r.buf[n+n*n:]
 	// k = P·x / (λ + xᵀ·P·x)
-	px := r.scratch
-	for i := 0; i < r.n; i++ {
+	for i := 0; i < n; i++ {
 		s := 0.0
-		for j := 0; j < r.n; j++ {
-			s += r.p[i][j] * x[j]
+		for j, pij := range p[i*n : i*n+n] {
+			s += pij * x[j]
 		}
 		px[i] = s
 	}
 	denom := r.lambda
-	for i := 0; i < r.n; i++ {
+	for i := 0; i < n; i++ {
 		denom += x[i] * px[i]
 	}
 	// θ += k·err ;  P = (P − k·xᵀ·P) / λ
-	for i := 0; i < r.n; i++ {
+	for i := 0; i < n; i++ {
 		k := px[i] / denom
-		r.theta[i] += k * err
+		theta[i] += k * err
 	}
-	for i := 0; i < r.n; i++ {
+	for i := 0; i < n; i++ {
 		ki := px[i] / denom
-		for j := 0; j < r.n; j++ {
-			r.p[i][j] = (r.p[i][j] - ki*px[j]) / r.lambda
+		row := p[i*n : i*n+n]
+		for j := range row {
+			row[j] = (row[j] - ki*px[j]) / r.lambda
 		}
 	}
 	return err
 }
 
-// Theta returns a copy of the coefficient estimates.
-func (r *RLS) Theta() []float64 {
-	out := make([]float64, r.n)
-	copy(out, r.theta)
-	return out
-}
+// Theta returns the coefficient estimates in place: read-only, and
+// current until the next Update.
+func (r *RLS) Theta() []float64 { return r.buf[:r.n:r.n] }

@@ -1,7 +1,9 @@
 package control
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,6 +46,11 @@ func (s Schedule) AvgPower() float64 {
 // and the hull is by construction the lower envelope of such averages).
 type Translator struct {
 	hull []Candidate // ascending speedup, ascending power, convex
+	// own is the storage Rebuild sorts the candidates in and builds the
+	// hull in, in place, reused from one Rebuild to the next; hull is a
+	// prefix of it. It is nil while hull is another translator's (see
+	// Shared).
+	own []Candidate
 }
 
 // NewTranslator builds a translator. It returns an error if no candidate
@@ -56,47 +63,64 @@ func NewTranslator(cands []Candidate) (*Translator, error) {
 	return t, nil
 }
 
+// Shared returns a translator that reads t's hull in place: many owners
+// that have not corrected their candidates yet share one hull, and each
+// one's first Rebuild builds a hull of its own, leaving t's untouched.
+// t must not be rebuilt while it is shared.
+func (t *Translator) Shared() Translator { return Translator{hull: t.hull} }
+
 // Rebuild replaces the candidate set, e.g. after the adaptive layer has
-// corrected the models.
+// corrected the models. Past its first call it allocates only when the
+// candidate set outgrows every earlier one.
 func (t *Translator) Rebuild(cands []Candidate) error {
-	pts := make([]Candidate, 0, len(cands))
+	usable := 0
+	for _, c := range cands {
+		if c.Speedup > 0 && c.Power > 0 {
+			usable++
+		}
+	}
+	if usable == 0 {
+		return fmt.Errorf("control: no usable candidates among %d", len(cands))
+	}
+	if cap(t.own) < usable {
+		t.own = make([]Candidate, len(cands))
+	}
+	pts := t.own[:0:usable]
 	for _, c := range cands {
 		if c.Speedup > 0 && c.Power > 0 {
 			pts = append(pts, c)
 		}
 	}
-	if len(pts) == 0 {
-		return fmt.Errorf("control: no usable candidates among %d", len(cands))
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Speedup != pts[j].Speedup {
-			return pts[i].Speedup < pts[j].Speedup
+	slices.SortFunc(pts, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Speedup, b.Speedup); c != 0 {
+			return c
 		}
-		return pts[i].Power < pts[j].Power
+		return cmp.Compare(a.Power, b.Power)
 	})
 	// Pareto pass: strictly increasing power with speedup, dropping
 	// dominated points (scan fastest-to-slowest keeping suffix minima).
-	pareto := make([]Candidate, 0, len(pts))
+	// Kept points are written backwards from the end of pts, so they land
+	// in ascending order, each at or past the point being scanned.
+	w := len(pts)
 	minPower := 0.0
 	for i := len(pts) - 1; i >= 0; i-- {
 		p := pts[i]
-		if len(pareto) == 0 || p.Power < minPower {
-			if len(pareto) > 0 && pareto[len(pareto)-1].Speedup == p.Speedup {
-				pareto[len(pareto)-1] = p // cheaper tie replaces
+		if w == len(pts) || p.Power < minPower {
+			if w < len(pts) && pts[w].Speedup == p.Speedup {
+				pts[w] = p // cheaper tie replaces
 				minPower = p.Power
 				continue
 			}
-			pareto = append(pareto, p)
+			w--
+			pts[w] = p
 			minPower = p.Power
 		}
 	}
-	for i, j := 0, len(pareto)-1; i < j; i, j = i+1, j-1 {
-		pareto[i], pareto[j] = pareto[j], pareto[i]
-	}
-	// Lower convex hull in (speedup, power): drop points above the
-	// segment joining their neighbours.
-	hull := pareto[:0:0]
-	for _, p := range pareto {
+	// Lower convex hull in (speedup, power), written forwards from the
+	// start of pts over the Pareto points pts[w:], never past the point
+	// being read: drop points above the segment joining their neighbours.
+	hull := pts[:0]
+	for _, p := range pts[w:] {
 		for len(hull) >= 2 {
 			a, b := hull[len(hull)-2], hull[len(hull)-1]
 			// Andrew monotone chain, lower hull: pop b unless a→b→p turns

@@ -27,19 +27,22 @@ import (
 // is exactly right: a uniform rescaling of all speedups is absorbed by b̂
 // and never affects decisions.
 type corrector struct {
-	space   *actuator.Space
-	offsets []int // feature offset of each actuator's settings block
-	rls     *control.RLS
+	offsets []int // feature offset of each actuator's settings block (the class's)
 	nfeat   int
 
-	prevValid bool
-	prevFeat  []float64
-	prevDecl  float64
-	prevRate  float64
+	// rls and the slab cur, prev and diff — the schedule features of the
+	// interval just observed, of the interval before it, and their
+	// difference, the RLS regressor — are allocated by the first interval
+	// observed (see learning): until then nothing is learned, θ is zero,
+	// and a runtime that never runs holds none of it.
+	rls             control.RLS
+	cur, prev, diff []float64
+	prevValid       bool
+	prevDecl        float64
+	prevRate        float64
 
 	updates     int
 	lastRebuild int
-	features    []float64 // scratch buffer
 }
 
 // rebuildEvery is how many corrector updates accumulate before the
@@ -59,47 +62,44 @@ const minExcitation = 0.02
 // half their weight in about 140 updates.
 const correctionForgetting = 0.995
 
-func newCorrector(space *actuator.Space) *corrector {
-	c := &corrector{space: space}
-	c.offsets = make([]int, len(space.Acts))
-	n := 0
-	for i, a := range space.Acts {
-		c.offsets[i] = n
-		n += len(a.Settings)
-	}
-	c.nfeat = n
-	c.rls = control.NewRLS(n, correctionForgetting, 0.5)
-	c.features = make([]float64, n)
-	c.prevFeat = make([]float64, n)
-	return c
-}
+// learning reports whether the corrector has observed an interval, and
+// so holds an estimate.
+func (c *corrector) learning() bool { return c.cur != nil }
 
-// scheduleFeatures returns the fraction-weighted one-hot features of the
-// decision's schedule and its declared (uncorrected) average speedup.
-func (c *corrector) scheduleFeatures(d Decision) (feat []float64, declared float64) {
-	feat = make([]float64, c.nfeat)
-	lo := c.space.Effect(d.LoCfg).Speedup
-	hi := c.space.Effect(d.HiCfg).Speedup
+// scheduleFeatures writes the fraction-weighted one-hot features of the
+// decision's schedule into c.cur and returns its declared (uncorrected)
+// average speedup, reading the declared speedups off points, the table
+// the decision's schedule indexes.
+func (c *corrector) scheduleFeatures(d Decision, points []actuator.Point) (declared float64) {
+	clear(c.cur)
+	lo := points[d.Schedule.Lo.ID].Effect.Speedup
+	hi := points[d.Schedule.Hi.ID].Effect.Speedup
 	declared = d.HiFrac*hi + (1-d.HiFrac)*lo
 	for i, setting := range d.LoCfg {
-		feat[c.offsets[i]+setting] += 1 - d.HiFrac
+		c.cur[c.offsets[i]+setting] += 1 - d.HiFrac
 	}
 	for i, setting := range d.HiCfg {
-		feat[c.offsets[i]+setting] += d.HiFrac
+		c.cur[c.offsets[i]+setting] += d.HiFrac
 	}
-	return feat, declared
+	return declared
 }
 
 // observe folds in one completed decision interval: the schedule that was
 // executed and the heart rate observed at its end. Learning happens only
 // when the declared speedup actually changed between adjacent periods
 // (excitation) — steady state carries no identification signal.
-func (c *corrector) observe(d Decision, heartRate float64) {
+func (c *corrector) observe(d Decision, points []actuator.Point, heartRate float64) {
 	if heartRate <= 0 {
 		c.prevValid = false
 		return
 	}
-	feat, declared := c.scheduleFeatures(d)
+	if !c.learning() {
+		n := c.nfeat
+		c.rls = control.NewRLS(n, correctionForgetting, 0.5)
+		slab := make([]float64, 3*n)
+		c.cur, c.prev, c.diff = slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+	}
+	declared := c.scheduleFeatures(d, points)
 	if declared <= 0 {
 		c.prevValid = false
 		return
@@ -109,16 +109,16 @@ func (c *corrector) observe(d Decision, heartRate float64) {
 		if math.Abs(rel-1) >= minExcitation {
 			y := math.Log(heartRate/c.prevRate) - math.Log(rel)
 			if !math.IsNaN(y) && !math.IsInf(y, 0) {
-				for i := range c.features {
-					c.features[i] = feat[i] - c.prevFeat[i]
+				for i := range c.diff {
+					c.diff[i] = c.cur[i] - c.prev[i]
 				}
-				c.rls.Update(c.features, y)
+				c.rls.Update(c.diff, y)
 				c.updates++
 			}
 		}
 	}
 	c.prevValid = true
-	copy(c.prevFeat, feat)
+	c.cur, c.prev = c.prev, c.cur
 	c.prevDecl = declared
 	c.prevRate = heartRate
 }
@@ -133,8 +133,13 @@ func (c *corrector) dirty() bool {
 	return false
 }
 
-// correctedSpeedup applies the learned residuals to a declared speedup.
+// correctedSpeedup applies the learned residuals to a declared speedup,
+// reading them in place. Before the first observed interval θ is zero,
+// and declared·exp(0) is declared.
 func (c *corrector) correctedSpeedup(cfg actuator.Config, declared float64) float64 {
+	if !c.learning() {
+		return declared
+	}
 	theta := c.rls.Theta()
 	sum := 0.0
 	for i, setting := range cfg {

@@ -69,6 +69,19 @@ func (o *Options) fill() {
 	}
 }
 
+// validate rejects what fill leaves unusable: a pole outside [0, 1), and
+// noise covariances that are not finite and positive. Each test is
+// written so that NaN, which fails every ordered comparison, fails it.
+func (o *Options) validate() error {
+	if !(o.Pole >= 0 && o.Pole < 1) {
+		return fmt.Errorf("core: pole %g outside [0, 1)", o.Pole)
+	}
+	if !(o.KalmanQ > 0 && o.KalmanQ <= math.MaxFloat64) || !(o.KalmanR > 0 && o.KalmanR <= math.MaxFloat64) {
+		return fmt.Errorf("core: Kalman covariances q=%g, r=%g must be finite and positive", o.KalmanQ, o.KalmanR)
+	}
+	return nil
+}
+
 // Decision is one output of the decide phase: the schedule the runtime
 // wants executed during the next decision period.
 type Decision struct {
@@ -119,7 +132,11 @@ func (d Decision) AppendSlices(dst []Slice, period float64) []Slice {
 		Slice{Cfg: d.HiCfg, Duration: period * d.HiFrac})
 }
 
-// Runtime is the SEEC runtime for one application.
+// Runtime is the SEEC runtime for one application. Its filter,
+// controller, corrector and translator are held in this one block by
+// value; what it shares with its class (see Class) it reads in place:
+// the point table, the feature layout and, until its first correction,
+// the hull.
 type Runtime struct {
 	app   string
 	mon   *heartbeat.Monitor
@@ -127,11 +144,14 @@ type Runtime struct {
 	clock sim.Nower
 	opts  Options
 
-	points []actuator.Point // materialized space, index = Candidate.ID
-	kf     *control.Kalman
-	ctl    *control.Integral
-	tr     *control.Translator
-	corr   *corrector
+	points []actuator.Point // the class's materialized space, index = Candidate.ID
+	kf     control.Kalman
+	ctl    control.Integral
+	tr     control.Translator
+	corr   corrector
+	// cands is the corrected candidate table a rebuild hands the
+	// translator; the first rebuild allocates it.
+	cands []control.Candidate
 
 	mw *control.MW
 
@@ -147,40 +167,93 @@ type Runtime struct {
 	distortionBound float64
 }
 
+// Class is the part of a runtime that depends only on the declared model
+// of its action space, tabulated once per template space and shared by
+// every runtime built on a space re-bound from it (actuator.Space.Rebind):
+// the point table, where each actuator's settings sit in the corrector's
+// feature vector, the declared speedup range the controller starts
+// saturated to, and the translator's hull over the declared speedups.
+// A runtime's corrections start at zero and exp(0) is exactly 1, so that
+// hull is bit for bit the one the runtime would build itself; it reads
+// it in place until its first rebuild — the corrector turning dirty, a
+// power cap or a distortion bound set or cleared — builds its own.
+// Immutable once NewClass returns.
+type Class struct {
+	points     []actuator.Point
+	offsets    []int // feature offset of each actuator's settings block
+	nfeat      int
+	minS, maxS float64
+	tr         control.Translator
+}
+
+// NewClass tabulates the class of runtimes acting on space or on any
+// space re-bound from it.
+func NewClass(space *actuator.Space) (*Class, error) {
+	if space == nil {
+		return nil, errors.New("core: nil space")
+	}
+	cl := &Class{points: space.Points(), offsets: make([]int, len(space.Acts)), minS: math.Inf(1), maxS: math.Inf(-1)}
+	for i, a := range space.Acts {
+		cl.offsets[i] = cl.nfeat
+		cl.nfeat += len(a.Settings)
+	}
+	cands := make([]control.Candidate, len(cl.points))
+	for i, p := range cl.points {
+		cl.minS = math.Min(cl.minS, p.Effect.Speedup)
+		cl.maxS = math.Max(cl.maxS, p.Effect.Speedup)
+		cands[i] = control.Candidate{ID: i, Speedup: p.Effect.Speedup, Power: p.Effect.PowerX}
+	}
+	if err := cl.tr.Rebuild(cands); err != nil {
+		return nil, err
+	}
+	return cl, nil
+}
+
+var errNilInput = errors.New("core: nil monitor, space or clock")
+
 // New builds a runtime for app, observing mon and acting on space. The
 // application must have declared a performance goal before the first
 // Step (the paper's experiments all use performance goals with power as
 // the cost to minimize). The runtime reads the space's declared model
 // (Settings, Points) in place and never writes it; what it learns about
 // the application lives in its own corrector, filters and translator.
+// It is Class.New over a class of space's own.
 func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space, opts Options) (*Runtime, error) {
-	if mon == nil || space == nil || clock == nil {
-		return nil, errors.New("core: nil monitor, space or clock")
+	if space == nil {
+		return nil, errNilInput
 	}
-	opts.fill()
-	if opts.Pole < 0 || opts.Pole >= 1 {
-		return nil, fmt.Errorf("core: pole %g outside [0, 1)", opts.Pole)
-	}
-	r := &Runtime{
-		app:   app,
-		mon:   mon,
-		space: space,
-		clock: clock,
-		opts:  opts,
-		kf:    control.NewKalman(opts.KalmanQ, opts.KalmanR),
-	}
-	r.points = space.Points()
-	minS, maxS := math.Inf(1), math.Inf(-1)
-	for _, p := range r.points {
-		minS = math.Min(minS, p.Effect.Speedup)
-		maxS = math.Max(maxS, p.Effect.Speedup)
-	}
-	r.ctl = control.NewIntegral(opts.Pole, minS, maxS)
-	r.corr = newCorrector(space)
-	var err error
-	r.tr, err = control.NewTranslator(r.candidates())
+	cl, err := NewClass(space)
 	if err != nil {
 		return nil, err
+	}
+	return cl.New(app, clock, mon, space, opts)
+}
+
+// New builds a runtime of the class (see the package-level New) on
+// space, which must share the class's point table: the template itself
+// or a space re-bound from it.
+func (cl *Class) New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space, opts Options) (*Runtime, error) {
+	if mon == nil || space == nil || clock == nil {
+		return nil, errNilInput
+	}
+	if pts := space.Points(); len(pts) != len(cl.points) || &pts[0] != &cl.points[0] {
+		return nil, errors.New("core: space is not of the class (it has a point table of its own)")
+	}
+	opts.fill()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	r := &Runtime{
+		app:    app,
+		mon:    mon,
+		space:  space,
+		clock:  clock,
+		opts:   opts,
+		points: cl.points,
+		kf:     control.NewKalman(opts.KalmanQ, opts.KalmanR),
+		ctl:    control.NewIntegral(opts.Pole, cl.minS, cl.maxS),
+		tr:     cl.tr.Shared(),
+		corr:   corrector{offsets: cl.offsets, nfeat: cl.nfeat},
 	}
 	if len(opts.Priors) > 0 {
 		r.mw = control.NewMW(len(opts.Priors), 2)
@@ -200,14 +273,17 @@ func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Sp
 // Step measures exactly the period in which beats reappeared.
 func (r *Runtime) MarkIdle() { r.prevTime = r.clock.Now() }
 
-// candidates maps the materialized space through the model corrector.
+// candidates maps the materialized space through the model corrector,
+// into the runtime's candidate table.
 func (r *Runtime) candidates() []control.Candidate {
-	out := make([]control.Candidate, len(r.points))
+	if r.cands == nil {
+		r.cands = make([]control.Candidate, len(r.points))
+	}
 	for i, p := range r.points {
 		sp := r.corr.correctedSpeedup(p.Cfg, p.Effect.Speedup)
-		out[i] = control.Candidate{ID: i, Speedup: sp, Power: p.Effect.PowerX}
+		r.cands[i] = control.Candidate{ID: i, Speedup: sp, Power: p.Effect.PowerX}
 	}
-	return out
+	return r.cands
 }
 
 // Step runs one observe-decide iteration and returns the decision. The
@@ -242,7 +318,7 @@ func (r *Runtime) Step() (Decision, error) {
 	if obs.Beats >= 2 && observedRate > 0 {
 		base = r.kf.Update(observedRate, applied)
 		if r.hasLast {
-			r.corr.observe(r.last, observedRate)
+			r.corr.observe(r.last, r.points, observedRate)
 			if r.corr.dirty() {
 				if err := r.tr.Rebuild(r.constrainedCandidates()); err != nil {
 					return Decision{}, err
@@ -318,15 +394,14 @@ func (r *Runtime) Apply(cfg actuator.Config) error { return r.space.Apply(cfg) }
 // correction layer learns, so the answer tracks observed behaviour
 // rather than the designer-declared model.
 func (r *Runtime) RequiredPowerX(speedup float64) float64 {
-	cands := r.candidates()
 	best := math.Inf(1)
 	fallbackS, fallbackX := math.Inf(-1), 1.0
-	for _, c := range cands {
-		x := r.points[c.ID].Effect.PowerX
-		if c.Speedup > fallbackS || (c.Speedup == fallbackS && x < fallbackX) {
-			fallbackS, fallbackX = c.Speedup, x
+	for _, p := range r.points {
+		s, x := r.corr.correctedSpeedup(p.Cfg, p.Effect.Speedup), p.Effect.PowerX
+		if s > fallbackS || (s == fallbackS && x < fallbackX) {
+			fallbackS, fallbackX = s, x
 		}
-		if c.Speedup >= speedup && x < best {
+		if s >= speedup && x < best {
 			best = x
 		}
 	}

@@ -51,7 +51,7 @@ func allocDaemon(t *testing.T, cfg Config, n int) *Daemon {
 	return d
 }
 
-// Daemon.Beat — registry lookup plus the O(1) monitor ring insert —
+// Daemon.Beat — directory lookup plus the O(1) monitor ring insert —
 // allocates nothing (BenchmarkDaemonBeat).
 func TestDaemonBeatAllocatesNothing(t *testing.T) {
 	const apps, n = 64, 4096

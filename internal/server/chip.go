@@ -172,7 +172,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 		sc.Release(a.name)
 		return err
 	}
-	rt, err := core.New(a.name, d.clock, a.mon, space, core.Options{})
+	rt, err := cl.ctl.New(a.name, d.clock, a.mon, space, core.Options{})
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -198,6 +198,9 @@ type appClass struct {
 	// admitted app's knobs (actuator.Space.Rebind shares its Settings and
 	// point table with every app of the class).
 	space *actuator.Space
+	// ctl is what the class's runtimes share of their controller state
+	// (see core.Class), built from space.
+	ctl *core.Class
 	// Chip classes only: active watts at the base configuration, and the
 	// cheapest power multiplier in the space (see rebalancePowerCaps).
 	nomActiveW, minPowerX float64
@@ -237,6 +240,10 @@ func (d *Daemon) classFor(spec workload.Spec, chip bool) (*appClass, error) {
 		if cl.space, err = buildSpace(spec); err != nil {
 			return nil, err
 		}
+	}
+	var err error
+	if cl.ctl, err = core.NewClass(cl.space); err != nil {
+		return nil, err
 	}
 	d.classes[key] = cl
 	return cl, nil

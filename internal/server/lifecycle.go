@@ -261,7 +261,7 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 		if err != nil {
 			return err
 		}
-		if a.rt, err = core.New(a.name, d.clock, a.mon, space, core.Options{}); err != nil {
+		if a.rt, err = cl.ctl.New(a.name, d.clock, a.mon, space, core.Options{}); err != nil {
 			return err
 		}
 	}
