@@ -141,15 +141,14 @@ func BenchmarkRuntimeStepFleet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	template, err := actuator.NewSpace(ta, fa)
+	space, err := actuator.NewSpace(ta, fa)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl, err := core.NewClass(template)
+	cl, err := core.NewClass(space)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nop := func(int) error { return nil }
 	run := func(b *testing.B, n int) {
 		clock := sim.NewClock(1)
 		mons := make([]*heartbeat.Monitor, n)
@@ -157,11 +156,8 @@ func BenchmarkRuntimeStepFleet(b *testing.B) {
 		for i := range rts {
 			mons[i] = heartbeat.New(clock)
 			mons[i].SetPerformanceGoal(50, 70)
-			space, err := template.Rebind(nop, nop)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rts[i], err = cl.New(fmt.Sprint(i), clock, mons[i], space, core.Options{}); err != nil {
+			var err error
+			if rts[i], err = cl.New(fmt.Sprint(i), clock, mons[i], core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,7 +49,6 @@
 //	GET    /healthz
 //	GET    /readyz
 //	GET    /v1/stats
-//	GET    /v1/chip               (404 unless -chip; single-die only)
 //	GET    /v1/chips              (404 unless -chip)
 //	GET    /v1/apps
 //	POST   /v1/apps               {"name","workload","window","mode","min_rate","max_rate"}

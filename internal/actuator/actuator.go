@@ -12,14 +12,15 @@
 // specifies a delay ... [and] whether it works on only the application
 // that registered it or if it works on all applications." (§3.2)
 //
-// That description has two halves with different lifetimes. The declared
-// model — the settings, their effects, and the sorted cross product a
-// Space materializes from them — is fixed per (application class,
-// platform) by the designer; the function that changes the setting, and
-// the setting last asked for, belong to one running application.
-// Space.Rebind derives a space that shares the first half (the same
-// Settings and Points slices, read-only once NewSpace returns) and owns
-// the second, so a server tabulates each class's model once.
+// An Actuator and the Space built from it are that declaration, read-only
+// once NewSpace returns: the settings, their effects and the sorted
+// cross product a Space materializes are fixed per (application class,
+// platform) by the designer, so a server tabulates each class's space
+// once and every runtime of the class decides over it. What a setting
+// is on the platform is not part of the declaration: a driver that can
+// read the platform's configuration (the chip-backed daemon's act
+// phase) steps its Knobs itself, and Apply is only for drivers that
+// move a setting by declaring it (the experiments and examples).
 package actuator
 
 import (
@@ -106,14 +107,16 @@ type Setting struct {
 
 // Actuator is one registered adaptation.
 type Actuator struct {
-	// Name identifies the actuator in reports and registries.
+	// Name identifies the actuator in reports and error messages.
 	Name string
 	// Settings are the allowable positions, in ascending knob order.
 	Settings []Setting
 	// NominalIndex is the index of the setting whose effects are 1.
 	NominalIndex int
 	// Apply changes the underlying system to the setting with the given
-	// index. It must be idempotent.
+	// index. It must be idempotent. Nil declares a setting nothing drives
+	// through Set: an advisory rung, which the application reads back and
+	// actuates on its side, or a knob its driver steps itself.
 	Apply func(settingIndex int) error
 	// DelaySeconds is the actuation delay: the time between Apply and the
 	// effects becoming observable (§3.2).
@@ -123,8 +126,6 @@ type Actuator struct {
 	// Axes lists which axes this actuator affects; effects on unlisted
 	// axes must be 1.
 	Axes []Axis
-
-	current int // current setting index
 }
 
 // Validate checks the declaration for internal consistency. NewSpace and
@@ -145,9 +146,6 @@ func (a *Actuator) Validate() error {
 	if nom.Speedup != 1 || nom.PowerX != 1 || nom.Distort != 1 {
 		return fmt.Errorf("actuator %q: nominal setting effect %+v is not identity",
 			a.Name, nom)
-	}
-	if a.Apply == nil {
-		return fmt.Errorf("actuator %q: nil Apply", a.Name)
 	}
 	if a.DelaySeconds < 0 {
 		return fmt.Errorf("actuator %q: negative delay %g", a.Name, a.DelaySeconds)
@@ -178,26 +176,21 @@ func (a *Actuator) Validate() error {
 	return nil
 }
 
-// Set applies the setting with the given index and records it as current.
+// Set applies the setting with the given index (a nil Apply has nothing
+// to drive).
 func (a *Actuator) Set(index int) error {
 	if index < 0 || index >= len(a.Settings) {
 		return fmt.Errorf("actuator %q: setting index %d out of range [0,%d)",
 			a.Name, index, len(a.Settings))
 	}
+	if a.Apply == nil {
+		return nil
+	}
 	if err := a.Apply(index); err != nil {
 		return fmt.Errorf("actuator %q: apply setting %d: %w", a.Name, index, err)
 	}
-	a.current = index
 	return nil
 }
-
-// Current reports the index most recently applied through Set (the
-// nominal index before any). It is the last request, not a reading: a
-// rate-limited or capped Knob may have landed elsewhere (Knob.Level
-// says where), and a driver that can see the platform already holds a
-// configuration — the chip-backed daemon's act phase reads its
-// partition — need not call Set to say so again.
-func (a *Actuator) Current() int { return a.current }
 
 // EffectOf returns the declared effect of setting index i.
 func (a *Actuator) EffectOf(i int) Effect { return a.Settings[i].Effect }

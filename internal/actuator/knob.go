@@ -1,16 +1,16 @@
 package actuator
 
-import "sync"
-
 // This file defines the hardware-facing half of the action interface:
 // the Knob and Sensor contracts that connect the decision layers
 // (internal/core, internal/server) to a platform model (internal/angstrom,
 // internal/xeon) without either importing the other's internals.
 //
 //   - A Knob is the act side: an ordered, discrete hardware setting
-//     (core allocation, cache capacity, a DVFS operating point) that a
-//     decision engine drives through an Actuator built with Sweep, whose
-//     apply is the knob's SetLevel.
+//     (core allocation, cache capacity, a DVFS operating point). The
+//     Actuator declaring its settings is a Sweep over the knob's values;
+//     the driver steps the knob itself: the chip-backed daemon reads the
+//     partition's configuration and calls SetLevel one rung at a time,
+//     only for a rung that moves.
 //   - A Sensor is the observe side: a point-in-time Sample of the
 //     hardware the knob settings act on (IPS, power, stall fraction),
 //     feeding model state back into the heartbeat-driven controller.
@@ -23,15 +23,13 @@ import "sync"
 // for the single-actuation-goroutine discipline of the SEEC runtime;
 // implementations shared across goroutines must synchronize internally.
 type Knob interface {
-	// Name identifies the knob in reports and registries.
+	// Name identifies the knob in reports and error messages.
 	Name() string
 	// Levels reports the number of rungs.
 	Levels() int
 	// Level reports the current rung.
 	Level() int
-	// SetLevel moves the knob to the given rung. Implementations may
-	// move less far than requested (rate limits, resource caps); Level
-	// reports where the knob actually landed.
+	// SetLevel moves the knob to the given rung, or refuses and stays.
 	SetLevel(level int) error
 }
 
@@ -60,55 +58,3 @@ type Sample struct {
 type Sensor interface {
 	Sense() Sample
 }
-
-// Stepped wraps a knob so each SetLevel moves at most one rung toward
-// the requested level — the shape of real hardware transitions (DVFS
-// relock, cache way power-up), and the property the chip-backed daemon's
-// actuation tests assert: every observed move is monotone along the
-// ladder, never a jump.
-type Stepped struct {
-	mu sync.Mutex
-	k  Knob
-}
-
-// NewStepped wraps k in one-rung-per-call rate limiting.
-func NewStepped(k Knob) *Stepped { return &Stepped{k: k} }
-
-// Name implements Knob.
-func (s *Stepped) Name() string { return s.k.Name() }
-
-// Levels implements Knob.
-func (s *Stepped) Levels() int { return s.k.Levels() }
-
-// Level implements Knob.
-func (s *Stepped) Level() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.k.Level()
-}
-
-// SetLevel moves one rung toward level (clamped to the ladder) and
-// reports the underlying knob's error, if any.
-func (s *Stepped) SetLevel(level int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if level < 0 {
-		level = 0
-	}
-	if max := s.k.Levels() - 1; level > max {
-		level = max
-	}
-	cur := s.k.Level()
-	next := cur
-	if level > cur {
-		next = cur + 1
-	} else if level < cur {
-		next = cur - 1
-	}
-	if next == cur {
-		return nil
-	}
-	return s.k.SetLevel(next)
-}
-
-var _ Knob = (*Stepped)(nil)

@@ -13,8 +13,8 @@ import "fmt"
 // Actuator.Apply and Knob.SetLevel. This is the designer-declared model
 // of §3.2: xeon.Server, angstrom.Chip and the serving daemon (chip-backed
 // and advisory) tabulate their knobs through it, and NewLadder declares
-// its rungs through it. An actuator that drives a Knob is a Sweep whose
-// apply is the knob's SetLevel.
+// its rungs through it. A nil apply declares the settings only (see
+// Actuator.Apply).
 func Sweep(name string, values []int, nominal int, delaySeconds float64, scope Scope,
 	label func(v int) string, effect func(v int) (Effect, error), apply func(level int) error) (*Actuator, error) {
 	a := &Actuator{
@@ -29,7 +29,7 @@ func Sweep(name string, values []int, nominal int, delaySeconds float64, scope S
 	for i, v := range values {
 		eff := Nominal()
 		if v == nominal {
-			a.NominalIndex, a.current = i, i
+			a.NominalIndex = i
 		} else {
 			var err error
 			if eff, err = effect(v); err != nil {
@@ -58,8 +58,8 @@ func Range(lo, hi int) []int {
 }
 
 // NewLadder builds a software-only actuator from parallel slices of
-// speedup and power multipliers: a monotone "ladder" of settings whose
-// Apply records the chosen rung without driving hardware. This is the
+// speedup and power multipliers: a monotone "ladder" of settings with no
+// Apply, driving no hardware. This is the
 // shape of an advisory knob — a serving daemon decides the rung, and the
 // remote application (or operator) reads it back through the decision
 // interface and actuates on its side. Setting i's declared effect is
@@ -81,5 +81,5 @@ func NewLadder(name string, labels []string, speedup, power []float64) (*Actuato
 	return Sweep(name, Range(0, len(labels)-1), nominal, 0, ApplicationScope,
 		func(i int) string { return labels[i] },
 		func(i int) (Effect, error) { return Effect{Speedup: speedup[i], PowerX: power[i], Distort: 1}, nil },
-		func(int) error { return nil })
+		nil)
 }

@@ -33,7 +33,7 @@ func TestSweepTabulatesTheModel(t *testing.T) {
 	if !reflect.DeepEqual(a.Settings, want) {
 		t.Fatalf("settings %+v, want %+v", a.Settings, want)
 	}
-	if a.Name != "cores" || a.NominalIndex != 1 || a.Current() != 1 || a.DelaySeconds != 0.25 || a.Scope != GlobalScope {
+	if a.Name != "cores" || a.NominalIndex != 1 || a.DelaySeconds != 0.25 || a.Scope != GlobalScope {
 		t.Fatalf("actuator %+v malformed", a)
 	}
 	if err := a.Set(2); err != nil {
@@ -60,18 +60,18 @@ func TestSweepRejections(t *testing.T) {
 	}
 }
 
-// NewLadder is Sweep over declared rungs: it drives nothing, at
-// application scope, starting at the nominal rung.
+// NewLadder is Sweep over declared rungs: it drives nothing (no Apply),
+// at application scope.
 func TestNewLadderIsAdvisory(t *testing.T) {
 	a, err := NewLadder("dvfs", []string{"slow", "nominal", "fast"}, []float64{0.5, 1, 2}, []float64{0.2, 1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NominalIndex != 1 || a.Current() != 1 || a.Scope != ApplicationScope || a.DelaySeconds != 0 {
+	if a.NominalIndex != 1 || a.Apply != nil || a.Scope != ApplicationScope || a.DelaySeconds != 0 {
 		t.Fatalf("ladder %+v malformed", a)
 	}
-	if err := a.Set(2); err != nil || a.Current() != 2 {
-		t.Fatalf("Set(2): %v, current %d", err, a.Current())
+	if err := a.Set(2); err != nil {
+		t.Fatalf("Set(2): %v", err)
 	}
 	if _, err := NewLadder("x", []string{"a", "b"}, []float64{2, 3}, []float64{2, 3}); err == nil {
 		t.Error("ladder without a nominal rung accepted")

@@ -36,7 +36,7 @@ func (c Config) Equal(o Config) bool {
 type Space struct {
 	Acts []*Actuator
 
-	points []Point // see Points; shared by every space re-bound from this one
+	points []Point // see Points
 }
 
 // NewSpace validates the actuators and builds their joint space.
@@ -57,31 +57,6 @@ func NewSpace(acts ...*Actuator) (*Space, error) {
 	s := &Space{Acts: acts}
 	s.points = s.materialize()
 	return s, nil
-}
-
-// Rebind returns a space over the model s declares whose actuator i is
-// driven by apply[i] and records its own current setting, starting at
-// nominal. The declaration is shared, not copied — the new actuators
-// alias s's Settings and Axes, the new space s's point table, all
-// read-only since NewSpace returned — so nothing done through the new
-// space (Apply, Set, Current) shows through s or a sibling re-bound from
-// it: a server tabulates one template per application class and re-binds
-// it to each admitted application's knobs.
-func (s *Space) Rebind(apply ...func(settingIndex int) error) (*Space, error) {
-	if len(apply) != len(s.Acts) {
-		return nil, fmt.Errorf("actuator: %d apply functions for %d actuators", len(apply), len(s.Acts))
-	}
-	acts := make([]Actuator, len(s.Acts))
-	out := &Space{Acts: make([]*Actuator, len(s.Acts)), points: s.points}
-	for i, t := range s.Acts {
-		if apply[i] == nil {
-			return nil, fmt.Errorf("actuator %q: nil Apply", t.Name)
-		}
-		acts[i] = Actuator{Name: t.Name, Settings: t.Settings, NominalIndex: t.NominalIndex, Apply: apply[i],
-			DelaySeconds: t.DelaySeconds, Scope: t.Scope, Axes: t.Axes, current: t.NominalIndex}
-		out.Acts[i] = &acts[i]
-	}
-	return out, nil
 }
 
 // Size reports the number of configurations in the space.
@@ -127,16 +102,6 @@ func (s *Space) Apply(cfg Config) error {
 	return nil
 }
 
-// Current returns the configuration most recently applied through
-// Apply, actuator by actuator (see Actuator.Current).
-func (s *Space) Current() Config {
-	cfg := make(Config, len(s.Acts))
-	for i, a := range s.Acts {
-		cfg[i] = a.Current()
-	}
-	return cfg
-}
-
 // Enumerate calls fn for every configuration in the space, in
 // lexicographic order. fn must not retain cfg (it is reused).
 func (s *Space) Enumerate(fn func(cfg Config)) {
@@ -164,8 +129,8 @@ type Point struct {
 
 // Points is the full space with composed effects, sorted by ascending
 // speedup then ascending power: one table, materialized by NewSpace and
-// returned to every caller of this space and of every space re-bound
-// from it. Read-only (copy before sorting or editing it).
+// returned to every caller. Read-only (copy before sorting or editing
+// it).
 func (s *Space) Points() []Point { return s.points }
 
 func (s *Space) materialize() []Point {

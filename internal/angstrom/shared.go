@@ -189,7 +189,7 @@ func (sc *SharedChip) Release(name string) {
 
 // LedgerFaults counts accounting violations the tile ledger has caught
 // (a release that would drive usage negative). Always zero unless a
-// bookkeeping bug exists; tests and /v1/chip surface it so drift fails
+// bookkeeping bug exists; tests and /v1/chips surface it so drift fails
 // loudly instead of being masked.
 func (sc *SharedChip) LedgerFaults() uint64 {
 	sc.mu.Lock()

@@ -25,8 +25,7 @@ func shapedSpace(t *testing.T, rungs ...int) *actuator.Space {
 			func(v int) (actuator.Effect, error) {
 				s := 1 + step*float64(v)
 				return actuator.Effect{Speedup: s, PowerX: math.Pow(s, 1.6), Distort: 1}, nil
-			},
-			func(int) error { return nil })
+			}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,17 +75,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}
 }
 
-func TestClassNewRejectsForeignSpace(t *testing.T) {
-	cl, err := NewClass(shapedSpace(t, 5, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := sim.NewClock(0)
-	if _, err := cl.New("x", clock, heartbeat.New(clock), shapedSpace(t, 5, 4), Options{}); err == nil {
-		t.Fatal("a space with its own point table accepted")
-	}
-}
-
 // stepLoop closes rt's loop over a plant whose base speed swings, so
 // decisions keep moving and the corrector keeps learning, and whose true
 // speedups deviate from the declared ones. Its n steps allocate nothing
@@ -109,7 +97,7 @@ func newStepLoop(t *testing.T, space *actuator.Space) *stepLoop {
 	l := &stepLoop{clock: sim.NewClock(0), space: space}
 	l.mon = heartbeat.New(l.clock)
 	l.mon.SetPerformanceGoal(40, 44)
-	if l.rt, err = cl.New("app", l.clock, l.mon, space, Options{}); err != nil {
+	if l.rt, err = cl.New("app", l.clock, l.mon, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return l
@@ -167,23 +155,15 @@ func TestRuntimeStepAllocatesNothing(t *testing.T) {
 func TestNewAllocationsIndependentOfSpaceSize(t *testing.T) {
 	const want = 1
 	for _, rungs := range [][]int{{5, 4}, {7, 3, 2}} {
-		template := shapedSpace(t, rungs...)
-		cl, err := NewClass(template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apply := make([]func(int) error, len(rungs))
-		for i := range apply {
-			apply[i] = func(int) error { return nil }
-		}
-		space, err := template.Rebind(apply...)
+		space := shapedSpace(t, rungs...)
+		cl, err := NewClass(space)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clock := sim.NewClock(0)
 		mon := heartbeat.New(clock)
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err = cl.New("app", clock, mon, space, Options{}); err != nil {
+			if _, err = cl.New("app", clock, mon, Options{}); err != nil {
 				panic(err)
 			}
 		})

@@ -51,7 +51,7 @@ func TestApplyErrorSurfacesAndStateSurvives(t *testing.T) {
 	}
 	// Act phase fails: Apply must wrap the hardware error.
 	failNext = true
-	if err := rt.Apply(d.HiCfg); !errors.Is(err, sentinel) {
+	if err := rt.Space().Apply(d.HiCfg); !errors.Is(err, sentinel) {
 		t.Fatalf("Apply error = %v, want wrapped sentinel", err)
 	}
 	// Recovery: the runtime keeps deciding.

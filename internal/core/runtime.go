@@ -94,10 +94,8 @@ type Decision struct {
 
 	// LoCfg/HiCfg are the concrete configurations behind the schedule;
 	// run HiCfg for HiFrac of the period, LoCfg for the rest. They alias
-	// the space's point table, which every decision of that runtime — and
-	// of every runtime whose space was re-bound from the same template
-	// (actuator.Space.Rebind) — shares, as they share the actuators'
-	// Settings: read-only (Clone before changing one).
+	// the space's point table, which every decision of every runtime of
+	// the class (see Class) shares: read-only (Clone before changing one).
 	LoCfg, HiCfg actuator.Config
 	HiFrac       float64
 	// PredictedPower is the schedule's power multiplier under the
@@ -168,17 +166,18 @@ type Runtime struct {
 }
 
 // Class is the part of a runtime that depends only on the declared model
-// of its action space, tabulated once per template space and shared by
-// every runtime built on a space re-bound from it (actuator.Space.Rebind):
-// the point table, where each actuator's settings sit in the corrector's
-// feature vector, the declared speedup range the controller starts
-// saturated to, and the translator's hull over the declared speedups.
+// of its action space, tabulated once per space and shared by every
+// runtime of the class: the space itself, the point table, where each
+// actuator's settings sit in the corrector's feature vector, the declared
+// speedup range the controller starts saturated to, and the translator's
+// hull over the declared speedups.
 // A runtime's corrections start at zero and exp(0) is exactly 1, so that
 // hull is bit for bit the one the runtime would build itself; it reads
 // it in place until its first rebuild — the corrector turning dirty, a
 // power cap or a distortion bound set or cleared — builds its own.
 // Immutable once NewClass returns.
 type Class struct {
+	space      *actuator.Space
 	points     []actuator.Point
 	offsets    []int // feature offset of each actuator's settings block
 	nfeat      int
@@ -186,13 +185,12 @@ type Class struct {
 	tr         control.Translator
 }
 
-// NewClass tabulates the class of runtimes acting on space or on any
-// space re-bound from it.
+// NewClass tabulates the class of runtimes deciding over space.
 func NewClass(space *actuator.Space) (*Class, error) {
 	if space == nil {
 		return nil, errors.New("core: nil space")
 	}
-	cl := &Class{points: space.Points(), offsets: make([]int, len(space.Acts)), minS: math.Inf(1), maxS: math.Inf(-1)}
+	cl := &Class{space: space, points: space.Points(), offsets: make([]int, len(space.Acts)), minS: math.Inf(1), maxS: math.Inf(-1)}
 	for i, a := range space.Acts {
 		cl.offsets[i] = cl.nfeat
 		cl.nfeat += len(a.Settings)
@@ -211,13 +209,13 @@ func NewClass(space *actuator.Space) (*Class, error) {
 
 var errNilInput = errors.New("core: nil monitor, space or clock")
 
-// New builds a runtime for app, observing mon and acting on space. The
-// application must have declared a performance goal before the first
-// Step (the paper's experiments all use performance goals with power as
-// the cost to minimize). The runtime reads the space's declared model
-// (Settings, Points) in place and never writes it; what it learns about
-// the application lives in its own corrector, filters and translator.
-// It is Class.New over a class of space's own.
+// New builds a runtime for app, observing mon and deciding over space.
+// The application must have declared a performance goal before the
+// first Step (the paper's experiments all use performance goals with
+// power as the cost to minimize). The runtime reads the space's declared
+// model (Settings, Points) in place and never writes it; what it learns
+// about the application lives in its own corrector, filters and
+// translator. It is Class.New over a class of space's own.
 func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space, opts Options) (*Runtime, error) {
 	if space == nil {
 		return nil, errNilInput
@@ -226,18 +224,14 @@ func New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Sp
 	if err != nil {
 		return nil, err
 	}
-	return cl.New(app, clock, mon, space, opts)
+	return cl.New(app, clock, mon, opts)
 }
 
-// New builds a runtime of the class (see the package-level New) on
-// space, which must share the class's point table: the template itself
-// or a space re-bound from it.
-func (cl *Class) New(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space, opts Options) (*Runtime, error) {
-	if mon == nil || space == nil || clock == nil {
+// New builds a runtime of the class (see the package-level New) deciding
+// over the class's space.
+func (cl *Class) New(app string, clock sim.Nower, mon *heartbeat.Monitor, opts Options) (*Runtime, error) {
+	if mon == nil || clock == nil {
 		return nil, errNilInput
-	}
-	if pts := space.Points(); len(pts) != len(cl.points) || &pts[0] != &cl.points[0] {
-		return nil, errors.New("core: space is not of the class (it has a point table of its own)")
 	}
 	opts.fill()
 	if err := opts.validate(); err != nil {
@@ -246,7 +240,7 @@ func (cl *Class) New(app string, clock sim.Nower, mon *heartbeat.Monitor, space 
 	r := &Runtime{
 		app:    app,
 		mon:    mon,
-		space:  space,
+		space:  cl.space,
 		clock:  clock,
 		opts:   opts,
 		points: cl.points,
@@ -381,10 +375,6 @@ func (r *Runtime) blendPriors(h, applied, kalman float64) float64 {
 	return alpha*kalman + (1-alpha)*blend
 }
 
-// Apply executes cfg on the actuators (the act phase entry point used by
-// drivers that do not time-multiplex).
-func (r *Runtime) Apply(cfg actuator.Config) error { return r.space.Apply(cfg) }
-
 // RequiredPowerX reports the smallest declared power multiplier among
 // configurations whose (RLS-corrected) speedup reaches `speedup` — the
 // headroom a power cap must leave for the speedup to stay attainable
@@ -411,8 +401,8 @@ func (r *Runtime) RequiredPowerX(speedup float64) float64 {
 	return best
 }
 
-// Space exposes the runtime's action space (read-mostly; used by
-// experiment drivers).
+// Space exposes the runtime's action space, its class's declaration
+// (read-only; drivers apply its configurations).
 func (r *Runtime) Space() *actuator.Space { return r.space }
 
 // BaseEstimate reports the current base-speed estimate.

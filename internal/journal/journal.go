@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -61,10 +62,16 @@ func AppendFrame(dst, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(dst[off:], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(dst[off : off+4])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(dst[off+4:], crc)
+	binary.LittleEndian.PutUint32(dst[off+4:], frameCRC(dst[off:off+4], payload))
 	return append(dst, payload...)
+}
+
+// frameCRC is a frame's checksum: the IEEE CRC of its length prefix,
+// then its payload.
+//
+//angstrom:hotpath
+func frameCRC(lenPrefix, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(lenPrefix), crc32.IEEETable, payload)
 }
 
 // Scan parses a frame sequence, returning the payloads of every valid
@@ -85,14 +92,67 @@ func Scan(buf []byte) (payloads [][]byte, valid int) {
 			return payloads, off
 		}
 		p := buf[off+frameHeader : off+frameHeader+n]
-		crc := crc32.ChecksumIEEE(buf[off : off+4])
-		crc = crc32.Update(crc, crc32.IEEETable, p)
-		if crc != want {
+		if frameCRC(buf[off:off+4], p) != want {
 			return payloads, off
 		}
 		payloads = append(payloads, p)
 		off += frameHeader + n
 	}
+}
+
+// The ways a stream of frames can fail FrameReader.Next.
+var (
+	// ErrTorn: the stream ended or failed inside a frame.
+	ErrTorn = errors.New("journal: stream ends inside a frame")
+	// ErrOversize: a length prefix above the reader's limit.
+	ErrOversize = errors.New("journal: frame exceeds the length limit")
+	// ErrChecksum: a payload that does not match its frame's CRC.
+	ErrChecksum = errors.New("journal: frame checksum mismatch")
+)
+
+// FrameReader reads the frames AppendFrame lays down from a stream (the
+// binary beat wire protocol's framing, at both ends of a connection)
+// into one payload buffer it reuses, so a warm Next allocates nothing.
+type FrameReader struct {
+	r   io.Reader
+	max int
+	hdr [frameHeader]byte
+	buf []byte
+}
+
+// NewFrameReader reads frames of at most max payload bytes from r.
+func NewFrameReader(r io.Reader, max int) *FrameReader {
+	return &FrameReader{r: r, max: max}
+}
+
+// Next returns the next frame's payload, valid until the following call.
+// A stream that ends between frames returns io.EOF, and one that fails
+// there the reader's error; one that ends or fails inside a frame
+// returns ErrTorn (wrapping the reader's error once the header is
+// whole), a length prefix above the limit ErrOversize, and a payload
+// that fails its CRC ErrChecksum.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, ErrTorn
+		}
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(fr.hdr[:4]))
+	if n > fr.max {
+		return nil, ErrOversize
+	}
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
+	}
+	p := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, p); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTorn, err)
+	}
+	if frameCRC(fr.hdr[:4], p) != binary.LittleEndian.Uint32(fr.hdr[4:]) {
+		return nil, ErrChecksum
+	}
+	return p, nil
 }
 
 func segmentName(start uint64) string { return fmt.Sprintf("wal-%016x.log", start) }

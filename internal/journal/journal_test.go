@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -94,6 +95,53 @@ func TestScanRejectsCorruption(t *testing.T) {
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
 	if got, valid := Scan(huge); len(got) != 0 || valid != 0 {
 		t.Fatalf("oversized frame accepted: %d frames, valid %d", len(got), valid)
+	}
+}
+
+// A FrameReader reads from a stream what Scan reads from a buffer, and
+// names each way the stream can fail: a cut between frames is io.EOF, a
+// cut inside one ErrTorn, a bit flip in the payload ErrChecksum, a length
+// above the reader's limit ErrOversize.
+func TestFrameReaderStream(t *testing.T) {
+	want := []string{"", "a", "hello world", strings.Repeat("x", 4096)}
+	var clean []byte
+	ends := map[int]bool{}
+	for _, p := range want {
+		clean = AppendFrame(clean, []byte(p))
+		ends[len(clean)] = true
+	}
+	fr := NewFrameReader(bytes.NewReader(clean), 4096)
+	for i, w := range want {
+		p, err := fr.Next()
+		if err != nil || string(p) != w {
+			t.Fatalf("frame %d: %q, %v; want %q", i, p, err, w)
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+
+	for cut := 1; cut < len(clean); cut++ {
+		fr := NewFrameReader(bytes.NewReader(clean[:cut]), 4096)
+		var err error
+		for err == nil {
+			_, err = fr.Next()
+		}
+		if ends[cut] && err != io.EOF || !ends[cut] && !errors.Is(err, ErrTorn) {
+			t.Fatalf("cut %d (frame end %v): %v", cut, ends[cut], err)
+		}
+	}
+
+	flipped := AppendFrame(nil, []byte("payload"))
+	flipped[len(flipped)-1] ^= 0x40
+	if _, err := NewFrameReader(bytes.NewReader(flipped), 4096).Next(); err != ErrChecksum {
+		t.Fatalf("bit flip: %v, want ErrChecksum", err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(clean), 0).Next(); err != nil {
+		t.Fatalf("empty frame under a zero limit: %v", err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(AppendFrame(nil, []byte("ab"))), 1).Next(); err != ErrOversize {
+		t.Fatalf("2-byte frame under a 1-byte limit: %v, want ErrOversize", err)
 	}
 }
 

@@ -234,7 +234,7 @@ type ChipStats struct {
 
 // ChipStatusResponse is one die's tile-ledger snapshot.
 //
-//	GET /v1/chip (single-die daemons), GET /v1/chips (per die)
+//	GET /v1/chips (one per die)
 type ChipStatusResponse struct {
 	// Chip is the die index within the fleet.
 	Chip int `json:"chip"`

@@ -2,9 +2,9 @@ package server
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"angstrom/internal/actuator"
 	"angstrom/internal/angstrom"
@@ -51,20 +51,29 @@ type ChipConfig struct {
 	// bandwidth (NoCFlitBW) the cross-partition contention ledger
 	// divides among co-located applications.
 	Params *angstrom.Params
-	// KnobWrap, when non-nil, wraps each partition's raw hardware knobs
-	// before the daemon adds rate limiting and allocation clamping.
-	// Tests use it to interpose recording fakes at the exact
-	// Actuator/Sensor interface boundary. The wrapper sees a SetLevel
-	// only when a knob has a rung to move, and its Level must report the
-	// knob it wraps: the act phase reads the partition's configuration
-	// and leaves knobs that already hold their target alone.
+	// KnobWrap, when non-nil, wraps each partition's raw hardware knobs.
+	// Tests and the benchmark use it to interpose recording fakes at the
+	// exact Knob interface boundary. The daemon reads the partition's
+	// configuration, not the wrapper's Level, and calls the wrapper's
+	// SetLevel only for a rung that moves, one rung at a time.
 	KnobWrap func(app string, k actuator.Knob) actuator.Knob
 
-	// coreOptions is the ascending core-allocation ladder offered to every
-	// application, derived by fill: the powers of two from 1 (every app
-	// starts on one core) up to 64, capped at Tiles.
-	coreOptions []int
+	// ladders are the ascending rungs of a partition's three knobs,
+	// indexed by axis (see axisCores), derived by fill: the core counts
+	// offered to every application (the powers of two from 1, where every
+	// app starts, up to 64, capped at Tiles), CacheOptionsKB, and the
+	// DVFS operating points.
+	ladders [3][]int
 }
+
+// The chip action space's axes, in the order Partition.Knobs returns a
+// partition's knobs and buildChipSpace declares its actuators: they
+// index ChipConfig.ladders, app.knobs and every chip actuator.Config.
+const (
+	axisCores = iota
+	axisL2
+	axisDVFS
+)
 
 // fill selects defaults in place (Config.fill hands it a copy).
 func (c *ChipConfig) fill(cores int) {
@@ -75,13 +84,14 @@ func (c *ChipConfig) fill(cores int) {
 		c.Params = &p
 	}
 	c.Tiles = min(cmp.Or(c.Tiles, cores), c.Params.MaxCores)
-	c.coreOptions = nil
+	var coreOptions []int
 	for v := 1; v <= 64 && v <= c.Tiles; v *= 2 {
-		c.coreOptions = append(c.coreOptions, v)
+		coreOptions = append(coreOptions, v)
 	}
 	if len(c.CacheOptionsKB) == 0 {
 		c.CacheOptionsKB = []int{32, 64, 128}
 	}
+	c.ladders = [3][]int{coreOptions, c.CacheOptionsKB, actuator.Range(0, len(c.Params.VF)-1)}
 }
 
 // baseConfig is the configuration every partition is first acquired at
@@ -97,24 +107,20 @@ func (c *ChipConfig) validate() error {
 	if c.Tiles < 1 {
 		return fmt.Errorf("server: chip with %d tiles", c.Tiles)
 	}
+	// Partition.Knobs refuses any other L2 ladder, so each enrollment
+	// would fail.
+	for i, kb := range c.CacheOptionsKB {
+		if kb < 1 || (i > 0 && kb <= c.CacheOptionsKB[i-1]) {
+			return fmt.Errorf("server: L2 ladder %v is not strictly ascending from at least 1 KB", c.CacheOptionsKB)
+		}
+	}
 	return nil
 }
 
-// cappedKnob clamps every requested level so the knob's value never
-// exceeds the manager's current allocation — the seam where the
-// water-filling arbiter bounds the per-application decision engine.
-type cappedKnob struct {
-	actuator.Knob
-	options []int
-	units   func() int
-}
-
-func (k *cappedKnob) SetLevel(level int) error {
-	return k.Knob.SetLevel(clampToUnits(k.options, level, k.units()))
-}
-
 // clampToUnits is the highest rung at or below level whose option fits
-// in units (rung 0 always does: every application holds one unit).
+// in units (rung 0 always does: every application holds one unit) — the
+// seam where the water-filling arbiter bounds the per-application
+// decision engine.
 //
 //angstrom:hotpath
 func clampToUnits(options []int, level, units int) int {
@@ -154,25 +160,18 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 		return fmt.Errorf("server: %w: %v", ErrPoolExhausted, err)
 	}
 
-	coreK, cacheK, vfK, err := part.Knobs(cc.coreOptions, cc.CacheOptionsKB)
+	var knobs [3]actuator.Knob
+	knobs[axisCores], knobs[axisL2], knobs[axisDVFS], err = part.Knobs(cc.ladders[axisCores], cc.ladders[axisL2])
 	if err != nil {
 		sc.Release(a.name)
 		return err
 	}
-	wrap := func(k actuator.Knob) actuator.Knob {
-		if cc.KnobWrap != nil {
-			k = cc.KnobWrap(a.name, k)
+	if cc.KnobWrap != nil {
+		for i, k := range knobs {
+			knobs[i] = cc.KnobWrap(a.name, k)
 		}
-		return actuator.NewStepped(k)
 	}
-	coreKnob := &cappedKnob{Knob: wrap(coreK), options: cc.coreOptions, units: a.allocUnits}
-	// The order buildChipSpace declares the knobs in.
-	space, err := cl.space.Rebind(coreKnob.SetLevel, wrap(cacheK).SetLevel, wrap(vfK).SetLevel)
-	if err != nil {
-		sc.Release(a.name)
-		return err
-	}
-	rt, err := cl.ctl.New(a.name, d.clock, a.mon, space, core.Options{})
+	rt, err := cl.ctl.New(a.name, d.clock, a.mon, core.Options{})
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -183,6 +182,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 	a.mu.Lock()
 	a.rt = rt
 	a.mu.Unlock()
+	a.knobs = knobs
 	a.part.Store(part)
 	a.nomActiveW, a.minPowerX = cl.nomActiveW, cl.minPowerX
 	return nil
@@ -194,9 +194,9 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 // application and the knobs it drives, which admit builds per app.
 // Immutable once classFor has stored it.
 type appClass struct {
-	// space is the template action space: never applied, re-bound to each
-	// admitted app's knobs (actuator.Space.Rebind shares its Settings and
-	// point table with every app of the class).
+	// space is the class's action space, a declaration every runtime of
+	// the class decides over; nothing applies it (a chip app's act phase
+	// steps its partition's knobs, an advisory app actuates on its side).
 	space *actuator.Space
 	// ctl is what the class's runtimes share of their controller state
 	// (see core.Class), built from space.
@@ -313,33 +313,31 @@ const minChipShare = 0.01
 // order), whose declared effects are the chip model's predicted
 // multipliers relative to the base configuration (the designer-declared
 // model of §3.2; the runtime's RLS layer corrects divergence on line).
-// The result is a class template (see appClass): it drives nothing until
-// bindChipAt re-binds it to a partition's knobs.
+// The result is the class's declaration (see appClass): nothing applies
+// it; the act phase steps the partition's knobs (see step).
 func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, baseM angstrom.Metrics, cc *ChipConfig) (*actuator.Space, error) {
 	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
-	unbound := func(int) error { return errors.New("server: class template space drives no partition") }
 	// One knob is one Config field: with returns a configuration holding
-	// value v there, to price the setting against base.
+	// value v there, to price the setting against base. Indexed by axis.
 	knobs := []struct {
 		name    string
-		values  []int
 		nominal int
 		delay   float64
 		label   func(v int) string
 		with    func(c angstrom.Config, v int) angstrom.Config
 	}{
-		{"cores", cc.coreOptions, base.Cores, 0.001,
+		{"cores", base.Cores, 0.001,
 			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c angstrom.Config, v int) angstrom.Config { c.Cores = v; return c }},
-		{"l2-capacity", cc.CacheOptionsKB, base.CacheKB, 0.0001,
+		{"l2-capacity", base.CacheKB, 0.0001,
 			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c angstrom.Config, v int) angstrom.Config { c.CacheKB = v; return c }},
-		{"dvfs", actuator.Range(0, len(p.VF)-1), base.VF, 0.0005,
+		{"dvfs", base.VF, 0.0005,
 			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[v].Volts, p.VF[v].FHz/1e6) },
 			func(c angstrom.Config, v int) angstrom.Config { c.VF = v; return c }},
 	}
 	acts := make([]*actuator.Actuator, len(knobs))
 	for i, k := range knobs {
 		var err error
-		acts[i], err = actuator.Sweep(k.name, k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+		acts[i], err = actuator.Sweep(k.name, cc.ladders[i], k.nominal, k.delay, actuator.GlobalScope, k.label,
 			func(v int) (actuator.Effect, error) {
 				m, merr := angstrom.Evaluate(p, spec, k.with(base, v))
 				if merr != nil {
@@ -350,7 +348,7 @@ func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config,
 					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
 					Distort: 1,
 				}, nil
-			}, unbound)
+			}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +361,7 @@ func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config,
 // elapsed wall/simulated interval, advancing the partition so it emits
 // heartbeats at model-exact times. Called only from the tick goroutine.
 // It runs once per chip-backed app per tick, mostly to find that no knob
-// has anywhere to go (see actuate), so it formats and allocates nothing.
+// has anywhere to go (see step), so it formats and allocates nothing.
 //
 //angstrom:hotpath
 func (d *Daemon) runChipInterval(a *app, now sim.Time) {
@@ -374,11 +372,12 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 		return
 	}
 	beatsBefore := a.mon.Count()
+	cc := d.cfg.Chip
 	pc := part.Config()
 	var err, actErr error
 	t := start
 	for _, sl := range a.pending {
-		if pc, err = d.actuate(a, part, pc, sl.Cfg); err != nil && actErr == nil {
+		if pc, err = cc.step(&a.knobs, part, pc, sl.Cfg, a.allocUnits()); err != nil && actErr == nil {
 			actErr = err // knob refusals during rebalance are transient
 		}
 		t += sl.Duration * dt
@@ -397,13 +396,13 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 	}
 	// Park the knobs at the schedule's duration-weighted configuration
 	// for the inter-tick gap. Without this, a wide bang-bang schedule
-	// (lo at the ladder bottom, hi at the top) deadlocks the stepped
-	// knobs: applying lo then hi steps one rung down then one rung up —
-	// net zero movement every tick — while the schedule's intent is the
-	// weighted middle. The settle apply always ratchets one rung toward
-	// that intent.
+	// (lo at the ladder bottom, hi at the top) deadlocks the one-rung
+	// steps: stepping toward lo then hi moves one rung down then one rung
+	// up — net zero movement every tick — while the schedule's intent is
+	// the weighted middle. The settle step always ratchets one rung
+	// toward that intent.
 	if len(a.settle) > 0 {
-		if _, err = d.actuate(a, part, pc, a.settle); err != nil && actErr == nil {
+		if _, err = cc.step(&a.knobs, part, pc, a.settle, a.allocUnits()); err != nil && actErr == nil {
 			actErr = err
 		}
 	}
@@ -419,42 +418,39 @@ func (d *Daemon) runChipInterval(a *app, now sim.Time) {
 	}
 }
 
-// actuate drives a's knobs toward cfg, given pc, the configuration its
-// partition holds, and returns the configuration it holds afterwards. A
-// schedule asks for the same few configurations tick after tick and a
-// stepped knob moves one rung per call, so nearly every call finds every
-// knob already at its target; then the knob stack (actuator, allocation
-// clamp, rate limiter, hardware knob: a closure, two mutexes and a
-// ladder search per knob) has nothing to do and is not entered.
+// step moves each of a chip-backed app's knobs at most one rung toward
+// cfg, axis by axis (cores, L2 capacity, DVFS), from pc, the
+// configuration its partition holds, and returns the configuration the
+// partition holds afterwards. Each axis's target is clamped to its ladder
+// and, on the cores axis, to the units the manager granted
+// (clampToUnits); the knob is called only when its rung moves, and the
+// first refusal stops the step, wrapped as the axis's actuator names it.
+// Which knobs move is a function of pc, cfg and units alone. A schedule
+// asks for the same few configurations tick after tick, so nearly every
+// call moves nothing and calls no knob.
 //
 //angstrom:hotpath
-func (d *Daemon) actuate(a *app, part *angstrom.Partition, pc angstrom.Config, cfg actuator.Config) (angstrom.Config, error) {
-	if d.holds(a, pc, cfg) {
-		return pc, nil
+func (cc *ChipConfig) step(knobs *[3]actuator.Knob, part *angstrom.Partition, pc angstrom.Config, cfg actuator.Config, units int) (angstrom.Config, error) {
+	for axis, k := range knobs {
+		ladder := cc.ladders[axis]
+		target := min(max(cfg[axis], 0), len(ladder)-1)
+		if axis == axisCores {
+			target = clampToUnits(ladder, target, units)
+		}
+		at := slices.Index(ladder, [3]int{pc.Cores, pc.CacheKB, pc.VF}[axis])
+		next := at + cmp.Compare(target, at)
+		if next == at {
+			continue
+		}
+		if err := k.SetLevel(next); err != nil {
+			// Worded as Actuator.Set words a refusal: status and
+			// state_hash carry this text.
+			//lint:allow hotpath cold branch: a refused knob ends the step
+			return part.Config(), fmt.Errorf("actuator %q: apply setting %d: %w", k.Name(), cfg[axis], err)
+		}
+		pc = part.Config()
 	}
-	err := a.rt.Apply(cfg)
-	return part.Config(), err
-}
-
-// holds reports whether a partition at pc already sits on the rung cfg
-// would drive each of a's knobs to — the order buildChipSpace declares
-// them in: cores (clamped to the manager's grant exactly as cappedKnob
-// clamps it), L2 capacity, DVFS. Anything it cannot vouch for (a
-// configuration of another shape, an index off a ladder) it leaves to
-// the knobs to refuse.
-//
-//angstrom:hotpath
-func (d *Daemon) holds(a *app, pc angstrom.Config, cfg actuator.Config) bool {
-	cc := d.cfg.Chip
-	if len(cfg) != 3 {
-		return false
-	}
-	cores, cache, vf := cfg[0], cfg[1], cfg[2]
-	if cores < 0 || cores >= len(cc.coreOptions) || cache < 0 || cache >= len(cc.CacheOptionsKB) || vf < 0 || vf >= len(cc.Params.VF) {
-		return false
-	}
-	return cc.coreOptions[clampToUnits(cc.coreOptions, cores, a.allocUnits())] == pc.Cores &&
-		cc.CacheOptionsKB[cache] == pc.CacheKB && vf == pc.VF
+	return pc, nil
 }
 
 // settleConfig is the schedule's duration-weighted configuration: the

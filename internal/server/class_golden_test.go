@@ -18,8 +18,8 @@ import (
 // when every admission builds its own action space from scratch.
 // testdata/class_tables.golden was written by running this file with
 // -update in a checkout of the commit *before* admission learned to
-// tabulate a workload's declared model once per class and re-bind it per
-// app (with classTableObserver stubbed out: that commit has no class
+// tabulate a workload's declared model once per class and share it
+// between the class's apps (with classTableObserver stubbed out: that commit has no class
 // tables to observe). If sharing the tables coupled two apps — one app's
 // knob position, correction or power cap showing through another's, a
 // re-enrollment under a different workload inheriting the old class, a

@@ -7,24 +7,25 @@ import (
 	"angstrom/internal/actuator"
 )
 
-// fingerprint digests everything a class table declares (and where its
-// template's knobs stand): every actuator's settings and the sorted point
-// table. JSON prints a float64 in the shortest form that reads back to
-// the same bits, so equal digests mean equal tables to the bit.
+// fingerprint digests everything a class table declares: every
+// actuator's settings and the sorted point table. JSON prints a float64
+// in the shortest form that reads back to the same bits, so equal
+// digests mean equal tables to the bit.
 func fingerprint(s *actuator.Space) string {
 	var acts []any
 	for _, a := range s.Acts {
-		acts = append(acts, a.Name, a.Settings, a.NominalIndex, a.DelaySeconds, a.Scope, a.Axes, a.Current())
+		acts = append(acts, a.Name, a.Settings, a.NominalIndex, a.DelaySeconds, a.Scope, a.Axes)
 	}
 	return digest([]any{acts, s.Points()})
 }
 
 // classTableObserver is classFleetScript's view into the daemon: class
 // tables are written once and never again. The fingerprint of every
-// class — taken when the first fleet is admitted, template knob positions
-// included — is the same before the crash and, on the cold-booted daemon
-// that rebuilt them, at the end; and every app's runtime reads its class's
-// tables through its own actuators (shared declaration, private knobs).
+// class — taken when the first fleet is admitted — is the same before
+// the crash and, on the cold-booted daemon that rebuilt them, at the end;
+// every app's runtime decides over its class's space itself, not a copy;
+// and a chip app's knobs are its partition's, in the space's order, and
+// move it off the base configuration.
 func classTableObserver(t *testing.T) func(stage string, d *Daemon) {
 	want := map[string]string{}
 	return func(stage string, d *Daemon) {
@@ -57,30 +58,24 @@ func classTableObserver(t *testing.T) func(stage string, d *Daemon) {
 			a.mu.Lock()
 			space := a.rt.Space()
 			a.mu.Unlock()
-			if part := a.partition(); part != nil {
-				// buildChipSpace names and orders the actuators after the
-				// partition's knobs without having any to ask.
-				c, l, v, err := part.Knobs(d.cfg.Chip.coreOptions, d.cfg.Chip.CacheOptionsKB)
-				if err != nil || space.Acts[0].Name != c.Name() || space.Acts[1].Name != l.Name() || space.Acts[2].Name != v.Name() {
-					t.Fatalf("%s: %s actuators do not match its partition's knobs (%v)", stage, a.name, err)
-				}
+			if space != cl.space {
+				t.Fatalf("%s: %s decides over a space of its own", stage, a.name)
 			}
-			if &space.Points()[0] != &cl.space.Points()[0] {
-				t.Fatalf("%s: %s has its own point table", stage, a.name)
+			part := a.partition()
+			if part == nil {
+				continue
 			}
 			for i, act := range space.Acts {
-				tmpl := cl.space.Acts[i]
-				if act == tmpl || &act.Settings[0] != &tmpl.Settings[0] {
-					t.Fatalf("%s: %s actuator %s: own actuator %v, shared settings %v; want both",
-						stage, a.name, act.Name, act != tmpl, &act.Settings[0] == &tmpl.Settings[0])
+				if k := a.knobs[i]; k == nil || k.Name() != act.Name {
+					t.Fatalf("%s: %s knob %d does not match actuator %s", stage, a.name, i, act.Name)
 				}
-				if act.Current() != tmpl.Current() {
-					moved++
-				}
+			}
+			if part.Config() != d.cfg.Chip.baseConfig() {
+				moved++
 			}
 		}
 		if stage != "admitted" && moved == 0 {
-			t.Fatalf("%s: no app ever drove a knob off nominal", stage)
+			t.Fatalf("%s: no app ever drove a knob off the base configuration", stage)
 		}
 	}
 }

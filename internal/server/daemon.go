@@ -174,14 +174,18 @@ type app struct {
 	// rebinds it while lock-free beat/status readers race the tick;
 	// chip is the die index it is placed on (0 for advisory apps;
 	// rewritten by a migration — between ticks, under d.mu and a.mu;
-	// status readers read it under a.mu); units mirrors the manager's
-	// latest unit grant for the core-knob clamp; pending is the previous
-	// decision's schedule, executed by the next tick; settle is the
-	// schedule's duration-weighted configuration the knobs are parked at
-	// between intervals (tick workers only); every decision rewrites both
-	// in place, over the backing arrays the first one allocated.
-	part atomic.Pointer[angstrom.Partition]
-	chip int
+	// status readers read it under a.mu); knobs are part's three knobs
+	// by axis, wrapped by ChipConfig.KnobWrap when it is set (rebound
+	// with part; stepped by tick workers only); units mirrors the
+	// manager's latest unit grant for the core-knob clamp; pending is
+	// the previous decision's schedule, executed by the next tick;
+	// settle is the schedule's duration-weighted configuration the knobs
+	// are parked at between intervals (tick workers only); every
+	// decision rewrites both in place, over the backing arrays the first
+	// one allocated.
+	part  atomic.Pointer[angstrom.Partition]
+	knobs [3]actuator.Knob
+	chip  int
 	// migratedAt is when the app last moved between dies (zero if
 	// never): the migration scan won't pick it as a victim again until
 	// its controller has had a cooldown to re-converge on the new die.
@@ -215,8 +219,8 @@ type app struct {
 	enrolledAt  sim.Time
 }
 
-// allocUnits reports the manager's current unit grant (the core-knob
-// clamp reads it from the actuation path).
+// allocUnits reports the manager's current unit grant (the act step
+// clamps the core knob to it).
 func (a *app) allocUnits() int { return int(a.units.Load()) }
 
 // partition is the app's current chip slice (nil for advisory apps).

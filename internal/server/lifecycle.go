@@ -19,13 +19,13 @@ import (
 // (power scales with active cores) crossed with a DVFS-like frequency
 // ladder (power ~ f³). The rungs drive nothing (advisory): the daemon
 // decides a rung; the application reads it back and actuates on its
-// side. The result is a class template (see appClass), re-bound per app.
+// side. The result is the class's declaration (see appClass).
 func buildSpace(spec workload.Spec) (*actuator.Space, error) {
 	threads, err := actuator.Sweep("threads", []int{1, 2, 4, 8, 16}, 1, 0, actuator.ApplicationScope,
 		func(t int) string { return fmt.Sprintf("%d threads", t) },
 		func(t int) (actuator.Effect, error) {
 			return actuator.Effect{Speedup: spec.ParallelSpeedup(t), PowerX: float64(t), Distort: 1}, nil
-		}, advisory)
+		}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -34,15 +34,12 @@ func buildSpace(spec workload.Spec) (*actuator.Space, error) {
 		func(i int) string { return fmt.Sprintf("%.1fx clock", freqs[i]) },
 		func(i int) (actuator.Effect, error) {
 			return actuator.Effect{Speedup: freqs[i], PowerX: freqs[i] * freqs[i] * freqs[i], Distort: 1}, nil
-		}, advisory)
+		}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return actuator.NewSpace(threads, dvfs)
 }
-
-// advisory is the Apply of an advisory rung: nothing to drive.
-func advisory(int) error { return nil }
 
 // curveShapes memoizes core.VerifyCurve per scaling curve. The key
 // mirrors workload's speedup-table memo — the curve is a pure function
@@ -238,9 +235,9 @@ const (
 
 // admit is the one way an application enters the fleet; Enroll (live and
 // replayed) and restoreApp validate, build the app, and hand it here. It
-// binds the app to a chip partition at `at` (or, when at is nil, to an
-// advisory action space), then joins the die's manager, the enrollment
-// order, and the directory, in that order. A stage that
+// binds the app to a chip partition at `at` (or, when at is nil, builds
+// its runtime on its advisory class), then joins the die's manager, the
+// enrollment order, and the directory, in that order. A stage that
 // refuses retires the stages before it, so a failed admission leaves no
 // trace. Called with d.mu held (or single-goroutine during boot),
 // downstream of the caller's durable record.
@@ -257,11 +254,7 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 		if err != nil {
 			return err
 		}
-		space, err := cl.space.Rebind(advisory, advisory) // threads, dvfs
-		if err != nil {
-			return err
-		}
-		if a.rt, err = cl.ctl.New(a.name, d.clock, a.mon, space, core.Options{}); err != nil {
+		if a.rt, err = cl.ctl.New(a.name, d.clock, a.mon, core.Options{}); err != nil {
 			return err
 		}
 	}

@@ -25,26 +25,25 @@ import (
 // before a runtime's controller state became one block (flat RLS state,
 // in-place hull rebuilds, a hull shared with its class until the first
 // correction), with classRuntime there stubbed to core.New on the
-// re-bound space. Each space is driven by two applications stepped in
+// space. Each space is driven by two applications stepped in
 // turn through goal changes that excite the corrector into many
 // translator rebuilds, a power cap set and cleared, and a distortion
 // bound; every Decision field is written in the shortest form that reads
 // back to the same bits. Regenerate only for a change that means to move
 // the decisions, and say so.
 
-// runtimeCtor builds one application's runtime on a space re-bound from
-// the class template.
-type runtimeCtor func(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space) (*core.Runtime, error)
+// runtimeCtor builds one application's runtime on the space.
+type runtimeCtor func(app string, clock sim.Nower, mon *heartbeat.Monitor) (*core.Runtime, error)
 
-// classRuntime builds runtimes the way admission does: through the class
-// of the template the space was re-bound from.
-func classRuntime(template *actuator.Space) (runtimeCtor, error) {
-	cl, err := core.NewClass(template)
+// classRuntime builds runtimes the way admission does: through the
+// space's class.
+func classRuntime(space *actuator.Space) (runtimeCtor, error) {
+	cl, err := core.NewClass(space)
 	if err != nil {
 		return nil, err
 	}
-	return func(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space) (*core.Runtime, error) {
-		return cl.New(app, clock, mon, space, core.Options{})
+	return func(app string, clock sim.Nower, mon *heartbeat.Monitor) (*core.Runtime, error) {
+		return cl.New(app, clock, mon, core.Options{})
 	}, nil
 }
 
@@ -87,29 +86,21 @@ func formatDecision(d core.Decision) string {
 	}, " ")
 }
 
-// runtimeScript steps two applications of template's class in turn and
-// writes one line per decision. newRT builds each runtime from a space
-// re-bound from template.
-func runtimeScript(t *testing.T, out *strings.Builder, label string, template *actuator.Space, capX float64, newRT runtimeCtor) {
+// runtimeScript steps two applications deciding over space in turn and
+// writes one line per decision. newRT builds each runtime.
+func runtimeScript(t *testing.T, out *strings.Builder, label string, space *actuator.Space, capX float64, newRT runtimeCtor) {
 	t.Helper()
 	const steps = 120
 	maxS := 0.0
-	for _, p := range template.Points() {
+	for _, p := range space.Points() {
 		maxS = math.Max(maxS, p.Effect.Speedup)
 	}
 	apps := make([]*goldenApp, 2)
 	for i := range apps {
-		apply := make([]func(int) error, len(template.Acts))
-		for k := range apply {
-			apply[k] = advisory
-		}
-		space, err := template.Rebind(apply...)
-		if err != nil {
-			t.Fatal(err)
-		}
 		clock := sim.NewClock(0)
 		g := &goldenApp{clock: clock, mon: heartbeat.New(clock), space: space, base: 10 + 3*float64(i), skew: 0.05 + 0.04*float64(i)}
-		if g.rt, err = newRT(fmt.Sprintf("%s-%d", label, i), clock, g.mon, space); err != nil {
+		var err error
+		if g.rt, err = newRT(fmt.Sprintf("%s-%d", label, i), clock, g.mon); err != nil {
 			t.Fatal(err)
 		}
 		apps[i] = g
@@ -143,7 +134,7 @@ func runtimeScript(t *testing.T, out *strings.Builder, label string, template *a
 	}
 }
 
-// goldenTemplates builds the two class templates the golden covers.
+// goldenTemplates builds the two class spaces the golden covers.
 func goldenTemplates(t *testing.T) (advisorySpace, chipSpace *actuator.Space) {
 	t.Helper()
 	spec, err := workload.ByName("ocean")
@@ -179,8 +170,8 @@ func TestRuntimeDecisionsGolden(t *testing.T) {
 			space *actuator.Space
 			capX  float64
 		}{{"advisory", advisorySpace, 4}, {"chip", chipSpace, 3}} {
-			var newRT runtimeCtor = func(app string, clock sim.Nower, mon *heartbeat.Monitor, space *actuator.Space) (*core.Runtime, error) {
-				return core.New(app, clock, mon, space, core.Options{})
+			var newRT runtimeCtor = func(app string, clock sim.Nower, mon *heartbeat.Monitor) (*core.Runtime, error) {
+				return core.New(app, clock, mon, sp.space, core.Options{})
 			}
 			if how == "class" {
 				var err error

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -57,8 +56,6 @@ const (
 	// fleet-wide beat total: one atomic add per ~4096 beats instead of
 	// per batch. Flush frames and connection close publish the rest.
 	wireFlushBeats = 4096
-	// wireHeader mirrors the journal's frame header: u32 len + u32 CRC.
-	wireHeader = 8
 	// maxWireErrMsg truncates error-frame messages.
 	maxWireErrMsg = 512
 )
@@ -183,17 +180,15 @@ func (ws *WireServer) serveConn(c net.Conn) {
 // the connection's single handler goroutine and reused frame to frame —
 // the warm decode path performs no allocation (gated by
 // TestBeatIngestWireAllocatesNothing). The reader and writer are interface-typed
-// fields (not the net.Conn) so the fuzz harness can drive the decoder
+// (not the net.Conn) so the fuzz harness can drive the decoder
 // from a byte slice, and so the annotated hot path never converts a
 // concrete type at a call site.
 type wireConn struct {
-	d *Daemon
-	r io.Reader
-	w io.Writer
+	d  *Daemon
+	fr *journal.FrameReader // reads frames into one reused payload buffer
+	w  io.Writer
 
-	names   []string // handle → app name, conn-local, append-only
-	hdr     [wireHeader]byte
-	payload []byte    // reused frame payload buffer
+	names   []string  // handle → app name, conn-local, append-only
 	scratch []float64 // reused decoded-timestamp buffer
 	reply   []byte    // reused framed-reply build buffer
 
@@ -204,7 +199,7 @@ type wireConn struct {
 
 func newWireConn(d *Daemon, r io.Reader, w io.Writer) *wireConn {
 	return &wireConn{
-		d: d, r: r, w: w,
+		d: d, fr: journal.NewFrameReader(r, MaxWireFrame), w: w,
 		beatsD:  heartbeat.Delta{C: &d.beats, FlushEvery: wireFlushBeats},
 		framesD: heartbeat.Delta{C: &d.wireFrames, FlushEvery: 64},
 	}
@@ -214,9 +209,9 @@ func newWireConn(d *Daemon, r io.Reader, w io.Writer) *wireConn {
 // a frame is rejected.
 func (wc *wireConn) run() error {
 	for {
-		p, err := wc.readFrame()
+		p, err := wc.fr.Next()
 		if err != nil {
-			return err
+			return wireFrameErr(err)
 		}
 		if err := wc.dispatch(p); err != nil {
 			return err
@@ -224,35 +219,19 @@ func (wc *wireConn) run() error {
 	}
 }
 
-// readFrame reads one journal-shaped frame into the connection's
-// reused payload buffer. The returned slice is valid until the next
-// call.
-func (wc *wireConn) readFrame() ([]byte, error) {
-	if _, err := io.ReadFull(wc.r, wc.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			// A torn header is a malformed stream, not a clean close.
-			return nil, errWireFrame
-		}
-		return nil, err
+// wireFrameErr is the wire's sentinel for a frame the stream failed to
+// carry (journal.FrameReader.Next): a torn frame is malformed. Other
+// errors (io.EOF between frames, a transport failure) pass through.
+func wireFrameErr(err error) error {
+	switch {
+	case errors.Is(err, journal.ErrTorn):
+		return errWireFrame
+	case errors.Is(err, journal.ErrOversize):
+		return errWireOversize
+	case errors.Is(err, journal.ErrChecksum):
+		return errWireCRC
 	}
-	n := int(binary.LittleEndian.Uint32(wc.hdr[:4]))
-	want := binary.LittleEndian.Uint32(wc.hdr[4:])
-	if n > MaxWireFrame {
-		return nil, errWireOversize
-	}
-	if cap(wc.payload) < n {
-		wc.payload = make([]byte, n)
-	}
-	p := wc.payload[:n]
-	if _, err := io.ReadFull(wc.r, p); err != nil {
-		return nil, errWireFrame
-	}
-	crc := crc32.ChecksumIEEE(wc.hdr[:4])
-	crc = crc32.Update(crc, crc32.IEEETable, p)
-	if crc != want {
-		return nil, errWireCRC
-	}
-	return p, nil
+	return err
 }
 
 // dispatch routes one decoded payload by opcode.

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -30,11 +28,10 @@ type WireClient struct {
 	mu    sync.Mutex
 	c     net.Conn
 	bw    *bufio.Writer
-	br    *bufio.Reader
-	hdr   [wireHeader]byte
-	enc   []byte // reused payload build buffer
-	frame []byte // reused framed-bytes build buffer
-	err   error  // first fatal error, latched
+	fr    *journal.FrameReader // reply frames
+	enc   []byte               // reused payload build buffer
+	frame []byte               // reused framed-bytes build buffer
+	err   error                // first fatal error, latched
 }
 
 // DialWire connects to a daemon's -beat-listen address.
@@ -48,7 +45,7 @@ func DialWire(addr string) (*WireClient, error) {
 
 // NewWireClient wraps an established connection.
 func NewWireClient(c net.Conn) *WireClient {
-	return &WireClient{c: c, bw: bufio.NewWriterSize(c, 64<<10), br: bufio.NewReader(c)}
+	return &WireClient{c: c, bw: bufio.NewWriterSize(c, 64<<10), fr: journal.NewFrameReader(bufio.NewReader(c), MaxWireFrame)}
 }
 
 // Hello resolves an enrolled app name to a handle for this connection.
@@ -191,9 +188,9 @@ func (w *WireClient) roundTripLocked(want byte) ([]byte, error) {
 	if err := w.bw.Flush(); err != nil {
 		return nil, w.fatal(err)
 	}
-	reply, err := w.readFrameLocked()
+	reply, err := w.fr.Next()
 	if err != nil {
-		return nil, err
+		return nil, w.fatal(wireFrameErr(err))
 	}
 	if len(reply) == 0 {
 		return nil, w.fatal(errors.New("wire: empty reply frame"))
@@ -210,29 +207,6 @@ func (w *WireClient) roundTripLocked(want byte) ([]byte, error) {
 		return nil, w.fatal(fmt.Errorf("wire: unexpected reply opcode %#02x", reply[0]))
 	}
 	return reply, nil
-}
-
-// readFrameLocked reads one server reply frame. Replies are rare
-// (hello/flush acks), so a per-read allocation is fine.
-func (w *WireClient) readFrameLocked() ([]byte, error) {
-	if _, err := io.ReadFull(w.br, w.hdr[:]); err != nil {
-		return nil, w.fatal(err)
-	}
-	n := int(binary.LittleEndian.Uint32(w.hdr[:4]))
-	want := binary.LittleEndian.Uint32(w.hdr[4:])
-	if n > MaxWireFrame {
-		return nil, w.fatal(errWireOversize)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(w.br, buf); err != nil {
-		return nil, w.fatal(err)
-	}
-	crc := crc32.ChecksumIEEE(w.hdr[:4])
-	crc = crc32.Update(crc, crc32.IEEETable, buf)
-	if crc != want {
-		return nil, w.fatal(errWireCRC)
-	}
-	return buf, nil
 }
 
 func (w *WireClient) fatal(err error) error {
