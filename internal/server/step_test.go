@@ -31,12 +31,67 @@ func (k refusingKnob) SetLevel(level int) error {
 	return err
 }
 
-// The act step, case by case: every knob moves at most one rung toward
-// its target, the target is clamped to the ladder and, on cores, to the
-// manager's grant; a knob that holds its rung is not called, and the
-// first refusal stops the step with the actuator's error text. Ladders:
-// cores 1..64 in powers of two, L2 32/64/128 KB, DVFS 0 and 1.
-func TestChipStep(t *testing.T) {
+// stepCase is one act step on a real partition. Ladders: cores 1..64 in
+// powers of two, L2 32/64/128 KB, DVFS 0 and 1.
+type stepCase struct {
+	name   string
+	tiles  int // the die's tile pool (default 64)
+	start  angstrom.Config
+	target actuator.Config
+	units  int
+	refuse string // knob the wrapper refuses
+	calls  string // knob calls, "; "-separated
+	want   angstrom.Config
+	err    string
+}
+
+func chipCfg(cores, kb, vf int) angstrom.Config {
+	return angstrom.Config{Cores: cores, CacheKB: kb, VF: vf}
+}
+
+// The act step moves every knob at most one rung toward its target,
+// clamps the target to the ladder and, on cores, to the manager's grant,
+// and does not call a knob that holds its rung.
+func TestChipStepOneRungPerCall(t *testing.T) {
+	runStepCases(t, []stepCase{
+		{name: "one rung up per axis", start: chipCfg(1, 32, 0), target: actuator.Config{6, 2, 1}, units: 64,
+			calls: "cores 1 true; l2-capacity 1 true; dvfs 1 true", want: chipCfg(2, 64, 1)},
+		{name: "one rung down per axis", start: chipCfg(8, 128, 1), target: actuator.Config{0, 0, 0}, units: 64,
+			calls: "cores 2 true; l2-capacity 1 true; dvfs 0 true", want: chipCfg(4, 64, 0)},
+		{name: "only the axes that move", start: chipCfg(2, 64, 1), target: actuator.Config{1, 2, 1}, units: 64,
+			calls: "l2-capacity 2 true", want: chipCfg(2, 128, 1)},
+		{name: "nothing moves", start: chipCfg(2, 64, 1), target: actuator.Config{1, 1, 1}, units: 64,
+			want: chipCfg(2, 64, 1)},
+		{name: "ladder clamp at the top", start: chipCfg(64, 128, 1), target: actuator.Config{9, 7, 5}, units: 64,
+			want: chipCfg(64, 128, 1)},
+		{name: "ladder clamp at the bottom", start: chipCfg(1, 32, 0), target: actuator.Config{-1, -2, -3}, units: 64,
+			want: chipCfg(1, 32, 0)},
+		{name: "grant holds cores", start: chipCfg(4, 32, 0), target: actuator.Config{6, 0, 0}, units: 4,
+			want: chipCfg(4, 32, 0)},
+		{name: "grant between rungs", start: chipCfg(4, 32, 0), target: actuator.Config{6, 0, 0}, units: 7,
+			want: chipCfg(4, 32, 0)},
+		{name: "grant pulls cores down", start: chipCfg(16, 32, 0), target: actuator.Config{6, 0, 0}, units: 2,
+			calls: "cores 3 true", want: chipCfg(8, 32, 0)},
+		{name: "grant below the target leaves the rest", start: chipCfg(2, 32, 0), target: actuator.Config{3, 1, 0}, units: 1,
+			calls: "cores 0 true; l2-capacity 1 true", want: chipCfg(1, 64, 0)},
+	})
+}
+
+// The first refusal stops the act step with the actuator's error text;
+// the axes after it are not called.
+func TestChipStepPropagatesErrors(t *testing.T) {
+	runStepCases(t, []stepCase{
+		{name: "stop at the first refusal", start: chipCfg(1, 32, 0), target: actuator.Config{3, 2, 1}, units: 64, refuse: "l2-capacity",
+			calls: "cores 1 true; l2-capacity 1 refused", want: chipCfg(2, 32, 0),
+			err: `actuator "l2-capacity": apply setting 2: refused`},
+		{name: "the hardware refuses", tiles: 2, start: chipCfg(2, 32, 0), target: actuator.Config{2, 1, 1}, units: 64,
+			calls: "cores 2 false", want: chipCfg(2, 32, 0),
+			err: `actuator "cores": apply setting 2: angstrom: 4 cores would exceed the tile pool`},
+	})
+}
+
+func runStepCases(t *testing.T, cases []stepCase) {
+	t.Helper()
 	cc := &ChipConfig{Tiles: 64}
 	cc.fill(64)
 	if n := len(cc.Params.VF); n != 2 {
@@ -45,45 +100,6 @@ func TestChipStep(t *testing.T) {
 	spec, err := workload.ByName("barnes")
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfg := func(cores, kb, vf int) angstrom.Config { return angstrom.Config{Cores: cores, CacheKB: kb, VF: vf} }
-	cases := []struct {
-		name   string
-		tiles  int // the die's tile pool (default 64)
-		start  angstrom.Config
-		target actuator.Config
-		units  int
-		refuse string // knob the wrapper refuses
-		calls  string // knob calls, "; "-separated
-		want   angstrom.Config
-		err    string
-	}{
-		{name: "one rung up per axis", start: cfg(1, 32, 0), target: actuator.Config{6, 2, 1}, units: 64,
-			calls: "cores 1 true; l2-capacity 1 true; dvfs 1 true", want: cfg(2, 64, 1)},
-		{name: "one rung down per axis", start: cfg(8, 128, 1), target: actuator.Config{0, 0, 0}, units: 64,
-			calls: "cores 2 true; l2-capacity 1 true; dvfs 0 true", want: cfg(4, 64, 0)},
-		{name: "only the axes that move", start: cfg(2, 64, 1), target: actuator.Config{1, 2, 1}, units: 64,
-			calls: "l2-capacity 2 true", want: cfg(2, 128, 1)},
-		{name: "nothing moves", start: cfg(2, 64, 1), target: actuator.Config{1, 1, 1}, units: 64,
-			want: cfg(2, 64, 1)},
-		{name: "ladder clamp at the top", start: cfg(64, 128, 1), target: actuator.Config{9, 7, 5}, units: 64,
-			want: cfg(64, 128, 1)},
-		{name: "ladder clamp at the bottom", start: cfg(1, 32, 0), target: actuator.Config{-1, -2, -3}, units: 64,
-			want: cfg(1, 32, 0)},
-		{name: "grant holds cores", start: cfg(4, 32, 0), target: actuator.Config{6, 0, 0}, units: 4,
-			want: cfg(4, 32, 0)},
-		{name: "grant between rungs", start: cfg(4, 32, 0), target: actuator.Config{6, 0, 0}, units: 7,
-			want: cfg(4, 32, 0)},
-		{name: "grant pulls cores down", start: cfg(16, 32, 0), target: actuator.Config{6, 0, 0}, units: 2,
-			calls: "cores 3 true", want: cfg(8, 32, 0)},
-		{name: "grant below the target leaves the rest", start: cfg(2, 32, 0), target: actuator.Config{3, 1, 0}, units: 1,
-			calls: "cores 0 true; l2-capacity 1 true", want: cfg(1, 64, 0)},
-		{name: "stop at the first refusal", start: cfg(1, 32, 0), target: actuator.Config{3, 2, 1}, units: 64, refuse: "l2-capacity",
-			calls: "cores 1 true; l2-capacity 1 refused", want: cfg(2, 32, 0),
-			err: `actuator "l2-capacity": apply setting 2: refused`},
-		{name: "the hardware refuses", tiles: 2, start: cfg(2, 32, 0), target: actuator.Config{2, 1, 1}, units: 64,
-			calls: "cores 2 false", want: cfg(2, 32, 0),
-			err: `actuator "cores": apply setting 2: angstrom: 4 cores would exceed the tile pool`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
