@@ -619,8 +619,7 @@ func BenchmarkBeatIngestWire(b *testing.B) {
 
 // BenchmarkBeatIngestWireParallel is the multi-core variant: one
 // connection and one target app per worker, so ingestion throughput
-// must scale with cores — distinct apps land on distinct monitor locks
-// and (mostly) distinct shard counters.
+// must scale with cores — distinct apps land on distinct monitor locks.
 func BenchmarkBeatIngestWireParallel(b *testing.B) {
 	d := newBenchDaemon(b, 64)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -6,7 +6,7 @@
 //
 //	angstromd -addr :8090 -cores 4096 -period 100ms
 //
-// With -chip, every enrolled application is instead bound to a
+// With -chips 1, every enrolled application is instead bound to a
 // partition of one shared Angstrom chip model: the decision engine
 // actuates real hardware knobs (core allocation, L2 capacity, DVFS) and
 // the partition emits the application's heartbeats as its modeled
@@ -15,7 +15,7 @@
 // degrades every partition's effective throughput when the fleet
 // saturates either resource.
 //
-//	angstromd -chip -chip-tiles 256 -oversubscribe -chip-power 40 -chip-mem-bw 200
+//	angstromd -chips 1 -chip-tiles 256 -oversubscribe -chip-power 40 -chip-mem-bw 200
 //
 // With -chips N (N > 1), the chip model becomes a federation of N
 // identical dies: enrollments are placed on the die where their
@@ -23,7 +23,7 @@
 // contention slowdown falls past -migrate-slowdown are migrated live to
 // a less-loaded die. Per-die ledgers are served at /v1/chips.
 //
-//	angstromd -chip -chips 4 -chip-tiles 256 -oversubscribe -chip-mem-bw 200
+//	angstromd -chips 4 -chip-tiles 256 -oversubscribe -chip-mem-bw 200
 //
 // With -data-dir, the control plane is durable: every mutation is
 // written ahead to a checksummed journal, periodic snapshots compact
@@ -49,7 +49,7 @@
 //	GET    /healthz
 //	GET    /readyz
 //	GET    /v1/stats
-//	GET    /v1/chips              (404 unless -chip)
+//	GET    /v1/chips              (404 unless -chips N)
 //	GET    /v1/apps
 //	POST   /v1/apps               {"name","workload","window","mode","min_rate","max_rate"}
 //	GET    /v1/apps/{name}
@@ -84,10 +84,8 @@ func main() {
 	oversub := flag.Bool("oversubscribe", false, "admit fleets larger than the core pool (time-sharing)")
 	shards := flag.Int("shards", 0, "app-directory shard count, rounded to a power of two (0 = scaled from GOMAXPROCS)")
 	tickWorkers := flag.Int("tick-workers", 0, "tick worker-pool size for the per-shard phases (0 = GOMAXPROCS)")
-	chip := flag.Bool("chip", false, "bind enrolled apps to a shared Angstrom chip model (real knobs)")
-	chips := flag.Int("chips", 0, "number of identical dies in the chip fleet (0/1 = single die; implies -chip)")
+	chips := flag.Int("chips", 0, "bind enrolled apps to a fleet of N identical Angstrom dies driving real knobs (0 = advisory serving)")
 	chipTiles := flag.Int("chip-tiles", 0, "physical tiles of each die (0 = core pool size)")
-	chipCache := flag.Int("chip-cache", 0, "largest per-core L2 option in KB (0 = 32/64/128 ladder)")
 	chipPower := flag.Float64("chip-power", 0, "chip-wide power budget in watts (0 = unlimited)")
 	chipMemBW := flag.Float64("chip-mem-bw", 0, "off-chip memory bandwidth in GB/s shared by all partitions (0 = model default)")
 	chipNoCBW := flag.Float64("chip-noc-bw", 0, "mesh link bandwidth in flits/cycle for the contention model (0 = model default)")
@@ -110,7 +108,7 @@ func main() {
 		SnapshotEvery: *snapEvery,
 		BeatTimeout:   *beatTimeout,
 	}
-	if *chip || *chips > 1 {
+	if *chips != 0 {
 		params := angstrom.DefaultParams()
 		if *chipMemBW > 0 {
 			params.MemBandwidthBps = *chipMemBW * 1e9
@@ -124,12 +122,6 @@ func main() {
 			PowerBudgetW:    *chipPower,
 			MigrateSlowdown: *migrateSlowdown,
 			Params:          &params,
-		}
-		if *chipCache > 0 {
-			// A three-rung ladder topping out at the requested size.
-			for kb := *chipCache; kb >= 1 && len(cc.CacheOptionsKB) < 3; kb /= 2 {
-				cc.CacheOptionsKB = append([]int{kb}, cc.CacheOptionsKB...)
-			}
 		}
 		cfg.Chip = cc
 	}

@@ -412,17 +412,6 @@ func TestEvaluateDeterministicProperty(t *testing.T) {
 	}
 }
 
-func TestPerfPerWatt(t *testing.T) {
-	p := DefaultParams()
-	m := Metrics{HeartRate: 100, PowerW: p.UncoreW + 2}
-	if got := p.PerfPerWatt(m, 50); math.Abs(got-25) > 1e-12 {
-		t.Fatalf("PerfPerWatt = %g, want 25 (capped at target)", got)
-	}
-	if got := p.PerfPerWatt(Metrics{HeartRate: 1, PowerW: p.UncoreW}, 1); got != 0 {
-		t.Fatal("zero beyond-idle power must yield 0, not Inf")
-	}
-}
-
 func TestEvaluateDetailedAgreesWithStatistical(t *testing.T) {
 	// The two modes share the assembler; the trace-driven caches should
 	// produce miss rates in the same regime as the analytic curve, and

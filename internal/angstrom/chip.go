@@ -48,6 +48,49 @@ type Config struct {
 	EVC, BAN, AOR bool
 }
 
+// The chip's three knob axes, in the order Partition.Knobs returns a
+// partition's knobs and Params.Actuators declares a chip action space:
+// each indexes a Config field through Level and With.
+const (
+	AxisCores = iota // Config.Cores
+	AxisL2           // Config.CacheKB
+	AxisDVFS         // Config.VF
+)
+
+// L2LadderKB is the model's ascending per-core L2 capacity ladder.
+var L2LadderKB = []int{32, 64, 128}
+
+// axes declares each knob axis once: the name its knob and actuator
+// carry, its actuation delay in seconds, and the label of its rung at
+// value v.
+var axes = [...]struct {
+	name  string
+	delay float64
+	label func(p *Params, v int) string
+}{
+	AxisCores: {"cores", 0.001, func(_ *Params, v int) string { return fmt.Sprintf("%d cores", v) }},
+	AxisL2:    {"l2-capacity", 0.0001, func(_ *Params, v int) string { return fmt.Sprintf("%dKB L2", v) }},
+	AxisDVFS: {"dvfs", 0.0005, func(p *Params, v int) string {
+		return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[v].Volts, p.VF[v].FHz/1e6)
+	}},
+}
+
+// field is the Config field that axis indexes.
+func (c *Config) field(axis int) *int { return [...]*int{&c.Cores, &c.CacheKB, &c.VF}[axis] }
+
+// Level is the setting c holds on axis.
+//
+//angstrom:hotpath
+func (c Config) Level(axis int) int { return *c.field(axis) }
+
+// With returns c holding v on axis and every other setting unchanged.
+//
+//angstrom:hotpath
+func (c Config) With(axis, v int) Config {
+	*c.field(axis) = v
+	return c
+}
+
 // Params are the chip-wide constants of the Angstrom model.
 type Params struct {
 	// MaxCores is the physical core count (the Angstrom design point is
@@ -142,16 +185,6 @@ type Metrics struct {
 	CacheW float64 // L2 dynamic + leakage, all allocated cores
 	NoCW   float64 // network transport
 	MemW   float64 // off-chip accesses
-}
-
-// PerfPerWatt is the paper's metric: min(achieved, target) heart rate
-// per Watt beyond idle (§5.2).
-func (p Params) PerfPerWatt(m Metrics, targetRate float64) float64 {
-	beyond := m.PowerW - p.UncoreW
-	if beyond <= 0 {
-		return 0
-	}
-	return math.Min(m.HeartRate, targetRate) / beyond
 }
 
 // memBehavior summarizes the memory system as the model assembler needs

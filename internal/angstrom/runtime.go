@@ -180,52 +180,56 @@ func (ch *Chip) updateTiles(m Metrics, dt float64) {
 
 // BuildActuators exposes the chip's three headline knobs — core
 // allocation, per-core cache capacity, and DVFS — as SEEC actuators for
-// the attached workload. Effects are the model's predicted multipliers
-// relative to the chip's current configuration (the designer-declared
-// model of §3.2; the runtime's adaptive layer corrects any divergence).
+// the attached workload, priced against the chip's current configuration
+// (see Params.Actuators), each of whose settings reconfigures the chip.
 func (ch *Chip) BuildActuators(coreOptions []int, cacheOptionsKB []int) ([]*actuator.Actuator, error) {
 	if ch.inst == nil {
 		return nil, fmt.Errorf("angstrom: attach a workload before building actuators")
 	}
-	spec, base := ch.inst.Spec, ch.cfg
-	baseM, err := Evaluate(ch.p, spec, base)
+	ladders := [3][]int{coreOptions, cacheOptionsKB, actuator.Range(0, len(ch.p.VF)-1)}
+	acts, err := ch.p.Actuators(ch.inst.Spec, ch.cfg, ladders,
+		func(axis, v int) error { return ch.SetConfig(ch.cfg.With(axis, v)) })
 	if err != nil {
 		return nil, err
 	}
-	// One knob is one Config field: with returns a configuration holding
-	// value v there, both to price the setting against base and to apply
-	// it to the live chip.
-	knobs := []struct {
-		name    string
-		values  []int
-		nominal int
-		delay   float64
-		label   func(v int) string
-		with    func(c Config, v int) Config
-	}{
-		{"core-allocation", coreOptions, base.Cores, 0.001,
-			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c Config, v int) Config { c.Cores = v; return c }},
-		{"l2-capacity", cacheOptionsKB, base.CacheKB, 0.0001,
-			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c Config, v int) Config { c.CacheKB = v; return c }},
-		{"dvfs", actuator.Range(0, len(ch.p.VF)-1), base.VF, 0.0005,
-			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", ch.p.VF[v].Volts, ch.p.VF[v].FHz/1e6) },
-			func(c Config, v int) Config { c.VF = v; return c }},
+	// The closed-loop experiments' traces name the core knob this way.
+	acts[AxisCores].Name = "core-allocation"
+	return acts, nil
+}
+
+// Actuators declares a chip action space for spec: one actuator per
+// axis, in axis order, whose settings are ladders[axis] and whose
+// declared effects are the model's predicted multipliers relative to
+// base (the designer-declared model of §3.2; the runtime's adaptive
+// layer corrects any divergence). Active power (beyond uncore) is
+// floored at 1e-9 W on both sides of each power ratio. apply, when
+// non-nil, drives a setting: it receives the axis and the setting's
+// value. A nil apply declares the settings only (see actuator.Sweep).
+func (p Params) Actuators(spec workload.Spec, base Config, ladders [3][]int, apply func(axis, v int) error) ([]*actuator.Actuator, error) {
+	baseM, err := Evaluate(p, spec, base)
+	if err != nil {
+		return nil, err
 	}
-	acts := make([]*actuator.Actuator, len(knobs))
-	for i, k := range knobs {
-		acts[i], err = actuator.Sweep(k.name, k.values, k.nominal, k.delay, actuator.GlobalScope, k.label,
+	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
+	acts := make([]*actuator.Actuator, len(axes))
+	for axis, ax := range axes {
+		var set func(level int) error
+		if apply != nil {
+			set = func(level int) error { return apply(axis, ladders[axis][level]) }
+		}
+		acts[axis], err = actuator.Sweep(ax.name, ladders[axis], base.Level(axis), ax.delay, actuator.GlobalScope,
+			func(v int) string { return ax.label(&p, v) },
 			func(v int) (actuator.Effect, error) {
-				m, merr := Evaluate(ch.p, spec, k.with(base, v))
+				m, merr := Evaluate(p, spec, base.With(axis, v))
 				if merr != nil {
 					return actuator.Effect{}, merr
 				}
 				return actuator.Effect{
 					Speedup: m.HeartRate / baseM.HeartRate,
-					PowerX:  (m.PowerW - ch.p.UncoreW) / (baseM.PowerW - ch.p.UncoreW),
+					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
 					Distort: 1,
 				}, nil
-			},
-			func(level int) error { return ch.SetConfig(k.with(ch.cfg, k.values[level])) })
+			}, set)
 		if err != nil {
 			return nil, err
 		}

@@ -404,8 +404,8 @@ func (pt *Partition) setConfig(cfg Config) error {
 // last contention pass's Interference, so the controller and the
 // manager observe real co-location costs, not per-app projections. It
 // is a cached-struct read under one mutex: allocation-free and cheap
-// enough for every status request (BenchmarkPartitionSense gates it at
-// 0 allocs/op).
+// enough for every status request (TestSenseZeroAlloc holds it to 0
+// allocations).
 //
 //angstrom:hotpath
 func (pt *Partition) Sense() actuator.Sample {
@@ -498,12 +498,9 @@ func (pt *Partition) Knobs(coreOptions, cacheOptionsKB []int) (cores, cache, dvf
 	if err := validOptions("cache", cacheOptionsKB, cfg.CacheKB); err != nil {
 		return nil, nil, nil, err
 	}
-	return &fieldKnob{pt: pt, name: "cores", options: coreOptions,
-			get: func(c Config) int { return c.Cores }, with: func(c Config, v int) Config { c.Cores = v; return c }},
-		&fieldKnob{pt: pt, name: "l2-capacity", options: cacheOptionsKB,
-			get: func(c Config) int { return c.CacheKB }, with: func(c Config, v int) Config { c.CacheKB = v; return c }},
-		&fieldKnob{pt: pt, name: "dvfs", options: actuator.Range(0, len(pt.sc.p.VF)-1),
-			get: func(c Config) int { return c.VF }, with: func(c Config, v int) Config { c.VF = v; return c }}, nil
+	return &fieldKnob{pt, AxisCores, coreOptions},
+		&fieldKnob{pt, AxisL2, cacheOptionsKB},
+		&fieldKnob{pt, AxisDVFS, actuator.Range(0, len(pt.sc.p.VF)-1)}, nil
 }
 
 func validOptions(kind string, options []int, current int) error {
@@ -534,25 +531,23 @@ func indexOf(options []int, v int) int {
 	return 0
 }
 
-// fieldKnob is one field of the partition's Config as a hardware knob:
-// level i holds the field at options[i] (core allocation, per-core L2
+// fieldKnob is one axis of the partition's Config as a hardware knob:
+// level i holds the axis at options[i] (core allocation, per-core L2
 // capacity in KB, DVFS operating point).
 type fieldKnob struct {
 	pt      *Partition
-	name    string
+	axis    int
 	options []int
-	get     func(Config) int
-	with    func(Config, int) Config // by value: a *Config through a func value would escape on every move
 }
 
-func (k *fieldKnob) Name() string { return k.name }
+func (k *fieldKnob) Name() string { return axes[k.axis].name }
 func (k *fieldKnob) Levels() int  { return len(k.options) }
-func (k *fieldKnob) Level() int   { return indexOf(k.options, k.get(k.pt.Config())) }
+func (k *fieldKnob) Level() int   { return indexOf(k.options, k.pt.Config().Level(k.axis)) }
 func (k *fieldKnob) SetLevel(level int) error {
 	if level < 0 || level >= len(k.options) {
-		return fmt.Errorf("angstrom: %s level %d outside [0, %d)", k.name, level, len(k.options))
+		return fmt.Errorf("angstrom: %s level %d outside [0, %d)", k.Name(), level, len(k.options))
 	}
-	return k.pt.setConfig(k.with(k.pt.Config(), k.options[level]))
+	return k.pt.setConfig(k.pt.Config().With(k.axis, k.options[level]))
 }
 
 var (

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"angstrom/internal/actuator"
 	"angstrom/internal/heartbeat"
 	"angstrom/internal/sim"
 	"angstrom/internal/workload"
@@ -201,6 +202,31 @@ func TestPartitionKnobValidation(t *testing.T) {
 	}
 	if cores.Level() != 2 || cores.Levels() != 4 {
 		t.Fatalf("core knob level %d/%d", cores.Level(), cores.Levels())
+	}
+}
+
+// Config.With sets exactly one axis and Config.Level reads it back: for
+// every axis and every rung of its ladder, the other axes and the
+// fields no knob drives are unchanged.
+func TestConfigAxesRoundTrip(t *testing.T) {
+	p := DefaultParams()
+	base := Config{Cores: 4, CacheKB: 64, VF: 1, Coherence: CoherenceNUCA, EVC: true}
+	ladders := [3][]int{{1, 2, 4, 8, 16, 32, 64}, L2LadderKB, actuator.Range(0, len(p.VF)-1)}
+	for axis, ladder := range ladders {
+		for _, v := range ladder {
+			c := base.With(axis, v)
+			if got := c.Level(axis); got != v {
+				t.Errorf("axis %d: With(%d).Level = %d", axis, v, got)
+			}
+			for other := range ladders {
+				if other != axis && c.Level(other) != base.Level(other) {
+					t.Errorf("axis %d = %d moved axis %d from %d to %d", axis, v, other, base.Level(other), c.Level(other))
+				}
+			}
+			if c.With(axis, base.Level(axis)) != base {
+				t.Errorf("axis %d = %d: %+v does not restore to %+v", axis, v, c, base)
+			}
+		}
 	}
 }
 

@@ -139,8 +139,8 @@ func (m *Monitor) emit(tag uint64, distortion float64) {
 }
 
 // emitAt is the per-beat hot path of the serving daemon: every Beat
-// variant and every chip-emitted heartbeat lands here, so it is gated
-// at 0 allocs/op (BenchmarkMonitorBeatWindow4096) — O(1) circular
+// variant and every chip-emitted heartbeat lands here, so
+// TestBeatAllocatesNothing holds it to 0 allocations — O(1) circular
 // insert, no formatting, no boxing.
 //
 //angstrom:hotpath

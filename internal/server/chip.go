@@ -32,9 +32,6 @@ type ChipConfig struct {
 	// Tiles is the physical tile count of each die (default: the
 	// daemon's core pool, capped at the model's MaxCores).
 	Tiles int
-	// CacheOptionsKB is the ascending per-core L2 capacity ladder.
-	// Default: 32, 64, 128.
-	CacheOptionsKB []int
 	// PowerBudgetW, when positive, is a chip-wide power budget: each
 	// tick the daemon splits the budget beyond uncore evenly across
 	// chip-backed applications and caps each decision engine's power
@@ -59,21 +56,12 @@ type ChipConfig struct {
 	KnobWrap func(app string, k actuator.Knob) actuator.Knob
 
 	// ladders are the ascending rungs of a partition's three knobs,
-	// indexed by axis (see axisCores), derived by fill: the core counts
-	// offered to every application (the powers of two from 1, where every
-	// app starts, up to 64, capped at Tiles), CacheOptionsKB, and the
-	// DVFS operating points.
+	// indexed by axis (see angstrom.AxisCores), derived by fill: the core
+	// counts offered to every application (the powers of two from 1,
+	// where every app starts, up to 64, capped at Tiles), the model's L2
+	// ladder, and the DVFS operating points.
 	ladders [3][]int
 }
-
-// The chip action space's axes, in the order Partition.Knobs returns a
-// partition's knobs and buildChipSpace declares its actuators: they
-// index ChipConfig.ladders, app.knobs and every chip actuator.Config.
-const (
-	axisCores = iota
-	axisL2
-	axisDVFS
-)
 
 // fill selects defaults in place (Config.fill hands it a copy).
 func (c *ChipConfig) fill(cores int) {
@@ -88,16 +76,13 @@ func (c *ChipConfig) fill(cores int) {
 	for v := 1; v <= 64 && v <= c.Tiles; v *= 2 {
 		coreOptions = append(coreOptions, v)
 	}
-	if len(c.CacheOptionsKB) == 0 {
-		c.CacheOptionsKB = []int{32, 64, 128}
-	}
-	c.ladders = [3][]int{coreOptions, c.CacheOptionsKB, actuator.Range(0, len(c.Params.VF)-1)}
+	c.ladders = [3][]int{coreOptions, angstrom.L2LadderKB, actuator.Range(0, len(c.Params.VF)-1)}
 }
 
 // baseConfig is the configuration every partition is first acquired at
 // and every action space is declared relative to.
 func (c *ChipConfig) baseConfig() angstrom.Config {
-	return angstrom.Config{Cores: 1, CacheKB: c.CacheOptionsKB[0], VF: 0}
+	return angstrom.Config{Cores: 1, CacheKB: angstrom.L2LadderKB[0], VF: 0}
 }
 
 func (c *ChipConfig) validate() error {
@@ -106,13 +91,6 @@ func (c *ChipConfig) validate() error {
 	}
 	if c.Tiles < 1 {
 		return fmt.Errorf("server: chip with %d tiles", c.Tiles)
-	}
-	// Partition.Knobs refuses any other L2 ladder, so each enrollment
-	// would fail.
-	for i, kb := range c.CacheOptionsKB {
-		if kb < 1 || (i > 0 && kb <= c.CacheOptionsKB[i-1]) {
-			return fmt.Errorf("server: L2 ladder %v is not strictly ascending from at least 1 KB", c.CacheOptionsKB)
-		}
 	}
 	return nil
 }
@@ -161,7 +139,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 	}
 
 	var knobs [3]actuator.Knob
-	knobs[axisCores], knobs[axisL2], knobs[axisDVFS], err = part.Knobs(cc.ladders[axisCores], cc.ladders[axisL2])
+	knobs[angstrom.AxisCores], knobs[angstrom.AxisL2], knobs[angstrom.AxisDVFS], err = part.Knobs(cc.ladders[angstrom.AxisCores], cc.ladders[angstrom.AxisL2])
 	if err != nil {
 		sc.Release(a.name)
 		return err
@@ -227,7 +205,11 @@ func (d *Daemon) classFor(spec workload.Spec, chip bool) (*appClass, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cl.space, err = buildChipSpace(p, spec, base, baseM, cc); err != nil {
+		acts, err := p.Actuators(spec, base, cc.ladders, nil)
+		if err != nil {
+			return nil, err
+		}
+		if cl.space, err = actuator.NewSpace(acts...); err != nil {
 			return nil, err
 		}
 		cl.nomActiveW = math.Max(baseM.PowerW-p.UncoreW, 1e-6)
@@ -308,54 +290,6 @@ func (d *Daemon) makeRoom(chip int) (float64, error) {
 // meaningful within one decision period.
 const minChipShare = 0.01
 
-// buildChipSpace declares a workload's chip action space: one SEEC
-// actuator per partition knob (angstrom.Partition.Knobs: same names, same
-// order), whose declared effects are the chip model's predicted
-// multipliers relative to the base configuration (the designer-declared
-// model of §3.2; the runtime's RLS layer corrects divergence on line).
-// The result is the class's declaration (see appClass): nothing applies
-// it; the act phase steps the partition's knobs (see step).
-func buildChipSpace(p angstrom.Params, spec workload.Spec, base angstrom.Config, baseM angstrom.Metrics, cc *ChipConfig) (*actuator.Space, error) {
-	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
-	// One knob is one Config field: with returns a configuration holding
-	// value v there, to price the setting against base. Indexed by axis.
-	knobs := []struct {
-		name    string
-		nominal int
-		delay   float64
-		label   func(v int) string
-		with    func(c angstrom.Config, v int) angstrom.Config
-	}{
-		{"cores", base.Cores, 0.001,
-			func(v int) string { return fmt.Sprintf("%d cores", v) }, func(c angstrom.Config, v int) angstrom.Config { c.Cores = v; return c }},
-		{"l2-capacity", base.CacheKB, 0.0001,
-			func(v int) string { return fmt.Sprintf("%dKB L2", v) }, func(c angstrom.Config, v int) angstrom.Config { c.CacheKB = v; return c }},
-		{"dvfs", base.VF, 0.0005,
-			func(v int) string { return fmt.Sprintf("%.1fV/%.0fMHz", p.VF[v].Volts, p.VF[v].FHz/1e6) },
-			func(c angstrom.Config, v int) angstrom.Config { c.VF = v; return c }},
-	}
-	acts := make([]*actuator.Actuator, len(knobs))
-	for i, k := range knobs {
-		var err error
-		acts[i], err = actuator.Sweep(k.name, cc.ladders[i], k.nominal, k.delay, actuator.GlobalScope, k.label,
-			func(v int) (actuator.Effect, error) {
-				m, merr := angstrom.Evaluate(p, spec, k.with(base, v))
-				if merr != nil {
-					return actuator.Effect{}, merr
-				}
-				return actuator.Effect{
-					Speedup: m.HeartRate / baseM.HeartRate,
-					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
-					Distort: 1,
-				}, nil
-			}, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return actuator.NewSpace(acts...)
-}
-
 // runChipInterval is the act+observe phase for one chip-backed app:
 // execute the previous decision's schedule (low slice first) over the
 // elapsed wall/simulated interval, advancing the partition so it emits
@@ -434,10 +368,10 @@ func (cc *ChipConfig) step(knobs *[3]actuator.Knob, part *angstrom.Partition, pc
 	for axis, k := range knobs {
 		ladder := cc.ladders[axis]
 		target := min(max(cfg[axis], 0), len(ladder)-1)
-		if axis == axisCores {
+		if axis == angstrom.AxisCores {
 			target = clampToUnits(ladder, target, units)
 		}
-		at := slices.Index(ladder, [3]int{pc.Cores, pc.CacheKB, pc.VF}[axis])
+		at := slices.Index(ladder, pc.Level(axis))
 		next := at + cmp.Compare(target, at)
 		if next == at {
 			continue

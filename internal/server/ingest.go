@@ -78,15 +78,13 @@ func (d *Daemon) beatTarget(name string, count int, distortion float64) (*app, e
 // ingestSpread journals and applies a validated server-spread batch:
 // count beats spread across the interval since the app's previous
 // beat, the last carrying distortion (one lock acquisition on the
-// monitor, one atomic add on the app's shard counter). Both ingestion
-// transports funnel here; only the fleet-wide beats total is left to
-// the caller, because the wire path publishes it through per-connection
+// monitor). Both ingestion transports funnel here; the fleet-wide beats
+// total is left to the caller, because the wire path publishes it through per-connection
 // deltas instead of per batch.
 func (d *Daemon) ingestSpread(a *app, count int, distortion float64) {
 	now := d.clock.Now()
 	d.journalAppend(record{Op: opBeat, T: now, Name: a.name, Count: count, Distortion: distortion})
 	a.mon.BeatBatchSpreadAt(now, count, distortion)
-	d.dir.shards[a.shard].ingested.Add(uint64(count))
 }
 
 // ingestShifted journals and applies a validated client-timestamped
@@ -102,7 +100,6 @@ func (d *Daemon) ingestShifted(a *app, ts []float64, distortion float64) {
 	d.journalAppend(record{Op: opBeatTS, T: now, Name: a.name, Timestamps: ts, Distortion: distortion})
 	shift := now - ts[len(ts)-1]
 	a.mon.BeatBatchShiftedAt(ts[:len(ts)-1], shift, now, distortion)
-	d.dir.shards[a.shard].ingested.Add(uint64(len(ts)))
 }
 
 // BeatTimestamps ingests a batch whose per-beat timestamps the client

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"angstrom/internal/angstrom"
 	"angstrom/internal/heartbeat"
 	"angstrom/internal/journal"
 )
@@ -263,43 +264,11 @@ func TestSharedChipConfigIsNotFilledInPlace(t *testing.T) {
 		if len(css) != 1 || css[0].Tiles != cores {
 			t.Fatalf("daemon with %d cores reports %+v; tile count defaults to the core pool", cores, css)
 		}
-		if top := d.cfg.Chip.ladders[axisCores][len(d.cfg.Chip.ladders[axisCores])-1]; top != cores {
+		if top := d.cfg.Chip.ladders[angstrom.AxisCores][len(d.cfg.Chip.ladders[angstrom.AxisCores])-1]; top != cores {
 			t.Fatalf("daemon with %d cores offers core options up to %d", cores, top)
 		}
 	}
 	if !reflect.DeepEqual(*shared, want) {
 		t.Fatalf("NewDaemon wrote through the caller's ChipConfig: %+v", *shared)
-	}
-}
-
-// An L2 ladder Partition.Knobs would refuse makes every enrollment fail,
-// so NewDaemon refuses it; a usable one enrolls a chip-backed app.
-func TestNewDaemonRejectsUnusableL2Ladder(t *testing.T) {
-	for _, tc := range []struct {
-		ladder []int
-		ok     bool
-	}{
-		{[]int{64, 32}, false},
-		{[]int{32, 32}, false},
-		{[]int{0, 32}, false},
-		{[]int{-8}, false},
-		{[]int{32, 64, 128}, true},
-		{[]int{1}, true},
-		{[]int{8, 16}, true},
-	} {
-		d, err := NewDaemon(Config{Cores: 16, Accel: 1, Period: time.Hour, Chip: &ChipConfig{CacheOptionsKB: tc.ladder}})
-		if !tc.ok {
-			if err == nil {
-				t.Errorf("L2 ladder %v accepted", tc.ladder)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("L2 ladder %v: %v", tc.ladder, err)
-			continue
-		}
-		if err := d.Enroll(EnrollRequest{Name: "a", MinRate: 10}); err != nil {
-			t.Errorf("L2 ladder %v: enroll: %v", tc.ladder, err)
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"angstrom/internal/actuator"
-	"angstrom/internal/angstrom"
 	"angstrom/internal/core"
 	"angstrom/internal/heartbeat"
 	"angstrom/internal/sim"
@@ -146,12 +145,11 @@ func goldenTemplates(t *testing.T) (advisorySpace, chipSpace *actuator.Space) {
 	}
 	cc := &ChipConfig{Tiles: 512}
 	cc.fill(512)
-	p, base := *cc.Params, cc.baseConfig()
-	baseM, err := angstrom.Evaluate(p, spec, base)
+	acts, err := cc.Params.Actuators(spec, cc.baseConfig(), cc.ladders, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chipSpace, err = buildChipSpace(p, spec, base, baseM, cc); err != nil {
+	if chipSpace, err = actuator.NewSpace(acts...); err != nil {
 		t.Fatal(err)
 	}
 	if n, m := len(advisorySpace.Points()), len(chipSpace.Points()); n != 20 || m != 42 {

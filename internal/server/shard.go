@@ -88,18 +88,11 @@ type dirShard struct {
 	// which readers holding the shorter header cannot see) and publishes
 	// a longer one; remove publishes a copy.
 	list atomic.Pointer[[]*app]
-	// ingested counts client-ingested beats (JSON and binary wire alike)
-	// for apps homed on this shard. Sharding the hot beat total is the
-	// other half of the delta-then-atomic-add pattern: distinct apps
-	// hash to distinct shards, so parallel writers add to distinct cache
-	// lines. The churn race test reconciles sum(shards) against per-beat
-	// ground truth.
-	ingested atomic.Uint64
 	// Pad the struct to a full 64-byte cache line (8 mutex + 16
-	// pointers + 8 counter + 32) so write-heavy churn on one shard does
-	// not false-share a line with its neighbors' read pointers
+	// pointers + 40) so write-heavy churn on one shard does not
+	// false-share a line with its neighbors' read pointers
 	// (TestDirShardFillsCacheLine holds the arithmetic to the fields).
-	_ [32]byte
+	_ [40]byte
 }
 
 // directory is the N-way sharded application index.
@@ -234,18 +227,6 @@ func (d *directory) remove(name string) (*app, bool) {
 
 // len reports the enrolled-application count.
 func (d *directory) len() int { return int(d.count.Load()) }
-
-// ingestTotals appends each shard's client-ingested beat count to buf.
-// The reads are independent atomic loads, so under concurrent ingestion
-// the slice is a near-point-in-time view; after writers flush their
-// deltas and stop, sum(ingestTotals) equals the daemon's beat total
-// exactly.
-func (d *directory) ingestTotals(buf []uint64) []uint64 {
-	for i := range d.shards {
-		buf = append(buf, d.shards[i].ingested.Load())
-	}
-	return buf
-}
 
 // snapshot appends every enrolled application to buf and returns it.
 // The result is a point-in-time view: apps withdrawn afterwards remain

@@ -164,16 +164,6 @@ func (d *Daemon) chipStatusAt(i int) ChipStatusResponse {
 	}
 }
 
-// ShardBeats reports each directory shard's client-ingested beat count
-// (JSON and binary wire alike; chip-emitted beats are not client
-// ingestion). Under concurrent ingestion each entry is an independent
-// atomic load; once writers have flushed their deltas and stopped,
-// the slice sums exactly to Stats().Beats — the reconciliation the
-// churn race test enforces against per-beat ground truth.
-func (d *Daemon) ShardBeats() []uint64 {
-	return d.dir.ingestTotals(make([]uint64, 0, len(d.dir.shards)))
-}
-
 // Stats reports daemon-wide counters.
 func (d *Daemon) Stats() StatsResponse {
 	st := StatsResponse{

@@ -117,7 +117,7 @@ func runStepCases(t *testing.T, cases []stepCase) {
 				t.Fatal(err)
 			}
 			var knobs [3]actuator.Knob
-			if knobs[axisCores], knobs[axisL2], knobs[axisDVFS], err = part.Knobs(cc.ladders[axisCores], cc.ladders[axisL2]); err != nil {
+			if knobs[angstrom.AxisCores], knobs[angstrom.AxisL2], knobs[angstrom.AxisDVFS], err = part.Knobs(cc.ladders[angstrom.AxisCores], cc.ladders[angstrom.AxisL2]); err != nil {
 				t.Fatal(err)
 			}
 			var log []string

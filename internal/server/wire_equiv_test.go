@@ -221,13 +221,6 @@ func TestWireMatchesJSONIngestion(t *testing.T) {
 		t.Fatalf("tick/decision counters diverge: json=%d/%d wire=%d/%d",
 			stJ.Ticks, stJ.Decisions, stW.Ticks, stW.Decisions)
 	}
-	var shardSum uint64
-	for _, n := range dw.ShardBeats() {
-		shardSum += n
-	}
-	if shardSum != stW.Beats {
-		t.Fatalf("wire shard counters (%d) do not reconcile with fleet total (%d)", shardSum, stW.Beats)
-	}
 
 	// Journal-replay restore: both journals replayed into fresh daemons
 	// must rebuild the exact live state — and each other's.

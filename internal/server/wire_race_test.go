@@ -13,9 +13,9 @@ import (
 // enroll/withdraw churn, goal storms, and ticks on a sharded directory,
 // with chip-backed apps in the mix so the tile ledger is under load too
 // (meaningful under -race, which make test always applies). At the end
-// every counter must reconcile exactly with per-beat ground truth:
-// the delta-batched fleet total, the per-connection flush acks, and the
-// per-shard counters all agree once the writers hit their barriers.
+// every counter must reconcile exactly with per-beat ground truth: the
+// delta-batched fleet total and the per-connection flush acks agree
+// once the writers hit their barriers.
 func TestWireChurnRace(t *testing.T) {
 	cfg := Config{
 		Cores: 256, Accel: 0.05, Period: time.Hour, Oversubscribe: true,
@@ -188,9 +188,8 @@ func TestWireChurnRace(t *testing.T) {
 
 	want := wireGround.Load() + jsonGround.Load() + churnGround.Load()
 	// A tick that runs a churned chip-backed app before its withdrawal
-	// lands emits beats into the fleet total (not into the per-shard
-	// transport counters); with the ticks stopped, each app's monitor
-	// holds exactly what it emitted.
+	// lands emits beats into the fleet total too; with the ticks
+	// stopped, each app's monitor holds exactly what it emitted.
 	var chipEmitted uint64
 	for _, a := range churnedChip {
 		chipEmitted += a.mon.Count()
@@ -198,13 +197,6 @@ func TestWireChurnRace(t *testing.T) {
 	if got := d.Stats().Beats; got != want+chipEmitted {
 		t.Fatalf("fleet beat total %d != ground truth %d (wire %d + json %d + churn %d + chip-emitted %d)",
 			got, want+chipEmitted, wireGround.Load(), jsonGround.Load(), churnGround.Load(), chipEmitted)
-	}
-	var shardSum uint64
-	for _, n := range d.ShardBeats() {
-		shardSum += n
-	}
-	if shardSum != want {
-		t.Fatalf("per-shard counters %d != ground truth %d", shardSum, want)
 	}
 	for i, st := range d.ChipStatuses() {
 		if st.LedgerFaults != 0 {

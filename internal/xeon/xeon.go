@@ -12,7 +12,6 @@ package xeon
 
 import (
 	"fmt"
-	"math"
 
 	"angstrom/internal/actuator"
 	"angstrom/internal/heartbeat"
@@ -138,16 +137,6 @@ func Evaluate(p Params, spec workload.Spec, cfg Config) (Metrics, error) {
 		PowerW:    power,
 		IPS:       ips,
 	}, nil
-}
-
-// PerfPerWatt is the §5.2 metric: min(achieved, target) per Watt beyond
-// idle.
-func (p Params) PerfPerWatt(m Metrics, target float64) float64 {
-	beyond := m.PowerW - p.IdleW
-	if beyond <= 0 {
-		return 0
-	}
-	return math.Min(m.HeartRate, target) / beyond
 }
 
 // Configs enumerates the full §5.2 action space.

@@ -109,17 +109,6 @@ func TestDutyScalesThroughputLinearly(t *testing.T) {
 	}
 }
 
-func TestPerfPerWattMetric(t *testing.T) {
-	p := DefaultParams()
-	m := Metrics{HeartRate: 100, PowerW: p.IdleW + 10}
-	if got := p.PerfPerWatt(m, 40); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("PerfPerWatt = %g, want 4 (capped at target)", got)
-	}
-	if got := p.PerfPerWatt(Metrics{HeartRate: 5, PowerW: p.IdleW}, 5); got != 0 {
-		t.Fatal("idle-only power must yield 0")
-	}
-}
-
 func TestConfigsEnumeration(t *testing.T) {
 	p := DefaultParams()
 	want := 8 * 7 * 10
