@@ -70,20 +70,25 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
-# Settable values (see the header for the rule): compare against the
-# parent commit's count.
+# Settable values (see the header for the rule): one sorted line per
+# value ("cmd/angstromd -addr", "server.Config.Cores", "Makefile GO"),
+# then the count. Compare against the parent commit's.
 KNOB_STRUCTS = internal/server/daemon.go:Config internal/server/chip.go:ChipConfig internal/core/runtime.go:Options
 knobs:
-	@flags=$$(find cmd examples -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | \
-		grep -cE 'flag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\('); \
-	vars=$$(grep -cE '^[A-Za-z_][A-Za-z0-9_]* *\?=' Makefile); \
-	fields=0; for s in $(KNOB_STRUCTS); do \
-		n=$$(awk -v t="$${s#*:}" '$$0 == "type " t " struct {" {on=1; next} on && /^}/ {on=0} \
-			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {n += split(substr($$0, RSTART, RLENGTH), f, ",")} \
-			END {print n+0}' "$${s%%:*}"); \
-		fields=$$((fields + n)); \
-	done; \
-	echo "$$((flags + vars + fields)) settable values ($$flags flags, $$vars make variables, $$fields config fields)"
+	@flags=$$(find cmd examples -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk \
+		'/flag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(/ { \
+			d = FILENAME; sub(/\/[^\/]*$$/, "", d); match($$0, /"[^"]*"/); print d " -" substr($$0, RSTART + 1, RLENGTH - 2)}'); \
+	vars=$$(sed -nE 's/^([A-Za-z_][A-Za-z0-9_]*) *\?=.*/Makefile \1/p' Makefile); \
+	fields=$$(for s in $(KNOB_STRUCTS); do \
+		f=$${s%%:*}; p=$${f%/*}; \
+		awk -v t="$${s#*:}" -v p="$${p##*/}" '$$0 == "type " t " struct {" {on=1; next} on && /^}/ {on=0} \
+			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { \
+				n = split(substr($$0, RSTART + 1, RLENGTH - 1), f, ", "); for (i = 1; i <= n; i++) print p "." t "." f[i]}' "$$f"; \
+	done); \
+	printf '%s\n' "$$flags" "$$vars" "$$fields" | grep . | LC_ALL=C sort; \
+	nf=$$(printf '%s\n' "$$flags" | grep -c .); nv=$$(printf '%s\n' "$$vars" | grep -c .); \
+	nc=$$(printf '%s\n' "$$fields" | grep -c .); \
+	echo "$$((nf + nv + nc)) settable values ($$nf flags, $$nv make variables, $$nc config fields)"
 
 # The scenario tier: every builtin torture scenario (flash crowd, goal
 # thrash, crash-restart, SLO classes, ...) must meet its oracle-regret

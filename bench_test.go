@@ -66,7 +66,7 @@ func BenchmarkFigure3(b *testing.B) {
 // projection (and the §5.3 in-text numbers).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFig4(1.15)
+		res, err := experiment.RunFig4(experiment.Fig4Options{Multiplier: 1.15})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,9 +11,9 @@
 // actuates real hardware knobs (core allocation, L2 capacity, DVFS) and
 // the partition emits the application's heartbeats as its modeled
 // execution progresses. Partitions contend for the chip's off-chip
-// bandwidth and mesh (-chip-mem-bw, -chip-noc-bw); the contention model
-// degrades every partition's effective throughput when the fleet
-// saturates either resource.
+// bandwidth (-chip-mem-bw) and its mesh (the model's link bandwidth);
+// the contention model degrades every partition's effective throughput
+// when the fleet saturates either resource.
 //
 //	angstromd -chips 1 -chip-tiles 256 -oversubscribe -chip-power 40 -chip-mem-bw 200
 //
@@ -80,7 +80,6 @@ func main() {
 	cores := flag.Int("cores", 4096, "shared core pool arbitrated across applications")
 	period := flag.Duration("period", 100*time.Millisecond, "decision period of the ODA loop")
 	accel := flag.Float64("accel", 0, "simulated seconds per tick (0 = serve in real time)")
-	window := flag.Int("window", 0, "default heartbeat window in beats (0 = library default)")
 	oversub := flag.Bool("oversubscribe", false, "admit fleets larger than the core pool (time-sharing)")
 	shards := flag.Int("shards", 0, "app-directory shard count, rounded to a power of two (0 = scaled from GOMAXPROCS)")
 	tickWorkers := flag.Int("tick-workers", 0, "tick worker-pool size for the per-shard phases (0 = GOMAXPROCS)")
@@ -88,7 +87,6 @@ func main() {
 	chipTiles := flag.Int("chip-tiles", 0, "physical tiles of each die (0 = core pool size)")
 	chipPower := flag.Float64("chip-power", 0, "chip-wide power budget in watts (0 = unlimited)")
 	chipMemBW := flag.Float64("chip-mem-bw", 0, "off-chip memory bandwidth in GB/s shared by all partitions (0 = model default)")
-	chipNoCBW := flag.Float64("chip-noc-bw", 0, "mesh link bandwidth in flits/cycle for the contention model (0 = model default)")
 	migrateSlowdown := flag.Float64("migrate-slowdown", 0, "contention slowdown below which an app migrates between dies (0 = 0.8 default, negative = never)")
 	dataDir := flag.String("data-dir", "", "journal + snapshot directory for a durable control plane (empty = volatile)")
 	snapEvery := flag.Duration("snapshot-interval", 0, "snapshot compaction interval (0 = 30s default, negative = journal-only)")
@@ -100,7 +98,6 @@ func main() {
 		Cores:         *cores,
 		Period:        *period,
 		Accel:         *accel,
-		Window:        *window,
 		Oversubscribe: *oversub,
 		Shards:        *shards,
 		TickWorkers:   *tickWorkers,
@@ -112,9 +109,6 @@ func main() {
 		params := angstrom.DefaultParams()
 		if *chipMemBW > 0 {
 			params.MemBandwidthBps = *chipMemBW * 1e9
-		}
-		if *chipNoCBW > 0 {
-			params.NoCFlitBW = *chipNoCBW
 		}
 		cc := &server.ChipConfig{
 			Chips:           *chips,

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	figures            # all figures (fig3's measured multiplier feeds fig4)
+//	figures            # all figures (fig3's measured multiplier feeds fig4;
+//	                   # -fig 4 alone uses the paper's 1.15)
 //	figures -fig 2     # one figure
 //	figures -duration 240 -seed 7
 //	figures -workers 1 # serial reference (same results, slower)
@@ -29,7 +30,6 @@ func main() {
 	duration := flag.Float64("duration", 120, "measured seconds per Figure-3 run")
 	seed := flag.Uint64("seed", 2012, "workload noise seed")
 	accesses := flag.Int("accesses", 60000, "trace length per Figure-2 configuration")
-	multiplier := flag.Float64("multiplier", 0, "SEEC/static multiplier for Figure 4 (0 = measure via Figure 3, or 1.15 with -fig 4)")
 	workers := flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
@@ -40,20 +40,20 @@ func main() {
 		}
 		fmt.Println(f2)
 	}
-	mult := *multiplier
+	// Figure 4 scales the static oracle by Figure 3's measured
+	// SEEC/static ratio; run alone it takes the paper's 1.15.
+	var mult float64
 	if *fig == 0 || *fig == 3 {
 		f3, err := experiment.RunFig3(experiment.Fig3Options{DurationS: *duration, Seed: *seed, Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(f3)
-		if mult == 0 {
-			mult = f3.SEECOverStatic
-			fmt.Printf("(Figure 4 will use the measured SEEC/static multiplier %.3f)\n\n", mult)
-		}
+		mult = f3.SEECOverStatic
+		fmt.Printf("(Figure 4 will use the measured SEEC/static multiplier %.3f)\n\n", mult)
 	}
 	if *fig == 0 || *fig == 4 {
-		f4, err := experiment.RunFig4Opts(experiment.Fig4Options{Multiplier: mult, Workers: *workers})
+		f4, err := experiment.RunFig4(experiment.Fig4Options{Multiplier: mult, Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,8 +5,14 @@
 // and reads back the decisions the ODA loop makes for it while the
 // manager water-fills the shared core pool.
 //
-// By default it spawns a daemon in-process on a loopback port; point
-// -addr at a running angstromd to load a real deployment.
+// By default it spawns a daemon in-process on a loopback port: a 4,096
+// core pool, oversubscribed, every other setting the daemon's default.
+// To load a daemon configured otherwise (core pool, period, shards,
+// -data-dir, ...), start angstromd with those flags and point -addr at
+// it (plus -wire-addr at its -beat-listen address with -wire):
+//
+//	angstromd -addr :8090 -beat-listen :8091 -cores 1024 -data-dir /var/lib/angstromd &
+//	go run ./examples/loadgen -addr http://127.0.0.1:8090 -wire -wire-addr 127.0.0.1:8091
 //
 // At fleet scale the daemon shards its app directory and re-prices
 // only what changed each tick, so one process sustains 10,000
@@ -15,16 +21,17 @@
 //	go run ./examples/loadgen -apps 10000 -rate 5 -batch 25 -duration 30s
 //
 // With -wire, beats travel over the binary beat wire protocol instead
-// of HTTP/JSON: streams share a small pool of persistent connections
-// (-wire-conns, default GOMAXPROCS), each app handshakes a conn-local
-// handle, and batches go out as unacknowledged CRC-framed wire frames
-// with periodic flush barriers. Enrollment and decision reads stay on
-// the JSON API. This is the path for beat rates that outrun JSON:
+// of HTTP/JSON: streams share a pool of GOMAXPROCS persistent
+// connections, each app handshakes a conn-local handle, and batches go
+// out as unacknowledged CRC-framed wire frames with periodic flush
+// barriers. Enrollment and decision reads stay on the JSON API. This is
+// the path for beat rates that outrun JSON:
 //
 //	go run ./examples/loadgen -apps 1000 -rate 1000 -batch 100 -wire
 //
-// Requests retry with capped exponential backoff + jitter, so the
-// fleet rides through a daemon restart instead of counting errors.
+// Requests retry up to five times with capped exponential backoff +
+// jitter, so the fleet rides through a daemon restart instead of
+// counting errors.
 // Loadgen drives load and reports throughput and convergence; request
 // latency is measured with spread and bounds by the benchmark/ harness.
 //
@@ -51,6 +58,9 @@ import (
 
 var workloads = []string{"barnes", "ocean", "raytrace", "water", "volrend"}
 
+// maxRetries bounds the retries of one request on transient errors.
+const maxRetries = 5
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "", "daemon base URL (empty: spawn one in-process)")
@@ -58,15 +68,8 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "load duration")
 	rate := flag.Float64("rate", 20, "beats/s each application targets")
 	batch := flag.Int("batch", 10, "beats per POST")
-	cores := flag.Int("cores", 4096, "core pool of the spawned daemon")
-	period := flag.Duration("period", 100*time.Millisecond, "decision period of the spawned daemon")
-	oversub := flag.Bool("oversubscribe", true, "admit fleets larger than the core pool (time-sharing)")
-	shards := flag.Int("shards", 0, "directory shards of the spawned daemon (0 = auto)")
-	retries := flag.Int("retries", 5, "max retries per request on transient errors (backoff + jitter)")
-	dataDir := flag.String("data-dir", "", "data directory of the spawned daemon (empty = volatile)")
 	wire := flag.Bool("wire", false, "stream beats over the binary wire protocol (enrollment stays JSON)")
 	wireAddr := flag.String("wire-addr", "", "wire listener address (spawned daemon: auto; required with -addr and -wire)")
-	wireConns := flag.Int("wire-conns", 0, "wire connections shared by the fleet (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *wire && *addr != "" && *wireAddr == "" {
@@ -76,14 +79,7 @@ func main() {
 	base := *addr
 	wireTarget := *wireAddr
 	if base == "" {
-		cfg := server.Config{
-			Cores:         *cores,
-			Period:        *period,
-			Oversubscribe: *oversub,
-			Shards:        *shards,
-			DataDir:       *dataDir,
-		}
-		d, err := server.NewDaemon(cfg)
+		d, err := server.NewDaemon(server.Config{Cores: 4096, Oversubscribe: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,7 +97,7 @@ func main() {
 		}()
 		defer srv.Close()
 		base = "http://" + ln.Addr().String()
-		log.Printf("spawned angstromd on %s (cores=%d period=%s data-dir=%q)", base, *cores, *period, *dataDir)
+		log.Printf("spawned angstromd on %s (cores=4096, oversubscribed)", base)
 
 		if *wire {
 			wln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -132,11 +128,7 @@ func main() {
 	// each app handshakes its own handle on its assigned connection.
 	var wcs []*server.WireClient
 	if *wire {
-		nc := *wireConns
-		if nc <= 0 {
-			nc = runtime.GOMAXPROCS(0)
-		}
-		wcs = make([]*server.WireClient, nc)
+		wcs = make([]*server.WireClient, runtime.GOMAXPROCS(0))
 		for i := range wcs {
 			wc, err := server.DialWire(wireTarget)
 			if err != nil {
@@ -145,7 +137,7 @@ func main() {
 			defer wc.Close()
 			wcs[i] = wc
 		}
-		log.Printf("dialed %d wire connections", nc)
+		log.Printf("dialed %d wire connections", len(wcs))
 	}
 
 	// ingested mirrors the daemon's own counter discipline: workers
@@ -182,7 +174,7 @@ func main() {
 					return err
 				}
 			}
-			if attempt >= *retries {
+			if attempt >= maxRetries {
 				return err
 			}
 			retried.Add(1)

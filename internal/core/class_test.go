@@ -43,7 +43,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		name string
 		set  func(o *Options, v float64)
 	}{
-		{"Pole", func(o *Options, v float64) { o.Pole = v }},
 		{"KalmanQ", func(o *Options, v float64) { o.KalmanQ = v }},
 		{"KalmanR", func(o *Options, v float64) { o.KalmanR = v }},
 	}
@@ -68,10 +67,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 				}
 			})
 		}
-	}
-	clock := sim.NewClock(0)
-	if _, err := New("x", clock, heartbeat.New(clock), space, Options{Pole: 1}); err == nil {
-		t.Fatal("pole 1 accepted")
 	}
 }
 

@@ -42,9 +42,6 @@ type Prior struct {
 // Options tune the runtime. The zero value of each field selects the
 // documented default.
 type Options struct {
-	// Pole of the classical controller in [0, 1). Default 0.4: fast but
-	// robust to the Kalman estimate lagging a phase change.
-	Pole float64
 	// KalmanQ and KalmanR are the process/measurement noise covariances
 	// of the base-speed filter. Defaults 0.05 and 1.
 	KalmanQ, KalmanR float64
@@ -53,14 +50,15 @@ type Options struct {
 	Priors []Prior
 }
 
+// pole is the classical controller's pole: fast, but robust to the
+// Kalman estimate lagging a phase change.
+const pole = 0.4
+
 // priorRounds is how many decisions blend the prior models before the
 // runtime trusts the Kalman filter alone.
 const priorRounds = 8
 
 func (o *Options) fill() {
-	if o.Pole == 0 {
-		o.Pole = 0.4
-	}
 	if o.KalmanQ == 0 {
 		o.KalmanQ = 0.05
 	}
@@ -69,13 +67,10 @@ func (o *Options) fill() {
 	}
 }
 
-// validate rejects what fill leaves unusable: a pole outside [0, 1), and
-// noise covariances that are not finite and positive. Each test is
-// written so that NaN, which fails every ordered comparison, fails it.
+// validate rejects what fill leaves unusable: noise covariances that are
+// not finite and positive. Each test is written so that NaN, which fails
+// every ordered comparison, fails it.
 func (o *Options) validate() error {
-	if !(o.Pole >= 0 && o.Pole < 1) {
-		return fmt.Errorf("core: pole %g outside [0, 1)", o.Pole)
-	}
 	if !(o.KalmanQ > 0 && o.KalmanQ <= math.MaxFloat64) || !(o.KalmanR > 0 && o.KalmanR <= math.MaxFloat64) {
 		return fmt.Errorf("core: Kalman covariances q=%g, r=%g must be finite and positive", o.KalmanQ, o.KalmanR)
 	}
@@ -245,7 +240,7 @@ func (cl *Class) New(app string, clock sim.Nower, mon *heartbeat.Monitor, opts O
 		opts:   opts,
 		points: cl.points,
 		kf:     control.NewKalman(opts.KalmanQ, opts.KalmanR),
-		ctl:    control.NewIntegral(opts.Pole, cl.minS, cl.maxS),
+		ctl:    control.NewIntegral(pole, cl.minS, cl.maxS),
 		tr:     cl.tr.Shared(),
 		corr:   corrector{offsets: cl.offsets, nfeat: cl.nfeat},
 	}

@@ -108,15 +108,6 @@ func TestRuntimeRejectsNilInputs(t *testing.T) {
 	}
 }
 
-func TestRuntimeRejectsBadPole(t *testing.T) {
-	clock := sim.NewClock(0)
-	mon := heartbeat.New(clock)
-	space := twoKnobSpace(t)
-	if _, err := New("x", clock, mon, space, Options{Pole: -0.5}); err == nil {
-		t.Fatal("negative pole accepted")
-	}
-}
-
 func TestRuntimeConvergesToGoal(t *testing.T) {
 	p, rt := newHarness(t, func(sim.Time) float64 { return 10 })
 	p.mon.SetPerformanceGoal(28, 32) // target 30, needs speedup 3

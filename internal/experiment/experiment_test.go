@@ -68,7 +68,7 @@ func TestFig3StringRenders(t *testing.T) {
 }
 
 func TestFig4MatchesPaperShape(t *testing.T) {
-	res, err := RunFig4(1.15)
+	res, err := RunFig4(Fig4Options{Multiplier: 1.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFig4MatchesPaperShape(t *testing.T) {
 }
 
 func TestFig4MultiplierDefault(t *testing.T) {
-	res, err := RunFig4(0)
+	res, err := RunFig4(Fig4Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,6 @@ func runSEEC(p xeon.Params, spec workload.Spec, target float64, seed uint64, opt
 		return 0, err
 	}
 	ropts := core.Options{
-		Pole:    0.4,
 		KalmanQ: (0.03 * target) * (0.03 * target),
 		KalmanR: (0.02 * target) * (0.02 * target),
 	}

@@ -59,14 +59,8 @@ type Fig4Options struct {
 	Workers int
 }
 
-// RunFig4 regenerates Figure 4. multiplier is the measured SEEC/static
-// ratio from Figure 3 (pass 0 to use the paper's 1.15).
-func RunFig4(multiplier float64) (Fig4Result, error) {
-	return RunFig4Opts(Fig4Options{Multiplier: multiplier})
-}
-
-// RunFig4Opts is RunFig4 with sweep control.
-func RunFig4Opts(opts Fig4Options) (Fig4Result, error) {
+// RunFig4 regenerates Figure 4.
+func RunFig4(opts Fig4Options) (Fig4Result, error) {
 	multiplier := opts.Multiplier
 	if multiplier <= 0 {
 		multiplier = 1.15

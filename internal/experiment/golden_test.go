@@ -68,7 +68,7 @@ func TestGoldenFigures(t *testing.T) {
 	}
 	checkGolden(t, "fig2.golden", f2.String())
 	checkGolden(t, "fig3.golden", fig3Quick(t).String())
-	f4, err := RunFig4(1.15)
+	f4, err := RunFig4(Fig4Options{Multiplier: 1.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,6 @@ func TestGoldenChipRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := core.New("barnes", clock, mon, space, core.Options{
-		Pole:    0.4,
 		KalmanQ: (0.03 * target) * (0.03 * target),
 		KalmanR: (0.02 * target) * (0.02 * target),
 	})
@@ -190,7 +189,6 @@ func TestGoldenXeonRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := core.New(spec.Name, clock, mon, space, core.Options{
-		Pole:    0.4,
 		KalmanQ: (0.03 * target) * (0.03 * target),
 		KalmanR: (0.02 * target) * (0.02 * target),
 	})

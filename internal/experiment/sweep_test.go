@@ -136,11 +136,11 @@ func TestFig2ParallelMatchesSerial(t *testing.T) {
 // TestFig4ParallelMatchesSerial covers the analytic sweep the same way
 // (cheap enough to run unconditionally).
 func TestFig4ParallelMatchesSerial(t *testing.T) {
-	serial, err := RunFig4Opts(Fig4Options{Multiplier: 1.15, Workers: 1})
+	serial, err := RunFig4(Fig4Options{Multiplier: 1.15, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFig4Opts(Fig4Options{Multiplier: 1.15, Workers: 6})
+	parallel, err := RunFig4(Fig4Options{Multiplier: 1.15, Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,15 @@
 // Concurrency model: the application directory is sharded (shard.go) —
 // beat ingestion and status lookups resolve an app with one lock-free
 // atomic load, enroll/withdraw update one shard under its own mutex,
-// and the tick fans its per-application phases across a worker pool one
-// shard at a time. The Daemon's own mutex guards only the control plane
-// (the single-threaded Manager and chip admission); per-app decision
-// state is guarded by the app's mutex; each app's core.Runtime is
-// touched by exactly one tick worker per tick (ticks never overlap).
+// and the tick fans its decide phase across a worker pool one shard at a
+// time (the chip act phase walks the shards serially: knob moves share
+// each die's tile ledger). The Daemon's own mutex guards only the
+// control plane (the single-threaded Manager and chip admission);
+// per-app decision state is guarded by the app's mutex; each app's
+// core.Runtime is touched by exactly one tick worker per tick (ticks
+// never overlap).
 // The sharded tick is byte-identical to the serial pass: allocations
-// come from one deterministic Manager.Step, and every per-app phase is
+// come from one deterministic Manager.Step, and every decision is
 // independent across apps (enforced by the invariant tests).
 package server
 
@@ -75,9 +77,6 @@ type Config struct {
 	// simulated clock that advances Accel seconds per tick. Zero (the
 	// default) serves in real time.
 	Accel float64
-	// Window is the default heartbeat averaging window in beats when an
-	// enrollment does not specify one (default heartbeat.DefaultWindow).
-	Window int
 	// Oversubscribe admits fleets larger than the core pool: surplus
 	// applications time-share units (fractional Allocation.Share)
 	// instead of being refused at enrollment.
@@ -87,8 +86,8 @@ type Config struct {
 	// tick worker reproduces the serial daemon exactly.
 	Shards int
 	// TickWorkers is the tick's worker-pool size for the per-shard
-	// advance and decide phases (default GOMAXPROCS). Allocations are
-	// byte-identical for any worker count.
+	// decide phase (default GOMAXPROCS). Allocations, and a chip fleet's
+	// knob moves, are byte-identical for any worker count.
 	TickWorkers int
 	// Chip, when non-nil, turns on chip-backed serving: every enrolled
 	// application is bound to a partition of a shared angstrom chip —
@@ -126,7 +125,6 @@ type Config struct {
 func (c *Config) fill() {
 	c.Cores = cmp.Or(c.Cores, 1024)
 	c.Period = cmp.Or(c.Period, 100*time.Millisecond)
-	c.Window = cmp.Or(c.Window, heartbeat.DefaultWindow)
 	c.Shards = cmp.Or(c.Shards, defaultShardCount())
 	c.TickWorkers = cmp.Or(c.TickWorkers, runtime.GOMAXPROCS(0))
 	if c.Chip != nil {
@@ -150,15 +148,12 @@ type app struct {
 	// 1); persisted by snapshots so a restore re-weights the manager.
 	prio  float64
 	mgrID int // the Manager's stable handle; indexes the tick's alloc table
-	// hash is the name's directory hash and shard the directory shard
-	// it selects, both stamped by insert: lookups compare hashes before
-	// names, and the ingestion path bumps the shard beat counter without
-	// rehashing the name per batch.
-	hash  uint64
-	shard int
-	spec  workload.Spec
-	mon   *heartbeat.Monitor
-	rt    *core.Runtime // stepped only by the owning tick worker
+	// hash is the name's directory hash, stamped by insert: lookups
+	// compare hashes before names.
+	hash uint64
+	spec workload.Spec
+	mon  *heartbeat.Monitor
+	rt   *core.Runtime // stepped only by the owning tick worker
 
 	// goalEpoch counts SetGoal calls; the tick's quiescence check uses
 	// it to re-decide after a goal change without re-reading the goal.
@@ -176,7 +171,7 @@ type app struct {
 	// rewritten by a migration — between ticks, under d.mu and a.mu;
 	// status readers read it under a.mu); knobs are part's three knobs
 	// by axis, wrapped by ChipConfig.KnobWrap when it is set (rebound
-	// with part; stepped by tick workers only); units mirrors the
+	// with part; stepped by the act phase only); units mirrors the
 	// manager's latest unit grant for the core-knob clamp; pending is
 	// the previous decision's schedule, executed by the next tick;
 	// settle is the schedule's duration-weighted configuration the knobs
@@ -326,9 +321,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("server: %d cores", cfg.Cores)
 	}
-	if err := validWindow(cfg.Window); err != nil {
-		return nil, err
-	}
 	if cfg.Shards < 1 || cfg.Shards > 1<<16 {
 		return nil, fmt.Errorf("server: shard count %d outside [1, 65536]", cfg.Shards)
 	}
@@ -344,7 +336,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		done:    make(chan struct{}),
 	}
 	d.tick.snapBuf = make([][]*app, len(d.dir.shards))
-	d.tick.chipBuf = make([][]*app, len(d.dir.shards))
 	if cfg.Accel > 0 {
 		d.simClock = NewAtomicClock(0)
 		d.clock = d.simClock

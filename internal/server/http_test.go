@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"angstrom/internal/heartbeat"
 )
 
 func testServer(t *testing.T) (*Daemon, *httptest.Server) {
@@ -163,8 +165,8 @@ func TestHTTPRejectsBadJSON(t *testing.T) {
 }
 
 // One request cannot ask for an unbounded monitor ring: a window above
-// MaxWindow is a 400 at every door it could come in by (the API, the
-// daemon's own default, a snapshot entry), and nothing is enrolled.
+// MaxWindow is a 400 at every door it could come in by (the API, a
+// snapshot entry), and nothing is enrolled.
 func TestWindowIsBounded(t *testing.T) {
 	d, ts := testServer(t)
 	resp, err := http.Post(ts.URL+"/v1/apps", "application/json",
@@ -180,14 +182,24 @@ func TestWindowIsBounded(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/apps/hog", nil, http.StatusNotFound, nil)
 	doJSON(t, "POST", ts.URL+"/v1/apps", EnrollRequest{Name: "wide", Window: MaxWindow, MinRate: 10}, http.StatusCreated, nil)
 
-	if _, err := NewDaemon(Config{Cores: 4, Window: MaxWindow + 1}); err == nil {
-		t.Fatal("NewDaemon accepted a default window above MaxWindow")
-	}
 	if err := d.restoreApp(snapApp{Name: "snap", Workload: "barnes", Window: MaxWindow + 1, MinRate: 10}); err == nil {
 		t.Fatal("restoreApp accepted a window above MaxWindow")
 	}
 	if got := d.Stats().Apps; got != 1 {
 		t.Fatalf("%d apps enrolled, want 1", got)
+	}
+}
+
+// An enrollment that names no window gets heartbeat.DefaultWindow, and
+// the snapshot persists that window, not the zero the request carried.
+func TestEnrollDefaultWindow(t *testing.T) {
+	d, ts := testServer(t)
+	doJSON(t, "POST", ts.URL+"/v1/apps", EnrollRequest{Name: "plain", MinRate: 10}, http.StatusCreated, nil)
+	d.mu.Lock()
+	img := d.buildImage(1)
+	d.mu.Unlock()
+	if len(img.Apps) != 1 || img.Apps[0].Window != heartbeat.DefaultWindow {
+		t.Fatalf("snapshot apps %+v, want one with window %d", img.Apps, heartbeat.DefaultWindow)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -152,10 +153,7 @@ func (d *Daemon) Enroll(req EnrollRequest) error {
 	if err != nil {
 		return err
 	}
-	window := req.Window
-	if window == 0 {
-		window = d.cfg.Window
-	}
+	window := cmp.Or(req.Window, heartbeat.DefaultWindow)
 	if err := validWindow(window); err != nil {
 		return err
 	}

@@ -159,16 +159,14 @@ func (d *directory) get(name string) (*app, bool) {
 }
 
 // insert adds an application, reporting false on a duplicate name. It
-// stamps the app's hash and shard index, so the ingestion path can bump
-// the shard's beat counter without rehashing the name per batch.
+// stamps the app's hash, which lookups compare before names.
 // Directory membership is journaled state: only persist.go writers
 // (enroll live or replayed) may call it.
 //
 //angstrom:journaled mutator
 func (d *directory) insert(name string, a *app) bool {
 	a.hash = hashName(name)
-	a.shard = int(a.hash & d.mask)
-	s := &d.shards[a.shard]
+	s := &d.shards[a.hash&d.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.table.Load()

@@ -100,7 +100,7 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 			}
 			if !dup {
 				ref[name] = a
-				order[a.shard] = append(order[a.shard], a)
+				order[d.shardOf(a)] = append(order[d.shardOf(a)], a)
 			}
 		case op < 10:
 			want, present := ref[name]
@@ -110,10 +110,10 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 			}
 			if present {
 				delete(ref, name)
-				sh := order[want.shard]
+				sh := order[d.shardOf(want)]
 				for i, a := range sh {
 					if a == want {
-						order[want.shard] = append(sh[:i:i], sh[i+1:]...)
+						order[d.shardOf(want)] = append(sh[:i:i], sh[i+1:]...)
 					}
 				}
 			}
@@ -199,7 +199,7 @@ func TestDirectoryReadersDuringChurn(t *testing.T) {
 				sh := rng.Intn(len(d.shards))
 				seen := 0
 				for _, a := range d.shardList(sh) {
-					if a == nil || a.shard != sh {
+					if a == nil || d.shardOf(a) != sh {
 						t.Errorf("shard %d lists a hole or a stranger: %+v", sh, a)
 						return
 					}
@@ -207,7 +207,7 @@ func TestDirectoryReadersDuringChurn(t *testing.T) {
 						seen++
 					}
 				}
-				if want := residentsOn(resident, sh); seen != want {
+				if want := residentsOn(d, resident, sh); seen != want {
 					t.Errorf("shard %d lists %d residents, want %d", sh, seen, want)
 					return
 				}
@@ -240,10 +240,13 @@ func TestDirectoryReadersDuringChurn(t *testing.T) {
 	rwg.Wait()
 }
 
-func residentsOn(resident []*app, shard int) int {
+// shardOf is the shard insert placed a in.
+func (d *directory) shardOf(a *app) int { return int(a.hash & d.mask) }
+
+func residentsOn(d *directory, resident []*app, shard int) int {
 	n := 0
 	for _, a := range resident {
-		if a.shard == shard {
+		if d.shardOf(a) == shard {
 			n++
 		}
 	}
@@ -338,7 +341,7 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 					}
 					for i := range d.dir.shards {
 						for _, a := range d.dir.shardList(i) {
-							if a == nil || a.shard != i {
+							if a == nil || d.dir.shardOf(a) != i {
 								t.Errorf("shard %d lists a hole or a stranger: %+v", i, a)
 								return
 							}

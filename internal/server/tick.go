@@ -13,12 +13,12 @@ import (
 // the accelerated clock (if any), execute chip-backed apps over the
 // elapsed interval (emitting their heartbeats), arbitrate shared cores,
 // then step each app's SEEC runtime and queue its schedule for the next
-// interval. The per-application phases fan out across the tick worker
-// pool shard by shard; quiescent apps (no new beats, unchanged
-// allocation and goal, last step clean) keep their previous decision
-// without re-running the decision engine. Start runs this on a timer;
-// accelerated drivers and benchmarks may call it directly instead
-// (never concurrently with Start).
+// interval. The decide phase fans out across the tick worker pool shard
+// by shard; quiescent apps (no new beats, unchanged allocation and goal,
+// last step clean) keep their previous decision without re-running the
+// decision engine. Start runs this on a timer; accelerated drivers and
+// benchmarks may call it directly instead (never concurrently with
+// Start).
 func (d *Daemon) Tick() {
 	if d.simClock != nil {
 		d.simClock.Advance(d.cfg.Accel)
@@ -47,7 +47,6 @@ type tick struct {
 	// snapBuf holds the tick's per-shard snapshots: immutable slice
 	// headers published by the directory, valid for the whole tick.
 	snapBuf [][]*app
-	chipBuf [][]*app // reused per-shard chip-app scratch
 	// chipApps is the tick's name-sorted chip-backed fleet. chipSeq is
 	// the same fleet in the shard order the act phase gathered it in,
 	// last tick's kept in chipSeqPrev: while the two agree, pointer for
@@ -107,9 +106,10 @@ func (d *Daemon) snapshotShards() {
 
 // actObserve runs every chip partition up to now under the previous
 // decision's schedule, so the heartbeats the manager and controllers
-// are about to read reflect this interval's execution. Fanned per
-// shard; partitions advance independently. The chip apps it ran become
-// the tick's chipApps.
+// are about to read reflect this interval's execution. Serial, in shard
+// order: knob moves land in their die's shared tile ledger, so one order
+// keeps a chip fleet byte-identical at any TickWorkers. The chip apps it
+// ran become the tick's chipApps.
 //
 //angstrom:deterministic
 func (d *Daemon) actObserve(now sim.Time) {
@@ -117,20 +117,15 @@ func (d *Daemon) actObserve(now sim.Time) {
 		return
 	}
 	t := &d.tick
-	d.dir.forEachShard(d.cfg.TickWorkers, func(i int) {
-		chips := t.chipBuf[i][:0]
-		for _, a := range t.snapBuf[i] {
+	seq := t.chipSeqPrev[:0]
+	for _, shard := range t.snapBuf {
+		for _, a := range shard {
 			if a.partition() == nil || a.retired.Load() {
 				continue // advisory, or withdrawn since the snapshot (partition released)
 			}
-			chips = append(chips, a)
+			seq = append(seq, a)
 			d.runChipInterval(a, now)
 		}
-		t.chipBuf[i] = chips
-	})
-	seq := t.chipSeqPrev[:0]
-	for i := range t.chipBuf {
-		seq = append(seq, t.chipBuf[i]...)
 	}
 	t.chipSeq, t.chipSeqPrev = seq, t.chipSeq
 	// Name order, not shard order: the later share-apply and power-cap
