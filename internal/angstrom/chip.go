@@ -75,6 +75,10 @@ var axes = [...]struct {
 	}},
 }
 
+// Label is the label of axis's rung at value v: what the axis's
+// actuator names that setting.
+func (p *Params) Label(axis, v int) string { return axes[axis].label(p, v) }
+
 // field is the Config field that axis indexes.
 func (c *Config) field(axis int) *int { return [...]*int{&c.Cores, &c.CacheKB, &c.VF}[axis] }
 

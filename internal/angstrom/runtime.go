@@ -218,7 +218,7 @@ func (p Params) Actuators(spec workload.Spec, base Config, ladders [3][]int, app
 			set = func(level int) error { return apply(axis, ladders[axis][level]) }
 		}
 		acts[axis], err = actuator.Sweep(ax.name, ladders[axis], base.Level(axis), ax.delay, actuator.GlobalScope,
-			func(v int) string { return ax.label(&p, v) },
+			func(v int) string { return p.Label(axis, v) },
 			func(v int) (actuator.Effect, error) {
 				m, merr := Evaluate(p, spec, base.With(axis, v))
 				if merr != nil {

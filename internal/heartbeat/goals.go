@@ -31,6 +31,11 @@ func (g PerformanceGoal) Target() float64 {
 	return g.MinRate
 }
 
+// Met reports whether a windowed heart rate lies inside the band.
+func (g PerformanceGoal) Met(rate float64) bool {
+	return rate >= g.MinRate && (g.MaxRate <= 0 || rate <= g.MaxRate)
+}
+
 // LatencyGoal asks for at most Target seconds between a beat tagged
 // StartTag and the following beat tagged EndTag.
 type LatencyGoal struct {
@@ -174,8 +179,7 @@ func (m *Monitor) Check() Status {
 	var s Status
 	if g := goals.Performance; g != nil {
 		s.PerformanceSet = true
-		s.PerformanceMet = obs.WindowRate >= g.MinRate &&
-			(g.MaxRate <= 0 || obs.WindowRate <= g.MaxRate)
+		s.PerformanceMet = g.Met(obs.WindowRate)
 	}
 	if g := goals.Latency; g != nil {
 		s.LatencySet = true

@@ -12,6 +12,17 @@
 //     Set*Goal functions;
 //   - the *observer* side: Observe and Goals, used by runtime deciders.
 //
+// A Monitor keeps its window of recent beats as columns, and stores only
+// what a beat carries. Every beat has a time: that column always exists,
+// 8 bytes a slot. A cumulative energy reading is taken only when an
+// EnergyMeter is attached, so only then is there an energy column. The
+// distortion and tag columns are allocated by the first beat that
+// carries a non-zero bit pattern (so -0 and NaN are stored); before that
+// every retained value is +0. A Record's Seq, Latency and Rate are not
+// stored at all: they are derived from the beat count and adjacent
+// times when read, by the same subtraction and division that stamped
+// them when they were stored.
+//
 // Observe runs once per application per decision period, so it costs
 // O(1) whenever it can: the window's endpoints give the rates, and the
 // monitor remembers the sequence number of the newest beat that
@@ -26,12 +37,16 @@ package heartbeat
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"angstrom/internal/sim"
 )
 
-// Record is one emitted heartbeat.
+// Record is one emitted heartbeat, as Window reports it. A Monitor
+// stores Time always, EnergyJ when a meter is attached, and Distortion
+// and Tag once some beat has carried a non-zero one; Seq, Latency and
+// Rate are derived when the record is read.
 type Record struct {
 	Seq        uint64   // sequence number, starting at 1
 	Tag        uint64   // application tag (0 if untagged)
@@ -50,7 +65,7 @@ type EnergyMeter interface {
 }
 
 // Monitor is the per-application heartbeat buffer. One Monitor exists per
-// instrumented application; it holds a ring of recent Records plus the
+// instrumented application; it holds a ring of recent beats plus the
 // application's declared goals.
 //
 // Monitor is safe for concurrent use: the application beats from its own
@@ -60,9 +75,20 @@ type Monitor struct {
 	clock  sim.Nower
 	meter  EnergyMeter // optional
 	window int
-	ring   []Record // circular buffer of the last `window` beats
-	start  int      // ring index of the oldest retained record
-	size   int      // retained records (<= window)
+	// The ring is a set of columns of `window` slots indexed alike; slot
+	// (start+i)%window holds the i-th oldest retained beat.
+	times  []sim.Time // every beat's time
+	energy []float64  // meter readings; nil without a meter
+	// Bit patterns of each beat's distortion and its tag; each is nil
+	// until the first beat with a non-zero one (see column), and every
+	// retained value is zero while it is.
+	distortion, tags []uint64
+	// before is the time of the beat just before the oldest retained one
+	// (meaningful once a beat has been evicted): the oldest record's
+	// Latency is derived from it.
+	before sim.Time
+	start  int // ring index of the oldest retained beat
+	size   int // retained beats (<= window)
 	// lastReport is the Seq of the newest beat with Distortion != 0 (a
 	// NaN counts, -0 does not; 0 before any). Once that beat has left the
 	// window every retained distortion is zero, their sum is exactly +0,
@@ -101,7 +127,10 @@ func New(clock sim.Nower, opts ...Option) *Monitor {
 	if m.window < 2 {
 		panic(fmt.Sprintf("heartbeat: window %d too small (need >= 2)", m.window))
 	}
-	m.ring = make([]Record, m.window)
+	m.times = make([]sim.Time, m.window)
+	if m.meter != nil {
+		m.energy = make([]float64, m.window)
+	}
 	return m
 }
 
@@ -167,7 +196,7 @@ func (m *Monitor) BeatBatchSpreadAt(now sim.Time, count int, distortion float64)
 	defer m.mu.Unlock()
 	var last sim.Time
 	if m.count > 0 {
-		last = m.last().Time
+		last = m.timeAt(m.size - 1)
 	}
 	if count == 1 || last <= 0 || now <= last {
 		for i := 0; i < count-1; i++ {
@@ -199,61 +228,102 @@ func (m *Monitor) BeatBatchShiftedAt(ts []sim.Time, shift, now sim.Time, distort
 	m.emitLocked(now, 0, distortion)
 }
 
-// emitLocked inserts one record; caller holds m.mu.
+// emitLocked inserts one beat; caller holds m.mu. An O(1) circular
+// insert: once the window is full the oldest slot is overwritten, its
+// time kept in before.
 //
 //angstrom:hotpath
 func (m *Monitor) emitLocked(now sim.Time, tag uint64, distortion float64) {
-	if m.count > 0 {
-		if last := m.last().Time; now < last {
-			now = last
-		}
-	}
-	rec := Record{
-		Seq:        m.count + 1,
-		Tag:        tag,
-		Time:       now,
-		Distortion: distortion,
-	}
-	if m.meter != nil {
-		rec.EnergyJ = m.meter.EnergyJoules()
-	}
 	if m.count == 0 {
 		m.first = now
-	} else {
-		prev := m.last()
-		rec.Latency = now - prev.Time
-		if rec.Latency > 0 {
-			rec.Rate = 1 / rec.Latency
-		}
+	} else if last := m.timeAt(m.size - 1); now < last {
+		now = last
 	}
-	// O(1) circular insert: overwrite the oldest slot once the window is
-	// full. This is the per-beat hot path of the serving daemon — the old
-	// copy(m.ring, m.ring[1:]) shift was O(window) per beat.
+	slot := m.start
 	if m.size < m.window {
-		m.ring[(m.start+m.size)%m.window] = rec
+		slot = (m.start + m.size) % m.window
 		m.size++
 	} else {
-		m.ring[m.start] = rec
+		m.before = m.times[slot]
 		m.start = (m.start + 1) % m.window
 	}
-	if distortion != 0 {
-		m.lastReport = rec.Seq
+	m.times[slot] = now
+	if m.energy != nil {
+		m.energy[slot] = m.meter.EnergyJoules()
 	}
 	m.count++
+	if d := math.Float64bits(distortion); d != 0 || m.distortion != nil {
+		if m.distortion == nil {
+			m.distortion = m.column()
+		}
+		m.distortion[slot] = d
+	}
+	if tag != 0 || m.tags != nil {
+		if m.tags == nil {
+			m.tags = m.column()
+		}
+		m.tags[slot] = tag
+	}
+	if distortion != 0 {
+		m.lastReport = m.count
+	}
 }
+
+// column allocates one of the ring's lazily stored columns, zeroed:
+// the only allocation a beat can make. It runs at most once per column
+// per monitor, on the first beat that carries a non-zero value for it
+// (TestMonitorFootprint pins both).
+func (m *Monitor) column() []uint64 { return make([]uint64, m.window) }
 
 // reportsDistortion reports whether any retained record carries a
 // non-zero distortion: the window holds Seq count-size+1 .. count.
 // Caller holds m.mu.
 func (m *Monitor) reportsDistortion() bool { return m.lastReport+uint64(m.size) > m.count }
 
+// timeAt returns the time of the i-th oldest retained beat
+// (0 <= i < m.size); caller holds m.mu.
+//
+//angstrom:hotpath
+func (m *Monitor) timeAt(i int) sim.Time { return m.times[(m.start+i)%m.window] }
+
+// rateAt derives the i-th oldest retained beat's Latency and Rate
+// exactly as they were once stamped on it: its time minus its
+// predecessor's, and 1/latency when that is positive; both 0 for the
+// first beat ever. Caller holds m.mu.
+//
+//angstrom:hotpath
+func (m *Monitor) rateAt(i int) (latency, rate float64) {
+	if m.count-uint64(m.size)+uint64(i) == 0 {
+		return 0, 0
+	}
+	prev := m.before
+	if i > 0 {
+		prev = m.timeAt(i - 1)
+	}
+	latency = m.timeAt(i) - prev
+	if latency > 0 {
+		rate = 1 / latency
+	}
+	return latency, rate
+}
+
 // at returns the i-th oldest retained record (0 <= i < m.size); caller
 // holds m.mu.
-func (m *Monitor) at(i int) Record { return m.ring[(m.start+i)%m.window] }
-
-// last returns the most recent record; caller holds m.mu and has checked
-// m.count > 0.
-func (m *Monitor) last() Record { return m.at(m.size - 1) }
+func (m *Monitor) at(i int) Record {
+	slot := (m.start + i) % m.window
+	r := Record{Seq: m.count - uint64(m.size) + uint64(i) + 1, Time: m.times[slot]}
+	r.Latency, r.Rate = m.rateAt(i)
+	if m.tags != nil {
+		r.Tag = m.tags[slot]
+	}
+	if m.distortion != nil {
+		r.Distortion = math.Float64frombits(m.distortion[slot])
+	}
+	if m.energy != nil {
+		r.EnergyJ = m.energy[slot]
+	}
+	return r
+}
 
 // Count reports the total number of beats emitted so far. Like
 // LastTime it is O(1) under the mutex, cheap enough for fleet-scale
@@ -273,7 +343,7 @@ func (m *Monitor) LastTime() sim.Time {
 	if m.count == 0 {
 		return 0
 	}
-	return m.last().Time
+	return m.timeAt(m.size - 1)
 }
 
 // Observation is a consistent snapshot of application progress, the
@@ -304,21 +374,20 @@ func (m *Monitor) Observe() Observation {
 	if m.size == 0 {
 		return o
 	}
-	newest := m.last()
-	o.LastTime = newest.Time
+	newest := m.timeAt(m.size - 1)
+	o.LastTime = newest
 	if m.count >= 2 {
-		oldest := m.at(0)
-		span := newest.Time - oldest.Time
+		span := newest - m.times[m.start]
 		nIntervals := float64(m.size - 1)
 		if span > 0 && nIntervals > 0 {
 			o.WindowRate = nIntervals / span
 			o.WindowLatency = span / nIntervals
 		}
-		if meterSpan := newest.EnergyJ - oldest.EnergyJ; span > 0 && m.meter != nil {
-			o.PowerW = meterSpan / span
+		if span > 0 && m.meter != nil {
+			o.PowerW = (m.energy[(m.start+m.size-1)%m.window] - m.energy[m.start]) / span
 		}
-		o.InstantRate = newest.Rate
-		total := newest.Time - m.first
+		_, o.InstantRate = m.rateAt(m.size - 1)
+		total := newest - m.first
 		if total > 0 {
 			o.GlobalRate = float64(m.count-1) / total
 		}
@@ -332,11 +401,11 @@ func (m *Monitor) Observe() Observation {
 		if end > m.window {
 			end, wrapped = m.window, end-m.window
 		}
-		for i := m.start; i < end; i++ {
-			sum += m.ring[i].Distortion
+		for _, d := range m.distortion[m.start:end] {
+			sum += math.Float64frombits(d)
 		}
-		for i := 0; i < wrapped; i++ {
-			sum += m.ring[i].Distortion
+		for _, d := range m.distortion[:wrapped] {
+			sum += math.Float64frombits(d)
 		}
 	}
 	o.Distortion = sum / float64(m.size)

@@ -1,10 +1,13 @@
 package heartbeat
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"angstrom/internal/sim"
 )
@@ -515,5 +518,82 @@ func TestBeatAllocatesNothing(t *testing.T) {
 	}
 	if m.Count() != 2*n {
 		t.Fatalf("%d beats counted, want %d", m.Count(), 2*n)
+	}
+}
+
+// sizeClass rounds an allocation of n bytes up to the Go runtime's size
+// class, which is what MemStats.TotalAlloc counts; it covers the classes
+// up to 2048 bytes.
+func sizeClass(n uintptr) uint64 {
+	for _, c := range []uint64{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+		288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792, 2048} {
+		if uint64(n) <= c {
+			return c
+		}
+	}
+	panic(fmt.Sprintf("sizeClass: %d bytes is above the table", n))
+}
+
+// heapDelta reports the objects and bytes one call of f allocates.
+func heapDelta(f func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// The monitor's footprint is what its beats carry. New with a 256-beat
+// window and no meter allocates the Monitor and the 8-byte time column,
+// nothing else; a meter adds its energy column. The first beat with a
+// non-zero distortion bit pattern (-0 is one) allocates exactly its
+// column, so does the first tagged beat, and no beat after either
+// allocates anything.
+func TestMonitorFootprintAndAllocs(t *testing.T) {
+	const window = 256
+	clock := sim.NewClock(0)
+	withWindow, withMeter := WithWindow(window), WithEnergyMeter(&fakeMeter{})
+	column := sizeClass(window * 8)
+	monitor := sizeClass(unsafe.Sizeof(Monitor{}))
+
+	var m *Monitor
+	if objs, bytes := heapDelta(func() { m = New(clock, withWindow, withMeter) }); objs != 3 || bytes != monitor+2*column {
+		t.Fatalf("New with a meter: %d objects, %d bytes; want 3 objects, %d bytes", objs, bytes, monitor+2*column)
+	}
+	if objs, bytes := heapDelta(func() { m = New(clock, withWindow) }); objs != 2 || bytes != monitor+column {
+		t.Fatalf("New without a meter: %d objects, %d bytes; want 2 objects, %d bytes (Monitor %d + times %d)",
+			objs, bytes, monitor+column, monitor, column)
+	}
+
+	beat := func(n int, tag uint64, distortion float64) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				clock.Advance(1e-3)
+				m.emit(tag, distortion)
+			}
+		}
+	}
+	plain := beat(2*window, 0, 0)
+	if objs, _ := heapDelta(plain); objs != 0 {
+		t.Fatalf("plain beats allocated %d objects, want 0", objs)
+	}
+	if m.distortion != nil || m.tags != nil {
+		t.Fatal("plain beats allocated a distortion or tag column")
+	}
+	negZero, tagged := beat(1, 0, math.Copysign(0, -1)), beat(1, 7, 0)
+	if objs, bytes := heapDelta(negZero); objs != 1 || bytes != column {
+		t.Fatalf("first -0 distortion: %d objects, %d bytes; want 1 object, %d bytes", objs, bytes, column)
+	}
+	if objs, bytes := heapDelta(tagged); objs != 1 || bytes != column {
+		t.Fatalf("first tagged beat: %d objects, %d bytes; want 1 object, %d bytes", objs, bytes, column)
+	}
+	if m.distortion == nil || m.tags == nil {
+		t.Fatal("a -0 distortion and a tag did not allocate their columns")
+	}
+	for _, d := range []float64{0, 0.5, math.NaN()} {
+		both, neither := beat(2*window, 3, d), beat(window, 0, 0)
+		if objs, _ := heapDelta(func() { both(); neither() }); objs != 0 {
+			t.Fatalf("beats after both columns exist (distortion %g) allocated %d objects, want 0", d, objs)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func observeReference(m *Monitor) Observation {
 	if m.size == 0 {
 		return o
 	}
-	newest := m.last()
+	newest := m.at(m.size - 1)
 	o.LastTime = newest.Time
 	if m.count >= 2 {
 		oldest := m.at(0)
@@ -176,6 +176,303 @@ func TestObserveAllocatesNothing(t *testing.T) {
 		}
 		if o.Distortion != distortion {
 			t.Fatalf("mean distortion %g, want %g", o.Distortion, distortion)
+		}
+	}
+}
+
+// refRing is the monitor's ring as it was before it was stored as
+// columns: one 56-byte Record per slot with every field stamped at
+// emission. It is the definition the columnar ring must reproduce bit
+// for bit; beside it, Observe keeps its O(1) endpoint reads and its
+// skip of an all-zero distortion window, as the monitor's does.
+type refRing struct {
+	clock      sim.Nower
+	meter      EnergyMeter
+	window     int
+	ring       []Record
+	start      int
+	size       int
+	lastReport uint64
+	count      uint64
+	first      sim.Time
+}
+
+func newRefRing(clock sim.Nower, meter EnergyMeter, window int) *refRing {
+	return &refRing{clock: clock, meter: meter, window: window, ring: make([]Record, window)}
+}
+
+func (m *refRing) at(i int) Record { return m.ring[(m.start+i)%m.window] }
+func (m *refRing) last() Record    { return m.at(m.size - 1) }
+
+func (m *refRing) emitLocked(now sim.Time, tag uint64, distortion float64) {
+	if m.count > 0 {
+		if last := m.last().Time; now < last {
+			now = last
+		}
+	}
+	rec := Record{Seq: m.count + 1, Tag: tag, Time: now, Distortion: distortion}
+	if m.meter != nil {
+		rec.EnergyJ = m.meter.EnergyJoules()
+	}
+	if m.count == 0 {
+		m.first = now
+	} else {
+		rec.Latency = now - m.last().Time
+		if rec.Latency > 0 {
+			rec.Rate = 1 / rec.Latency
+		}
+	}
+	if m.size < m.window {
+		m.ring[(m.start+m.size)%m.window] = rec
+		m.size++
+	} else {
+		m.ring[m.start] = rec
+		m.start = (m.start + 1) % m.window
+	}
+	if distortion != 0 {
+		m.lastReport = rec.Seq
+	}
+	m.count++
+}
+
+func (m *refRing) emit(tag uint64, distortion float64) { m.emitLocked(m.clock.Now(), tag, distortion) }
+
+func (m *refRing) batchSpreadAt(now sim.Time, count int, distortion float64) {
+	var last sim.Time
+	if m.count > 0 {
+		last = m.last().Time
+	}
+	if count == 1 || last <= 0 || now <= last {
+		for i := 0; i < count-1; i++ {
+			m.emitLocked(now, 0, 0)
+		}
+	} else {
+		step := (now - last) / float64(count)
+		for i := 1; i < count; i++ {
+			m.emitLocked(last+step*float64(i), 0, 0)
+		}
+	}
+	m.emitLocked(now, 0, distortion)
+}
+
+func (m *refRing) batchShiftedAt(ts []sim.Time, shift, now sim.Time, distortion float64) {
+	for _, t := range ts {
+		m.emitLocked(t+shift, 0, 0)
+	}
+	m.emitLocked(now, 0, distortion)
+}
+
+func (m *refRing) lastTime() sim.Time {
+	if m.count == 0 {
+		return 0
+	}
+	return m.last().Time
+}
+
+func (m *refRing) observe() Observation {
+	var o Observation
+	o.Beats = m.count
+	if m.size == 0 {
+		return o
+	}
+	newest := m.last()
+	o.LastTime = newest.Time
+	if m.count >= 2 {
+		oldest := m.at(0)
+		span := newest.Time - oldest.Time
+		nIntervals := float64(m.size - 1)
+		if span > 0 && nIntervals > 0 {
+			o.WindowRate = nIntervals / span
+			o.WindowLatency = span / nIntervals
+		}
+		if meterSpan := newest.EnergyJ - oldest.EnergyJ; span > 0 && m.meter != nil {
+			o.PowerW = meterSpan / span
+		}
+		o.InstantRate = newest.Rate
+		total := newest.Time - m.first
+		if total > 0 {
+			o.GlobalRate = float64(m.count-1) / total
+		}
+	}
+	sum := 0.0
+	if m.lastReport+uint64(m.size) > m.count {
+		for i := 0; i < m.size; i++ {
+			sum += m.at(i).Distortion
+		}
+	}
+	o.Distortion = sum / float64(m.size)
+	return o
+}
+
+func (m *refRing) windowCopy() []Record {
+	out := make([]Record, m.size)
+	for i := range out {
+		out[i] = m.at(i)
+	}
+	return out
+}
+
+func (m *refRing) taggedSpan(start, end uint64) (seconds, joules float64, ok bool) {
+	endIdx := -1
+	for i := m.size - 1; i >= 0; i-- {
+		if m.at(i).Tag == end {
+			endIdx = i
+			break
+		}
+	}
+	if endIdx < 0 {
+		return 0, 0, false
+	}
+	endRec := m.at(endIdx)
+	for i := endIdx - 1; i >= 0; i-- {
+		if r := m.at(i); r.Tag == start {
+			return endRec.Time - r.Time, endRec.EnergyJ - r.EnergyJ, true
+		}
+	}
+	return 0, 0, false
+}
+
+// sameRecord compares every field on its bit pattern.
+func sameRecord(a, b Record) bool {
+	bits := math.Float64bits
+	return a.Seq == b.Seq && a.Tag == b.Tag &&
+		bits(a.Time) == bits(b.Time) &&
+		bits(a.Latency) == bits(b.Latency) &&
+		bits(a.Rate) == bits(b.Rate) &&
+		bits(a.Distortion) == bits(b.Distortion) &&
+		bits(a.EnergyJ) == bits(b.EnergyJ)
+}
+
+// The columnar ring is the old ring: random interleavings of every beat
+// entry point — clocked and timestamped, tagged, batched both ways,
+// clamped into the past — across window wrap-around, with and without a
+// meter, and with distortions that are signed zeros, NaN, cancelling or
+// overflowing, leave Window, Observe, LastTime, Count and TaggedSpan
+// bit-identical to refRing's after every call. Runs that never carry a
+// distortion or a tag keep those columns unallocated, and are compared
+// too.
+func TestColumnarRingMatchesRecordRing(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	distortions := []float64{negZero, 0.25, -0.25, 1e-300, -1e-300, 5e-324, 1e150, -1e150, 1e308, -1e308, math.Inf(1), math.NaN()}
+	tags := []uint64{1, 2, 7}
+	for _, window := range []int{2, 3, 8, 20, 256} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed*7919 + int64(window)))
+			clock := sim.NewClock(0)
+			meter := &fakeMeter{}
+			opts := []Option{WithWindow(window)}
+			var refMeter EnergyMeter
+			if seed%2 == 0 {
+				opts = append(opts, WithEnergyMeter(meter))
+				refMeter = meter
+			}
+			// Seeds 1 and 2 carry neither distortion nor tags.
+			plain := seed <= 2
+			m, ref := New(clock, opts...), newRefRing(clock, refMeter, window)
+			pickD := func() float64 {
+				if plain || rng.Intn(3) > 0 {
+					return 0
+				}
+				return distortions[rng.Intn(len(distortions))]
+			}
+			pickTag := func() uint64 {
+				if plain || rng.Intn(3) > 0 {
+					return 0
+				}
+				return tags[rng.Intn(len(tags))]
+			}
+			check := func(step string) {
+				t.Helper()
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("window %d seed %d, after %s (beat %d): "+format, append([]any{window, seed, step, ref.count}, args...)...)
+				}
+				if got, want := m.Observe(), ref.observe(); !sameObservation(got, want) {
+					fail("Observe\n got %+v\nwant %+v", got, want)
+				}
+				got, want := m.Window(), ref.windowCopy()
+				if len(got) != len(want) {
+					fail("Window holds %d records, want %d", len(got), len(want))
+				}
+				for i := range got {
+					if !sameRecord(got[i], want[i]) {
+						fail("Window[%d]\n got %+v\nwant %+v", i, got[i], want[i])
+					}
+				}
+				if got, want := m.LastTime(), ref.lastTime(); math.Float64bits(got) != math.Float64bits(want) {
+					fail("LastTime %g, want %g", got, want)
+				}
+				if got, want := m.Count(), ref.count; got != want {
+					fail("Count %d, want %d", got, want)
+				}
+				for _, a := range append(tags, 0) {
+					for _, b := range append(tags, 0) {
+						s, j, ok := m.TaggedSpan(a, b)
+						ws, wj, wok := ref.taggedSpan(a, b)
+						if ok != wok || math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(j) != math.Float64bits(wj) {
+							fail("TaggedSpan(%d, %d) = %g, %g, %v; want %g, %g, %v", a, b, s, j, ok, ws, wj, wok)
+						}
+					}
+				}
+			}
+			check("construction")
+			for op := 0; op < 3*window+60; op++ {
+				clock.Advance(sim.Time(rng.Float64() * 0.01))
+				now := clock.Now()
+				meter.joules += rng.Float64()
+				switch rng.Intn(8) {
+				case 0:
+					m.Beat()
+					ref.emit(0, 0)
+					check("Beat")
+				case 1:
+					tag := pickTag()
+					m.BeatTagged(tag)
+					ref.emit(tag, 0)
+					check("BeatTagged")
+				case 2:
+					d := pickD()
+					m.BeatWithAccuracy(d)
+					ref.emit(0, d)
+					check("BeatWithAccuracy")
+				case 3:
+					m.BeatAt(now)
+					ref.emitLocked(now, 0, 0)
+					check("BeatAt")
+				case 4:
+					d := pickD()
+					m.BeatWithAccuracyAt(now, d)
+					ref.emitLocked(now, 0, d)
+					check("BeatWithAccuracyAt")
+				case 5:
+					n, d := 1+rng.Intn(2*window), pickD()
+					m.BeatBatchSpreadAt(now, n, d)
+					ref.batchSpreadAt(now, n, d)
+					check("BeatBatchSpreadAt")
+				case 6:
+					ts := make([]sim.Time, rng.Intn(window+2))
+					at := now - 0.005
+					for i := range ts {
+						at += sim.Time(rng.Float64() * 0.001)
+						ts[i] = at
+					}
+					d := pickD()
+					m.BeatBatchShiftedAt(ts, now-at, now, d)
+					ref.batchShiftedAt(ts, now-at, now, d)
+					check("BeatBatchShiftedAt")
+				case 7:
+					d := pickD()
+					m.BeatWithAccuracyAt(now-1, d) // clamped to the previous beat
+					ref.emitLocked(now-1, 0, d)
+					check("BeatWithAccuracyAt in the past")
+				}
+			}
+			if plain && (m.distortion != nil || m.tags != nil) {
+				t.Fatalf("window %d seed %d: a run with no distortion and no tag allocated a column", window, seed)
+			}
+			if (m.energy != nil) != (refMeter != nil) {
+				t.Fatalf("window %d seed %d: energy column present %v, meter attached %v", window, seed, m.energy != nil, refMeter != nil)
+			}
 		}
 	}
 }

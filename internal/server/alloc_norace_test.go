@@ -1,12 +1,15 @@
 //go:build !race
 
 // The race detector makes sync.Pool.Put drop items at random, so the
-// journal's pooled record buffers allocate under -race by design.
+// journal's pooled record buffers, and encoding/json's pooled encoder
+// state, allocate under -race by design.
 
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -75,5 +78,51 @@ func TestBeatIngestDurableAllocatesNothing(t *testing.T) {
 	}
 	if dropped := d.Stats().Journal.DroppedRecords; dropped != 0 {
 		t.Fatalf("journal dropped %d records", dropped)
+	}
+}
+
+// statusAllocs is the allocation budget of one status read of a decided
+// chip-backed app (GET /v1/apps/{name}): the Daemon.Status call alone
+// (its chip view and its decision view), and with the response's JSON
+// encode (which boxes the AppStatus).
+const statusAllocs, statusEncodeAllocs = 2, 3
+
+// A status read allocates exactly its budget: the decision's actuator
+// labels and the chip's DVFS label are rendered once, not per read, and
+// goal_met reads the band without copying the goals (11 and 26
+// allocations when they were not).
+func TestStatusAllocs(t *testing.T) {
+	d, err := NewDaemon(Config{Cores: 16, Accel: 0.1, Period: time.Hour, TickWorkers: 1, Chip: &ChipConfig{Tiles: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := chipGoal(t, "barnes", 4, 0.5)
+	if err := d.Enroll(EnrollRequest{Name: "chip-a", Workload: "barnes", Window: 256, MinRate: lo, MaxRate: hi}); err != nil {
+		t.Fatal(err)
+	}
+	for range 4 {
+		d.Tick()
+	}
+	var st AppStatus
+	status := func() {
+		if st, err = d.Status("chip-a"); err != nil {
+			panic(err)
+		}
+	}
+	if status(); st.Decision == nil || st.Chip == nil {
+		t.Fatalf("chip-a has no decision or no chip view: %+v", st)
+	}
+	enc := json.NewEncoder(io.Discard)
+	if n := allocsOf(status); n != statusAllocs {
+		t.Errorf("Daemon.Status allocated %g objects, want %d", n, statusAllocs)
+	}
+	encode := func() {
+		status()
+		if err := enc.Encode(st); err != nil {
+			panic(err)
+		}
+	}
+	if n := allocsOf(encode); n != statusEncodeAllocs {
+		t.Errorf("Daemon.Status and its JSON encode allocated %g objects, want %d", n, statusEncodeAllocs)
 	}
 }

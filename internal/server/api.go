@@ -1,6 +1,9 @@
 package server
 
-import "sort"
+import (
+	"encoding/json"
+	"sort"
+)
 
 // Enrollment modes: how decisions reach the application's hardware.
 const (
@@ -134,15 +137,18 @@ type ChipView struct {
 // DecisionView is the latest SEEC decision, actuator settings resolved
 // to labels. Clients act on it from their side of the wire.
 type DecisionView struct {
-	Time           float64           `json:"time"`
-	Goal           float64           `json:"goal"`
-	Observed       float64           `json:"observed"`
-	BaseEstimate   float64           `json:"base_estimate"`
-	TargetSpeedup  float64           `json:"target_speedup"`
-	HiFrac         float64           `json:"hi_frac"`
-	PredictedPower float64           `json:"predicted_power"`
-	LoConfig       map[string]string `json:"lo_config"`
-	HiConfig       map[string]string `json:"hi_config"`
+	Time           float64 `json:"time"`
+	Goal           float64 `json:"goal"`
+	Observed       float64 `json:"observed"`
+	BaseEstimate   float64 `json:"base_estimate"`
+	TargetSpeedup  float64 `json:"target_speedup"`
+	HiFrac         float64 `json:"hi_frac"`
+	PredictedPower float64 `json:"predicted_power"`
+	// LoConfig and HiConfig name each actuator's setting: a JSON object
+	// of labels by actuator name. The daemon renders each configuration
+	// once per class and shares the bytes between responses: read-only.
+	LoConfig json.RawMessage `json:"lo_config"`
+	HiConfig json.RawMessage `json:"hi_config"`
 }
 
 // AppStatus is one application's full serving state.

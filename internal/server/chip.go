@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -61,6 +62,8 @@ type ChipConfig struct {
 	// where every app starts, up to 64, capped at Tiles), the model's L2
 	// ladder, and the DVFS operating points.
 	ladders [3][]int
+	// vfLabels names each DVFS operating point as a chip view shows it.
+	vfLabels []string
 }
 
 // fill selects defaults in place (Config.fill hands it a copy).
@@ -77,6 +80,10 @@ func (c *ChipConfig) fill(cores int) {
 		coreOptions = append(coreOptions, v)
 	}
 	c.ladders = [3][]int{coreOptions, angstrom.L2LadderKB, actuator.Range(0, len(c.Params.VF)-1)}
+	c.vfLabels = make([]string, len(c.Params.VF))
+	for v := range c.vfLabels {
+		c.vfLabels[v] = c.Params.Label(angstrom.AxisDVFS, v)
+	}
 }
 
 // baseConfig is the configuration every partition is first acquired at
@@ -158,7 +165,7 @@ func (d *Daemon) bindChipAt(a *app, start angstrom.Config, share float64, now si
 	// concurrent status readers render the standing decision against it;
 	// part is an atomic pointer for the same reason.
 	a.mu.Lock()
-	a.rt = rt
+	a.rt, a.cls = rt, cl
 	a.mu.Unlock()
 	a.knobs = knobs
 	a.part.Store(part)
@@ -179,6 +186,11 @@ type appClass struct {
 	// ctl is what the class's runtimes share of their controller state
 	// (see core.Class), built from space.
 	ctl *core.Class
+	// labels renders each configuration of space.Points() as a status
+	// response shows it: the JSON object of its setting labels by
+	// actuator name. A decision's LoCfg and HiCfg are points of this
+	// table (their IDs index it), so status reads share these bytes.
+	labels []json.RawMessage
 	// Chip classes only: active watts at the base configuration, and the
 	// cheapest power multiplier in the space (see rebalancePowerCaps).
 	nomActiveW, minPowerX float64
@@ -226,6 +238,17 @@ func (d *Daemon) classFor(spec workload.Spec, chip bool) (*appClass, error) {
 	var err error
 	if cl.ctl, err = core.NewClass(cl.space); err != nil {
 		return nil, err
+	}
+	pts := cl.space.Points()
+	cl.labels = make([]json.RawMessage, len(pts))
+	for i, pt := range pts {
+		byName := make(map[string]string, len(cl.space.Acts))
+		for j, act := range cl.space.Acts {
+			byName[act.Name] = act.Settings[pt.Cfg[j]].Label
+		}
+		if cl.labels[i], err = json.Marshal(byName); err != nil {
+			return nil, err
+		}
 	}
 	d.classes[key] = cl
 	return cl, nil

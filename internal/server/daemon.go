@@ -154,6 +154,9 @@ type app struct {
 	spec workload.Spec
 	mon  *heartbeat.Monitor
 	rt   *core.Runtime // stepped only by the owning tick worker
+	// cls is the app's class, which renders its decisions' labels; set
+	// with rt (under mu once the app is visible).
+	cls *appClass
 
 	// goalEpoch counts SetGoal calls; the tick's quiescence check uses
 	// it to re-decide after a goal change without re-reading the goal.

@@ -96,8 +96,9 @@ func TestHTTPLifecycle(t *testing.T) {
 	if st.Decision == nil {
 		t.Fatal("no decision over the wire")
 	}
-	if len(st.Decision.HiConfig) == 0 {
-		t.Fatal("decision carries no actuator labels")
+	var hi map[string]string
+	if err := json.Unmarshal(st.Decision.HiConfig, &hi); err != nil || len(hi) == 0 {
+		t.Fatalf("decision carries no actuator labels: %s", st.Decision.HiConfig)
 	}
 	if st.Cores.Units < 1 {
 		t.Fatalf("allocation %d", st.Cores.Units)

@@ -255,6 +255,7 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 		if a.rt, err = cl.ctl.New(a.name, d.clock, a.mon, core.Options{}); err != nil {
 			return err
 		}
+		a.cls = cl
 	}
 	if err := d.joinManager(a); err != nil {
 		d.retire(a, stageBound)

@@ -5,9 +5,9 @@ import (
 	"math"
 	"time"
 
-	"angstrom/internal/actuator"
 	"angstrom/internal/angstrom"
 	"angstrom/internal/core"
+	"angstrom/internal/heartbeat"
 )
 
 // Status reports one application's serving state.
@@ -32,7 +32,6 @@ func (d *Daemon) List() []AppStatus {
 
 func (d *Daemon) status(a *app) AppStatus {
 	obs := a.mon.Observe()
-	goals := a.mon.Goals()
 	st := AppStatus{
 		Name:     a.name,
 		Workload: a.spec.Name,
@@ -45,15 +44,19 @@ func (d *Daemon) status(a *app) AppStatus {
 			Distortion:    obs.Distortion,
 			LastTime:      obs.LastTime,
 		},
-		GoalMet: a.mon.Check().AllMet(),
+		GoalMet: true,
 	}
-	if g := goals.Performance; g != nil {
-		st.Goal = GoalView{MinRate: g.MinRate, MaxRate: g.MaxRate}
+	// goal_met is judged from the band and the observation this response
+	// reports, whatever beat or goal change lands meanwhile.
+	if minRate, maxRate, ok := a.mon.PerformanceBand(); ok {
+		st.Goal = GoalView{MinRate: minRate, MaxRate: maxRate}
+		st.GoalMet = heartbeat.PerformanceGoal{MinRate: minRate, MaxRate: maxRate}.Met(obs.WindowRate)
 	}
 	if part := a.partition(); part != nil {
 		st.Chip = d.chipView(part)
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	st.EnrolledAt = a.enrolledAt
 	st.Cores = AllocationView{
 		Units:   a.alloc.Units,
@@ -67,32 +70,15 @@ func (d *Daemon) status(a *app) AppStatus {
 		st.Chip.ActuationErr = a.actErr
 	}
 	if a.hasDecision {
-		// Capture the runtime alongside the decision: a migration swaps
-		// a.rt under this mutex, and the decision must be rendered against
-		// the space it was decided in.
-		dec, rt := a.decision, a.rt
-		a.mu.Unlock()
-		v := decisionView(dec, rt.Space())
-		st.Decision = &v
-		return st
+		st.Decision = decisionView(a.decision, a.cls)
 	}
-	a.mu.Unlock()
 	return st
 }
 
 // decisionView renders a core.Decision with actuator settings resolved
-// to their human-readable labels.
-func decisionView(dec core.Decision, space *actuator.Space) DecisionView {
-	label := func(cfg actuator.Config) map[string]string {
-		out := make(map[string]string, len(space.Acts))
-		for i, act := range space.Acts {
-			if i < len(cfg) && cfg[i] >= 0 && cfg[i] < len(act.Settings) {
-				out[act.Name] = act.Settings[cfg[i]].Label
-			}
-		}
-		return out
-	}
-	return DecisionView{
+// to their labels, which cls rendered once per configuration.
+func decisionView(dec core.Decision, cls *appClass) *DecisionView {
+	return &DecisionView{
 		Time:           dec.Time,
 		Goal:           dec.Goal,
 		Observed:       dec.Observed,
@@ -100,8 +86,8 @@ func decisionView(dec core.Decision, space *actuator.Space) DecisionView {
 		TargetSpeedup:  dec.TargetSpeedup,
 		HiFrac:         dec.HiFrac,
 		PredictedPower: dec.PredictedPower,
-		LoConfig:       label(dec.LoCfg),
-		HiConfig:       label(dec.HiCfg),
+		LoConfig:       cls.labels[dec.Schedule.Lo.ID],
+		HiConfig:       cls.labels[dec.Schedule.Hi.ID],
 	}
 }
 
@@ -113,11 +99,10 @@ func (d *Daemon) chipView(part *angstrom.Partition) *ChipView {
 	s := part.Sense()
 	cfg := part.Config()
 	in := part.Interference()
-	vf := d.cfg.Chip.Params.VF[cfg.VF]
 	return &ChipView{
 		Cores:     cfg.Cores,
 		CacheKB:   cfg.CacheKB,
-		VF:        fmt.Sprintf("%.1fV/%.0fMHz", vf.Volts, vf.FHz/1e6),
+		VF:        d.cfg.Chip.vfLabels[cfg.VF],
 		TimeShare: part.Share(),
 		IPS:       s.IPS,
 		PowerW:    s.PowerW,
