@@ -224,7 +224,8 @@ func BenchmarkUncoordinated(b *testing.B) {
 }
 
 // BenchmarkPartnerCore is ablation A2: decision workload on the partner
-// core vs the main core (§4.3's 10%-power claim).
+// core vs the main core (§4.3's 10%-power claim). Each sub-benchmark
+// reports the energy of one decision as J/decision.
 func BenchmarkPartnerCore(b *testing.B) {
 	var cf angstrom.CounterFile
 	q, err := angstrom.NewEventQueue(16)
@@ -235,20 +236,18 @@ func BenchmarkPartnerCore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("partner", func(b *testing.B) {
-		j := 0.0
-		for i := 0; i < b.N; i++ {
-			j += pc.RunDecision(50_000).Joules
-		}
-		_ = j
-	})
-	b.Run("main", func(b *testing.B) {
-		j := 0.0
-		for i := 0; i < b.N; i++ {
-			j += pc.RunDecisionOnMain(50_000).Joules
-		}
-		_ = j
-	})
+	for _, c := range []struct {
+		name string
+		run  func(instructions float64) angstrom.DecisionCost
+	}{{"partner", pc.RunDecision}, {"main", pc.RunDecisionOnMain}} {
+		b.Run(c.name, func(b *testing.B) {
+			var j float64
+			for i := 0; i < b.N; i++ {
+				j = c.run(50_000).Joules
+			}
+			b.ReportMetric(j, "J/decision")
+		})
+	}
 }
 
 // BenchmarkNoCAdaptations is ablation A3: mesh latency evaluation with

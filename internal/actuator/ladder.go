@@ -11,9 +11,9 @@ import "fmt"
 // consulting the model. effect supplies the arithmetic (which model,
 // which base, which floors); apply receives the rung index, like
 // Actuator.Apply and Knob.SetLevel. This is the designer-declared model
-// of §3.2: xeon.Server, angstrom.Chip and the serving daemon (chip-backed
-// and advisory) tabulate their knobs through it, and NewLadder declares
-// its rungs through it. A nil apply declares the settings only (see
+// of §3.2: xeon.Server, angstrom.Params.Actuators and the advisory
+// daemon tabulate their knobs through it, and NewLadder declares its
+// rungs through it. A nil apply declares the settings only (see
 // Actuator.Apply).
 func Sweep(name string, values []int, nominal int, delaySeconds float64, scope Scope,
 	label func(v int) string, effect func(v int) (Effect, error), apply func(level int) error) (*Actuator, error) {

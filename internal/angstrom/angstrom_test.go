@@ -2,6 +2,7 @@ package angstrom
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,68 +140,6 @@ func TestProbeValidation(t *testing.T) {
 	}
 }
 
-func TestThermalApproachesSteadyState(t *testing.T) {
-	th, err := NewThermal(45, 8, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		th.Step(2.0, 0.01) // 2 W → steady 45 + 16 = 61°C
-	}
-	if math.Abs(th.ReadC()-61) > 0.5 {
-		t.Fatalf("steady temperature = %g, want ~61", th.ReadC())
-	}
-	// Power off: must cool toward ambient.
-	for i := 0; i < 100; i++ {
-		th.Step(0, 0.01)
-	}
-	if math.Abs(th.ReadC()-45) > 0.5 {
-		t.Fatalf("cooled temperature = %g, want ~45", th.ReadC())
-	}
-}
-
-func TestThermalCoolingFailure(t *testing.T) {
-	th, _ := NewThermal(45, 8, 0.05)
-	th.SetEnv(70) // cooling failure
-	for i := 0; i < 200; i++ {
-		th.Step(1.0, 0.01)
-	}
-	if th.ReadC() < 75 {
-		t.Fatalf("temperature %g did not rise after cooling failure", th.ReadC())
-	}
-	if _, err := NewThermal(45, 0, 1); err == nil {
-		t.Fatal("zero thermal resistance accepted")
-	}
-}
-
-func TestBatteryDrain(t *testing.T) {
-	b, err := NewBattery(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Drain(40) || math.Abs(b.Fraction()-0.6) > 1e-12 {
-		t.Fatalf("fraction = %g after 40 J, want 0.6", b.Fraction())
-	}
-	if b.Drain(100) {
-		t.Fatal("empty battery reported charge")
-	}
-	if b.RemainingJ() != 0 {
-		t.Fatal("battery went negative")
-	}
-	if _, err := NewBattery(0); err == nil {
-		t.Fatal("zero-capacity battery accepted")
-	}
-}
-
-func TestEnergySensorAccumulates(t *testing.T) {
-	var e EnergySensor
-	e.Add(1.5)
-	e.Add(2.5)
-	if e.EnergyJoules() != 4 {
-		t.Fatalf("EnergyJoules = %g, want 4", e.EnergyJoules())
-	}
-}
-
 func TestCoreEnergyModel(t *testing.T) {
 	ce := DefaultCoreEnergy()
 	if err := ce.Validate(); err != nil {
@@ -228,31 +167,40 @@ func TestPartnerCoreCheaperThanMain(t *testing.T) {
 	}
 	onPartner := pc.RunDecision(1e6)
 	onMain := pc.RunDecisionOnMain(1e6)
-	if onPartner.Joules >= onMain.Joules {
-		t.Fatalf("partner energy %g J not below main %g J", onPartner.Joules, onMain.Joules)
-	}
 	if onPartner.Seconds <= onMain.Seconds {
 		t.Fatal("partner core should be slower than the main core")
 	}
-	// §4.3: ~10% power. Energy ratio = powerRatio × timeRatio.
-	wantJ := onMain.Joules * 0.1 * (onMain.Seconds / onPartner.Seconds)
-	_ = wantJ
-	ratio := onPartner.Joules / onMain.Joules
-	if ratio > 0.95 {
-		t.Fatalf("partner/main energy ratio = %g, want well below 1", ratio)
+	// §4.3: the partner draws PowerRatio (~10%) of the main core's power
+	// for CPIRatio/FreqRatio times as long, so its energy is
+	// 0.1 × 7.5 = 0.75 of the main core's.
+	want := pc.PowerRatio * (onPartner.Seconds / onMain.Seconds)
+	if math.Abs(want/0.75-1) > 1e-12 {
+		t.Fatalf("PowerRatio × partner/main time = %g, want 0.75", want)
+	}
+	if ratio := onPartner.Joules / onMain.Joules; math.Abs(ratio/want-1) > 1e-12 {
+		t.Fatalf("partner/main energy ratio = %g, want %g", ratio, want)
 	}
 }
 
+// The §4.1→§4.3 chain: probes on the L2 miss counter queue records as
+// misses accumulate, and the partner core drains them oldest-first.
 func TestPartnerCoreDrainsEvents(t *testing.T) {
 	var cf CounterFile
+	var ps ProbeSet
 	q, _ := NewEventQueue(8)
 	pc, _ := NewPartnerCore(VFPoints()[0], DefaultCoreEnergy(), &cf, q)
+	for i := uint64(1); i <= 5; i++ {
+		if err := ps.Attach(&Probe{Counter: CtrL2Misses, Op: OpGE, Trigger: 10 * i, Queue: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 5; i++ {
-		q.Push(Event{Value: uint64(i)})
+		cf.Add(CtrL2Misses, 10)
+		ps.Evaluate(&cf, sim.Time(i))
 	}
 	ev := pc.DrainEvents(3)
-	if len(ev) != 3 || ev[0].Value != 0 {
-		t.Fatalf("DrainEvents = %+v, want first 3 events", ev)
+	if len(ev) != 3 || ev[0].Counter != CtrL2Misses || ev[0].Value != 10 || ev[2].Value != 30 {
+		t.Fatalf("DrainEvents = %+v, want the L2-miss events at 10, 20, 30", ev)
 	}
 	if len(pc.DrainEvents(10)) != 2 {
 		t.Fatal("remaining events wrong")
@@ -464,104 +412,68 @@ func TestEvaluateDetailedRejectsTinyTrace(t *testing.T) {
 	}
 }
 
-// testChip builds a one-core chip with barnes attached, for regression
-// tests on the ODA hot loop.
-func testChip(t *testing.T) (*Chip, *sim.Clock) {
-	t.Helper()
-	clock := sim.NewClock(0)
-	ch, err := NewChip(DefaultParams(), Config{Cores: 1, CacheKB: 64, VF: 0}, 4, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch.Attach(workload.NewInstance(defaultSpec(t, "barnes"), 1), heartbeat.New(clock))
-	return ch, clock
-}
-
-// Regression: CPI < 1 made (1 - 1/CPI) negative and the float→uint64
-// conversion implementation-defined, corrupting the stall counter with
-// values near 2^64. Stalls must clamp at zero.
-func TestUpdateTilesClampsNegativeStallFraction(t *testing.T) {
-	ch, _ := testChip(t)
-	m := Metrics{IPS: 1e9, CPI: 0.5, PowerW: 10, MissRate: 0.1}
-	ch.updateTiles(m, 1.0)
-	if got := ch.Tiles[0].Counters.Read(CtrStallCycles); got != 0 {
-		t.Fatalf("stall counter = %d with CPI 0.5, want 0", got)
-	}
-	// Sanity: CPI > 1 still records stalls.
-	ch2, _ := testChip(t)
-	ch2.updateTiles(Metrics{IPS: 1e9, CPI: 2, PowerW: 10, MissRate: 0.1}, 1.0)
-	if got := ch2.Tiles[0].Counters.Read(CtrStallCycles); got == 0 {
-		t.Fatal("stall counter = 0 with CPI 2, want > 0")
-	}
-}
-
-// Regression: PowerW below the uncore floor made perCorePower negative
-// and corrupted the per-tile energy counter the same way.
-func TestUpdateTilesClampsNegativePerCorePower(t *testing.T) {
-	ch, _ := testChip(t)
-	p := ch.Params()
-	m := Metrics{IPS: 1e9, CPI: 2, PowerW: p.UncoreW / 2, MissRate: 0.1}
-	ch.updateTiles(m, 1.0)
-	if got := ch.Tiles[0].Counters.Read(CtrEnergyNJ); got != 0 {
-		t.Fatalf("energy counter = %d with PowerW below uncore, want 0", got)
-	}
-	if got := ch.Tiles[0].Counters.Read(CtrStallCycles); got == 0 {
-		t.Fatal("stall counter should still accumulate with CPI 2")
-	}
-}
-
 // Regression: an interval at IPS <= 0 (or NaN) divided by zero and moved
 // the clock by ±Inf/NaN; it must error without advancing time. The
 // guard itself lives in workload.Cursor (table-tested there); this pins
-// that the chip surfaces it, driving a model whose clock frequency makes
-// the evaluated IPS non-positive.
+// that a partition surfaces it, driving a model whose clock frequency
+// makes the evaluated IPS non-positive.
 func TestAdvanceRejectsNonPositiveIPS(t *testing.T) {
 	for _, fhz := range []float64{0, -1, math.NaN()} {
-		ch, clock := testChip(t)
-		ch.p.VF = append([]VFPoint(nil), ch.p.VF...)
-		ch.p.VF[0].FHz = fhz
-		m, err := ch.RunInterval(1.0)
-		if err == nil {
-			t.Fatalf("interval accepted IPS %g", m.IPS)
+		p := DefaultParams()
+		p.VF = append([]VFPoint(nil), p.VF...)
+		p.VF[0].FHz = fhz
+		sc, err := NewSharedChip(p, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.IPS > 0 {
-			t.Fatalf("clock frequency %g still evaluates to IPS %g; the test no longer reaches the guard", fhz, m.IPS)
+		pt, mon := acquire(t, sc, "a", 1, 1)
+		if ips := pt.Metrics().IPS; ips > 0 {
+			t.Fatalf("clock frequency %g still evaluates to IPS %g; the test no longer reaches the guard", fhz, ips)
 		}
-		if clock.Now() != 0 {
-			t.Fatalf("clock moved to %g on rejected IPS %g", clock.Now(), m.IPS)
+		if err := pt.Advance(1); err == nil {
+			t.Fatalf("advance accepted clock frequency %g", fhz)
+		}
+		if pt.Now() != 0 || mon.Count() != 0 {
+			t.Fatalf("rejected clock frequency %g moved the frontier to %g with %d beats", fhz, pt.Now(), mon.Count())
 		}
 	}
 }
 
 // Regression: a non-positive per-beat work target spun the loop forever
 // (tBeat <= 0 never reaches the interval end); it must error instead.
-// Through RunInterval the model's own spec validation refuses it first;
+// Acquire's model evaluation refuses the spec first, and holds nothing;
 // the loop's guard is table-tested on workload.Cursor.
 func TestAdvanceRejectsNonPositiveWork(t *testing.T) {
-	clock := sim.NewClock(0)
-	ch, err := NewChip(DefaultParams(), Config{Cores: 1, CacheKB: 64, VF: 0}, 4, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newSharedChip(t, 4)
 	bad := defaultSpec(t, "barnes")
 	bad.InstrPerBeat = -5 // NewInstance does not validate
-	ch.Attach(workload.NewInstance(bad, 1), heartbeat.New(clock))
-	if _, err := ch.RunInterval(1.0); err == nil {
-		t.Fatal("interval accepted non-positive work per beat")
+	_, err := sc.Acquire("bad", workload.NewInstance(bad, 1), heartbeat.New(sim.NewClock(0)),
+		Config{Cores: 1, CacheKB: 64, VF: 0}, 1, 0)
+	if err == nil || !strings.Contains(err.Error(), "non-positive work per beat") {
+		t.Fatalf("Acquire error = %v, want non-positive work per beat", err)
 	}
-	if clock.Now() != 0 {
-		t.Fatalf("clock moved to %g on rejected work", clock.Now())
+	if parts, used := sc.Usage(); parts != 0 || used != 0 {
+		t.Fatalf("refused acquire holds %d partitions, %g core-equivalents", parts, used)
 	}
 }
 
-// RunInterval still emits beats and accounts energy after the guards.
-func TestRunIntervalStillBeats(t *testing.T) {
-	ch, _ := testChip(t)
-	if _, err := ch.RunInterval(0.5); err != nil {
+// Attributed power is active power beyond the uncore floor, clamped at
+// zero: a partition whose model power is below the floor is charged
+// nothing, and still runs.
+func TestAdvanceClampsPowerBelowUncore(t *testing.T) {
+	sc := newSharedChip(t, 4)
+	pt, mon := acquire(t, sc, "a", 1, 1)
+	// The model's PowerW includes UncoreW, so the floor is raised past it
+	// after the evaluation.
+	sc.p.UncoreW = 2 * pt.Metrics().PowerW
+	if err := pt.Advance(1); err != nil {
 		t.Fatal(err)
 	}
-	if ch.Energy.EnergyJoules() <= 0 {
-		t.Fatal("no energy accounted")
+	if s := pt.Sense(); s.PowerW != 0 || s.EnergyJ != 0 {
+		t.Fatalf("below the uncore floor: power %g W, energy %g J; want 0, 0", s.PowerW, s.EnergyJ)
+	}
+	if mon.Count() == 0 {
+		t.Fatal("no beats emitted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"angstrom/internal/actuator"
 	"angstrom/internal/cache"
 	"angstrom/internal/workload"
 )
@@ -78,6 +79,47 @@ var axes = [...]struct {
 // Label is the label of axis's rung at value v: what the axis's
 // actuator names that setting.
 func (p *Params) Label(axis, v int) string { return axes[axis].label(p, v) }
+
+// Actuators declares a chip action space for spec: one actuator per
+// axis, in axis order, whose settings are ladders[axis] and whose
+// declared effects are the model's predicted multipliers relative to
+// base (the designer-declared model of §3.2; the runtime's adaptive
+// layer corrects any divergence). Active power (beyond uncore) is
+// floored at 1e-9 W on both sides of each power ratio. apply, when
+// non-nil, drives a setting: it receives the axis and the setting's
+// rung, the index into ladders[axis] that actuator.Knob.SetLevel takes.
+// A nil apply declares the settings only (see actuator.Sweep).
+func (p Params) Actuators(spec workload.Spec, base Config, ladders [3][]int, apply func(axis, level int) error) ([]*actuator.Actuator, error) {
+	baseM, err := Evaluate(p, spec, base)
+	if err != nil {
+		return nil, err
+	}
+	baseActive := math.Max(baseM.PowerW-p.UncoreW, 1e-9)
+	acts := make([]*actuator.Actuator, len(axes))
+	for axis, ax := range axes {
+		var set func(level int) error
+		if apply != nil {
+			set = func(level int) error { return apply(axis, level) }
+		}
+		acts[axis], err = actuator.Sweep(ax.name, ladders[axis], base.Level(axis), ax.delay, actuator.GlobalScope,
+			func(v int) string { return p.Label(axis, v) },
+			func(v int) (actuator.Effect, error) {
+				m, merr := Evaluate(p, spec, base.With(axis, v))
+				if merr != nil {
+					return actuator.Effect{}, merr
+				}
+				return actuator.Effect{
+					Speedup: m.HeartRate / baseM.HeartRate,
+					PowerX:  math.Max(m.PowerW-p.UncoreW, 1e-9) / baseActive,
+					Distort: 1,
+				}, nil
+			}, set)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return acts, nil
+}
 
 // field is the Config field that axis indexes.
 func (c *Config) field(axis int) *int { return [...]*int{&c.Cores, &c.CacheKB, &c.VF}[axis] }

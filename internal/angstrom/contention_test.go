@@ -33,6 +33,17 @@ func acquireOn(t testing.TB, sc *SharedChip, name, wl string, cfg Config, share 
 	return pt
 }
 
+// Regression: CPI < 1 (a superscalar model) made 1 - 1/CPI negative,
+// and the stall counters it fed wrapped to near 2^64. The stall
+// fraction Sense and the contention pass report clamps at zero.
+func TestStallFracClampsAtZero(t *testing.T) {
+	for _, c := range []struct{ cpi, want float64 }{{0.5, 0}, {math.NaN(), 0}, {1, 0}, {2, 0.5}} {
+		if got := stallFrac(c.cpi); got != c.want {
+			t.Fatalf("stallFrac(%g) = %g, want %g", c.cpi, got, c.want)
+		}
+	}
+}
+
 // A partition running alone reproduces its isolated model evaluation
 // for memory exactly and pays only its own small mesh queueing term.
 func TestContentionSoloNearIdentity(t *testing.T) {

@@ -4,12 +4,14 @@
 // coordinate hardware actions with software ones.
 //
 // The package provides the observation layer (memory-mapped performance
-// counters, event probes, environmental sensors — §4.1), the action layer
-// (per-core DVFS, reconfigurable caches, adaptive coherence and NoC —
-// §4.2, built on the cache and noc packages), the partner cores that make
-// decision-making cheap (§4.3), and an interval chip simulator that
-// produces performance and power for any configuration of a workload —
-// the substitute for the Graphite testbed of §5.3.
+// counters and event probes — §4.1; the paper's temperature, voltage and
+// battery sensors are not modelled), the action layer (per-core DVFS,
+// reconfigurable caches, adaptive coherence and NoC — §4.2, built on the
+// cache and noc packages), the partner cores that make decision-making
+// cheap (§4.3), and an interval chip simulator that produces performance
+// and power for any configuration of a workload — the substitute for the
+// Graphite testbed of §5.3. The one chip that runs applications is
+// SharedChip (shared.go), whose partitions emit their heartbeats.
 //
 // The chip model executes inside journal replay and the tick's
 // transcript-equality tests: the whole package is a deterministic

@@ -148,8 +148,8 @@ func (p *Probe) matches(v uint64) bool {
 	}
 }
 
-// ProbeSet is the per-tile collection of probes, evaluated against the
-// tile's counter file whenever the simulator advances.
+// ProbeSet is the per-tile collection of probes; Evaluate runs them
+// against the tile's counter file.
 type ProbeSet struct {
 	probes []*Probe
 }

@@ -15,11 +15,12 @@ import (
 // a SharedChip splits its tile pool into per-application Partitions,
 // each an independently configurable slice of the hardware with its own
 // actuation knobs (cores, L2 capacity, DVFS) and its own Sensor view
-// (IPS, power, stall fraction). This is the serving-side counterpart of
-// Chip: where Chip closes the loop around a single simulated experiment,
-// SharedChip lets a long-lived daemon bind every enrolled application to
-// real hardware knobs on one chip — the paper's vision of the runtime
-// arbitrating a 1000-core die across a fleet of self-aware applications.
+// (IPS, power, stall fraction). It is the package's one chip model: a
+// long-lived daemon binds every enrolled application to real hardware
+// knobs on one chip — the paper's vision of the runtime arbitrating a
+// 1000-core die across a fleet of self-aware applications — and the
+// single-app closed loop of the experiments is a fleet of one, a
+// partition holding the whole die at share 1.
 //
 // Concurrency model: SharedChip's mutex guards the tile ledger and the
 // partition directory; each Partition's mutex guards its configuration,

@@ -58,8 +58,8 @@ type Record struct {
 }
 
 // EnergyMeter supplies cumulative energy readings so that energy and power
-// goals can be evaluated between beats. The Angstrom energy sensors and
-// the WattsUp model both satisfy this.
+// goals can be evaluated between beats. The WattsUp model
+// (xeon.PowerMeter) satisfies this.
 type EnergyMeter interface {
 	EnergyJoules() float64
 }

@@ -9,12 +9,12 @@ import (
 // Cursor is an application's execution position: beats emitted, and
 // instructions completed toward the next one. It is the one
 // implementation of "run an Instance at some instruction rate and find
-// when its beats complete"; the platform models (xeon.Server,
-// angstrom.Chip, angstrom.Partition) each hold one and loop
+// when its beats complete"; both platform models (xeon.Server and
+// angstrom.Partition) hold one and loop
 //
 //	for now < until-1e-12 { dt, beat, err := cur.Step(inst, ips, now, until); ... }
 //
-// keeping only what differs between them: which clock a beat is stamped
+// keeping only what differs between the two: which clock a beat is stamped
 // on and how energy is integrated over dt. Because the carry lives here,
 // splitting an interval emits the same beats as running it whole. The
 // zero Cursor is the start of a run.
