@@ -940,6 +940,29 @@ func BenchmarkMonitorBeatWindow4096(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorBeatBatch measures one server-spread batch of count
+// beats into a window-beat monitor, the ring write behind every JSON
+// beat and wire count frame. Only the beats the window retains are
+// written, so ns/op grows with count up to the window and stays flat
+// past it; internal/heartbeat's TestBeatAllocatesNothing holds a
+// MaxBeatBatch batch allocation-free.
+func BenchmarkMonitorBeatBatch(b *testing.B) {
+	for _, window := range []int{20, 256} {
+		for _, count := range []int{1, 6, 20, 100, server.MaxBeatBatch} {
+			b.Run(fmt.Sprintf("count=%d/window=%d", count, window), func(b *testing.B) {
+				clock := sim.NewClock(0)
+				mon := heartbeat.New(clock, heartbeat.WithWindow(window))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clock.Advance(1e-3)
+					mon.BeatBatchSpreadAt(clock.Now(), count, 0)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMonitorObserveWindow256 measures the observe step every runtime
 // pays once per decision period, at the chip fleet's window: a window
 // that reports no distortion must not be walked (quiet is O(1), where

@@ -1,6 +1,7 @@
 package heartbeat
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -87,12 +88,9 @@ func TestCounterConcurrentDeltas(t *testing.T) {
 
 // TestBeatBatchSpreadAtMatchesLoop: the batched single-lock spread is
 // byte-identical to the sequential BeatAt loop the daemon used to run,
-// across first-batch, paused-clock, and spread regimes.
+// across first-batch, paused-clock, and spread regimes, for batches
+// inside the window, of exactly one window, and far past it.
 func TestBeatBatchSpreadAtMatchesLoop(t *testing.T) {
-	clock := sim.NewClock(0)
-	batched := New(clock, WithWindow(64))
-	control := New(clock, WithWindow(64))
-
 	// The control reimplements the historical per-beat sequence.
 	loop := func(m *Monitor, now sim.Time, count int, distortion float64) {
 		last := m.LastTime()
@@ -113,73 +111,87 @@ func TestBeatBatchSpreadAtMatchesLoop(t *testing.T) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(11))
-	now := sim.Time(0)
-	for i := 0; i < 200; i++ {
-		// Mix regimes: sometimes the clock pauses (accelerated daemons
-		// between ticks), sometimes it jumps.
-		if rng.Intn(3) > 0 {
-			now += sim.Time(rng.Float64())
+	for _, window := range []int{2, 3, 20, 64, 256} {
+		counts := []int{1, window - 1, window, window + 1, 10 * window, maxBeatBatch}
+		clock := sim.NewClock(0)
+		batched := New(clock, WithWindow(window))
+		control := New(clock, WithWindow(window))
+		rng := rand.New(rand.NewSource(11))
+		now := sim.Time(0)
+		for i := 0; i < 200; i++ {
+			// Mix regimes: sometimes the clock pauses (accelerated daemons
+			// between ticks), sometimes it jumps.
+			if rng.Intn(3) > 0 {
+				now += sim.Time(rng.Float64())
+			}
+			count := 1 + rng.Intn(30)
+			if i%2 == 1 {
+				count = counts[rng.Intn(len(counts))]
+			}
+			var distortion float64
+			if rng.Intn(2) == 0 {
+				distortion = rng.Float64()
+			}
+			batched.BeatBatchSpreadAt(now, count, distortion)
+			loop(control, now, count, distortion)
+			sameMonitors(t, fmt.Sprintf("window %d, batch %d of %d beats", window, i, count), batched, control)
 		}
-		count := 1 + rng.Intn(30)
-		var distortion float64
-		if rng.Intn(2) == 0 {
-			distortion = rng.Float64()
-		}
-		batched.BeatBatchSpreadAt(now, count, distortion)
-		loop(control, now, count, distortion)
 	}
+}
+
+// sameMonitors fails t unless the two monitors' windows, counts and
+// observations are equal.
+func sameMonitors(t *testing.T, where string, batched, control *Monitor) {
+	t.Helper()
 	gotW, wantW := batched.Window(), control.Window()
 	if len(gotW) != len(wantW) {
-		t.Fatalf("window sizes differ: %d vs %d", len(gotW), len(wantW))
+		t.Fatalf("%s: window sizes differ: %d vs %d", where, len(gotW), len(wantW))
 	}
 	for i := range gotW {
 		if gotW[i] != wantW[i] {
-			t.Fatalf("window[%d]: batched %+v != loop %+v", i, gotW[i], wantW[i])
+			t.Fatalf("%s: window[%d]: batched %+v != loop %+v", where, i, gotW[i], wantW[i])
 		}
 	}
 	if batched.Count() != control.Count() {
-		t.Fatalf("counts differ: %d vs %d", batched.Count(), control.Count())
+		t.Fatalf("%s: counts differ: %d vs %d", where, batched.Count(), control.Count())
 	}
 	if batched.Observe() != control.Observe() {
-		t.Fatalf("observations differ:\n  batched: %+v\n  loop:    %+v", batched.Observe(), control.Observe())
+		t.Fatalf("%s: observations differ:\n  batched: %+v\n  loop:    %+v", where, batched.Observe(), control.Observe())
 	}
 }
 
 // TestBeatBatchShiftedAtMatchesLoop: same property for the
 // client-timestamped form, including the exact-now final beat.
 func TestBeatBatchShiftedAtMatchesLoop(t *testing.T) {
-	clock := sim.NewClock(0)
-	batched := New(clock, WithWindow(64))
-	control := New(clock, WithWindow(64))
+	for _, window := range []int{2, 3, 20, 64, 256} {
+		counts := []int{1, window - 1, window, window + 1, 10 * window, maxBeatBatch}
+		clock := sim.NewClock(0)
+		batched := New(clock, WithWindow(window))
+		control := New(clock, WithWindow(window))
 
-	rng := rand.New(rand.NewSource(13))
-	now := sim.Time(100)
-	for i := 0; i < 100; i++ {
-		now += sim.Time(rng.Float64())
-		n := 1 + rng.Intn(12)
-		ts := make([]sim.Time, n)
-		cur := rng.Float64() * 50
-		for j := range ts {
-			ts[j] = sim.Time(cur)
-			cur += rng.Float64()
-		}
-		shift := now - ts[n-1]
-		distortion := rng.Float64()
+		rng := rand.New(rand.NewSource(13))
+		now := sim.Time(100)
+		for i := 0; i < 100; i++ {
+			now += sim.Time(rng.Float64())
+			n := 1 + rng.Intn(12)
+			if i%2 == 1 {
+				n = counts[rng.Intn(len(counts))]
+			}
+			ts := make([]sim.Time, n)
+			cur := rng.Float64() * 50
+			for j := range ts {
+				ts[j] = sim.Time(cur)
+				cur += rng.Float64()
+			}
+			shift := now - ts[n-1]
+			distortion := rng.Float64()
 
-		batched.BeatBatchShiftedAt(ts[:n-1], shift, now, distortion)
-		for _, tt := range ts[:n-1] {
-			control.BeatAt(tt + shift)
+			batched.BeatBatchShiftedAt(ts[:n-1], shift, now, distortion)
+			for _, tt := range ts[:n-1] {
+				control.BeatAt(tt + shift)
+			}
+			control.BeatWithAccuracyAt(now, distortion)
+			sameMonitors(t, fmt.Sprintf("window %d, batch %d of %d beats", window, i, n), batched, control)
 		}
-		control.BeatWithAccuracyAt(now, distortion)
-	}
-	gotW, wantW := batched.Window(), control.Window()
-	for i := range gotW {
-		if gotW[i] != wantW[i] {
-			t.Fatalf("window[%d]: batched %+v != loop %+v", i, gotW[i], wantW[i])
-		}
-	}
-	if batched.Observe() != control.Observe() {
-		t.Fatalf("observations differ:\n  batched: %+v\n  loop:    %+v", batched.Observe(), control.Observe())
 	}
 }

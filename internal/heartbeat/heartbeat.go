@@ -23,6 +23,15 @@
 // times when read, by the same subtraction and division that stamped
 // them when they were stored.
 //
+// Every Beat* entry point is a batch for the ring's one writer: n beats
+// under one lock, a single beat being the n = 1 batch. A batch is
+// byte-identical to n sequential single-beat inserts, each clamped to
+// its predecessor, but it computes and stores only the min(n, window)
+// beats the window retains, so a batch costs O(min(n, window)), not
+// O(n). (A client-timestamped batch still compares the stamps the
+// window drops, since any of them can clamp the ones it keeps, and a
+// metered monitor still reads its meter once per beat.)
+//
 // Observe runs once per application per decision period, so it costs
 // O(1) whenever it can: the window's endpoints give the rates, and the
 // monitor remembers the sequence number of the newest beat that
@@ -167,16 +176,16 @@ func (m *Monitor) emit(tag uint64, distortion float64) {
 	m.emitAt(m.clock.Now(), tag, distortion)
 }
 
-// emitAt is the per-beat hot path of the serving daemon: every Beat
-// variant and every chip-emitted heartbeat lands here, so
-// TestBeatAllocatesNothing holds it to 0 allocations — O(1) circular
-// insert, no formatting, no boxing.
+// emitAt is the single-beat path of every chip-emitted heartbeat and
+// of the Beat variants: a batch of one, which TestBeatAllocatesNothing
+// holds to 0 allocations.
 //
 //angstrom:hotpath
 func (m *Monitor) emitAt(now sim.Time, tag uint64, distortion float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.emitLocked(now, tag, distortion)
+	b := batch{n: 1, now: now}
+	m.writeLocked(&b, tag, distortion)
 }
 
 // BeatBatchSpreadAt ingests a server-spread batch under one lock
@@ -184,31 +193,26 @@ func (m *Monitor) emitAt(now sim.Time, tag uint64, distortion float64) {
 // monitor's previous beat, the final one landing at now carrying
 // distortion. With no prior beat, a single-beat batch, or a paused
 // clock (accelerated daemons between ticks) every beat lands at now.
-// The placement is byte-identical to count sequential BeatAt calls
-// computed against the same last-beat time — the batched form just
-// stops a large batch from bouncing the mutex per beat, and reads the
-// spread reference under the same lock so concurrent writers to one
-// monitor cannot interleave mid-batch.
+// The result is byte-identical to count sequential BeatAt calls
+// computed against the same last-beat time, and it costs
+// O(min(count, window)): only the beats the window retains are
+// computed and stored. The spread reference is read under the same
+// lock, so concurrent writers to one monitor cannot interleave
+// mid-batch. A count below 1 is one beat.
 //
 //angstrom:hotpath
 func (m *Monitor) BeatBatchSpreadAt(now sim.Time, count int, distortion float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	b := batch{n: max(count, 1), now: now}
 	var last sim.Time
 	if m.count > 0 {
 		last = m.timeAt(m.size - 1)
 	}
-	if count == 1 || last <= 0 || now <= last {
-		for i := 0; i < count-1; i++ {
-			m.emitLocked(now, 0, 0)
-		}
-	} else {
-		step := (now - last) / float64(count)
-		for i := 1; i < count; i++ {
-			m.emitLocked(last+step*float64(i), 0, 0)
-		}
+	if !(count == 1 || last <= 0 || now <= last) { // so a NaN last or now spreads
+		b.spread, b.last, b.step = true, last, (now-last)/float64(count)
 	}
-	m.emitLocked(now, 0, distortion)
+	m.writeLocked(&b, 0, distortion)
 }
 
 // BeatBatchShiftedAt ingests a client-timestamped batch under one lock
@@ -216,57 +220,205 @@ func (m *Monitor) BeatBatchSpreadAt(now sim.Time, count int, distortion float64)
 // at now carrying distortion. The final beat takes now directly rather
 // than lastTS+shift because the two differ in float arithmetic, and
 // the daemon's clock-skew contract is that a shifted batch's last beat
-// lands exactly on the server clock.
+// lands exactly on the server clock. The result is byte-identical to
+// len(ts)+1 sequential BeatAt calls; only the min(len(ts)+1, window)
+// beats the window retains are stored, and the stamps before them are
+// only compared, for the clamp.
 //
 //angstrom:hotpath
 func (m *Monitor) BeatBatchShiftedAt(ts []sim.Time, shift, now sim.Time, distortion float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range ts {
-		m.emitLocked(t+shift, 0, 0)
-	}
-	m.emitLocked(now, 0, distortion)
+	b := batch{n: len(ts) + 1, now: now, ts: ts, shift: shift}
+	m.writeLocked(&b, 0, distortion)
 }
 
-// emitLocked inserts one beat; caller holds m.mu. An O(1) circular
-// insert: once the window is full the oldest slot is overwritten, its
-// time kept in before.
+// A batch is n beats in Seq order: n-1 leading beats, then a final one
+// at now that carries the batch's tag and distortion. A single beat is
+// the n = 1 batch.
+type batch struct {
+	n   int
+	now sim.Time
+	// The shifted form: leading beat j at ts[j]+shift.
+	ts    []sim.Time
+	shift sim.Time
+	// The spread form: leading beat j at last+step*(j+1). With neither
+	// form every leading beat is at now.
+	spread     bool
+	last, step sim.Time
+}
+
+// at is beat j's time before the clamp.
 //
 //angstrom:hotpath
-func (m *Monitor) emitLocked(now sim.Time, tag uint64, distortion float64) {
+func (b *batch) at(j int) sim.Time {
+	switch {
+	case j == b.n-1:
+		return b.now
+	case b.ts != nil:
+		return b.ts[j] + b.shift
+	case b.spread:
+		return b.last + b.step*float64(j+1)
+	}
+	return b.now
+}
+
+// clampThrough returns leading beat k-1's clamped time, given cur, the
+// time of the beat before beat 0, without visiting the beats before it
+// where it can. A spread beat never clamps: step is >= 0 or NaN, so
+// last+step*i falls below neither last nor its predecessor. A run of
+// beats all at now clamps as its first beat does. Only client stamps,
+// which may step back, must all be compared.
+//
+//angstrom:hotpath
+func (b *batch) clampThrough(cur sim.Time, k int) sim.Time {
+	if b.ts == nil {
+		return clamp(cur, b.at(k-1))
+	}
+	for _, t := range b.ts[:k] {
+		cur = clamp(cur, t+b.shift)
+	}
+	return cur
+}
+
+// clamp is a beat stamped t after a beat at prev: t, unless that is
+// earlier than prev (a NaN on either side passes t through).
+//
+//angstrom:hotpath
+func clamp(prev, t sim.Time) sim.Time {
+	if t < prev {
+		return prev
+	}
+	return t
+}
+
+// writeLocked is the ring's one writer: it inserts a batch exactly as
+// n sequential single-beat inserts would (each beat clamped to its
+// predecessor, the oldest slot overwritten once the window is full, its
+// time kept in before), but computes and stores only the
+// min(n, window) beats the window retains: the retained leading beats
+// in at most two contiguous runs of slots, then the final beat. A
+// metered monitor still reads its meter once per beat, in order.
+// Caller holds m.mu.
+//
+//angstrom:hotpath
+func (m *Monitor) writeLocked(b *batch, tag uint64, distortion float64) {
+	w, n := m.window, b.n
+	keep := min(n, w) // the batch's beats the window retains
+	skip := n - keep  // leading beats overwritten within the batch
+	next := m.start + m.size
+	if next >= w {
+		next -= w
+	}
+	// cur is the clamped time of the beat before the next one stored.
+	var cur sim.Time
 	if m.count == 0 {
-		m.first = now
-	} else if last := m.timeAt(m.size - 1); now < last {
-		now = last
-	}
-	slot := m.start
-	if m.size < m.window {
-		slot = (m.start + m.size) % m.window
-		m.size++
+		cur = b.at(0)
+		m.first = cur
+	} else if next > 0 {
+		cur = m.times[next-1]
 	} else {
-		m.before = m.times[slot]
-		m.start = (m.start + 1) % m.window
+		cur = m.times[w-1]
 	}
-	m.times[slot] = now
-	if m.energy != nil {
-		m.energy[slot] = m.meter.EnergyJoules()
+	s0 := next // the first retained beat's slot
+	if skip > 0 {
+		cur = b.clampThrough(cur, skip)
+		m.before = cur
+		s0 = 0 // the batch rewrites every slot: start the run at the first
+	} else if over := m.size + n - w; over > 0 {
+		i := m.start + over - 1
+		if i >= w {
+			i -= w
+		}
+		m.before = m.times[i]
 	}
-	m.count++
+	// The retained leading beats fill [s0, end) and [0, wrap); the
+	// final beat lands in newest, the slot after them.
+	end, wrap := s0+keep-1, 0
+	if end > w {
+		end, wrap = w, end-w
+	}
+	newest := end
+	if end == w {
+		newest = wrap
+	}
+	if keep > 1 { // a single beat has no leading beats to store
+		cur = b.store(m.times[s0:end], skip, cur)
+		cur = b.store(m.times[:wrap], skip+end-s0, cur)
+	}
+	m.times[newest] = clamp(cur, b.now)
+	if m.meter != nil {
+		for range skip {
+			m.meter.EnergyJoules()
+		}
+		for i := range m.energy[s0:end] {
+			m.energy[s0+i] = m.meter.EnergyJoules()
+		}
+		for i := range m.energy[:wrap] {
+			m.energy[i] = m.meter.EnergyJoules()
+		}
+		m.energy[newest] = m.meter.EnergyJoules()
+	}
+	if m.size+n <= w {
+		m.size += n
+	} else {
+		m.size = w
+		m.start = newest + 1
+		if m.start == w {
+			m.start = 0
+		}
+	}
+	m.count += uint64(n)
+	if m.distortion != nil {
+		clear(m.distortion[s0:end])
+		clear(m.distortion[:wrap])
+	}
 	if d := math.Float64bits(distortion); d != 0 || m.distortion != nil {
 		if m.distortion == nil {
 			m.distortion = m.column()
 		}
-		m.distortion[slot] = d
+		m.distortion[newest] = d
+	}
+	if m.tags != nil {
+		clear(m.tags[s0:end])
+		clear(m.tags[:wrap])
 	}
 	if tag != 0 || m.tags != nil {
 		if m.tags == nil {
 			m.tags = m.column()
 		}
-		m.tags[slot] = tag
+		m.tags[newest] = tag
 	}
 	if distortion != 0 {
 		m.lastReport = m.count
 	}
+}
+
+// store writes leading beats j, j+1, ... clamped, into the contiguous
+// slots dst, after a beat at cur, and returns the last time stored (cur
+// if dst is empty). Each form has its own loop, so no beat pays for the
+// choice.
+//
+//angstrom:hotpath
+func (b *batch) store(dst []sim.Time, j int, cur sim.Time) sim.Time {
+	switch {
+	case b.ts != nil:
+		for i, t := range b.ts[j : j+len(dst)] {
+			cur = clamp(cur, t+b.shift)
+			dst[i] = cur
+		}
+	case b.spread:
+		for i := range dst {
+			cur = b.last + b.step*float64(j+i+1) // never clamps (see clampThrough)
+			dst[i] = cur
+		}
+	default:
+		for i := range dst {
+			cur = clamp(cur, b.now)
+			dst[i] = cur
+		}
+	}
+	return cur
 }
 
 // column allocates one of the ring's lazily stored columns, zeroed:

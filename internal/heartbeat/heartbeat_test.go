@@ -500,9 +500,11 @@ func TestLastTimeBeforeFirstBeat(t *testing.T) {
 }
 
 // A beat into a 4096-record window allocates nothing, before and after
-// the ring wraps (BenchmarkMonitorBeatWindow4096). AllocsPerRun
-// truncates its mean to an integer, so it makes one run of n beats and
-// the count it returns is every allocation they made.
+// the ring wraps (BenchmarkMonitorBeatWindow4096), and neither does a
+// batch of either form longer than the window, spread or shifted
+// (BenchmarkMonitorBeatBatch). AllocsPerRun truncates its mean to an
+// integer, so it makes one run of n beats or batches and the count it
+// returns is every allocation they made.
 func TestBeatAllocatesNothing(t *testing.T) {
 	const window, n = 4096, 3 * 4096
 	c := sim.NewClock(0)
@@ -518,6 +520,29 @@ func TestBeatAllocatesNothing(t *testing.T) {
 	}
 	if m.Count() != 2*n {
 		t.Fatalf("%d beats counted, want %d", m.Count(), 2*n)
+	}
+
+	const maxBeatBatch, batches = 10000, 8
+	ts := make([]sim.Time, 3*window)
+	for i := range ts {
+		ts[i] = sim.Time(i) * 1e-6
+	}
+	for _, batch := range []struct {
+		name string
+		beat func()
+	}{
+		{"BeatBatchSpreadAt", func() { m.BeatBatchSpreadAt(c.Now(), maxBeatBatch, 0) }},
+		{"BeatBatchShiftedAt", func() { m.BeatBatchShiftedAt(ts, c.Now()-ts[len(ts)-1], c.Now(), 0) }},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < batches; i++ {
+				c.Advance(1e-3)
+				batch.beat()
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d %s batches allocated %g objects, want 0", batches, batch.name, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package heartbeat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -343,18 +344,74 @@ func sameRecord(a, b Record) bool {
 		bits(a.EnergyJ) == bits(b.EnergyJ)
 }
 
+// ringTags are the tags the ring tests beat with.
+var ringTags = []uint64{1, 2, 7}
+
+// compareRings fails t unless m reads exactly as ref does: Observe,
+// Window, LastTime, Count, and TaggedSpan over every pair of ringTags
+// and the untagged 0, each compared on its bit patterns.
+func compareRings(t *testing.T, m *Monitor, ref *refRing, where string) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s (beat %d): "+format, append([]any{where, ref.count}, args...)...)
+	}
+	if got, want := m.Observe(), ref.observe(); !sameObservation(got, want) {
+		fail("Observe\n got %+v\nwant %+v", got, want)
+	}
+	got, want := m.Window(), ref.windowCopy()
+	if len(got) != len(want) {
+		fail("Window holds %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !sameRecord(got[i], want[i]) {
+			fail("Window[%d]\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	if got, want := m.LastTime(), ref.lastTime(); math.Float64bits(got) != math.Float64bits(want) {
+		fail("LastTime %g, want %g", got, want)
+	}
+	if got, want := m.Count(), ref.count; got != want {
+		fail("Count %d, want %d", got, want)
+	}
+	for _, a := range append(ringTags, 0) {
+		for _, b := range append(ringTags, 0) {
+			s, j, ok := m.TaggedSpan(a, b)
+			ws, wj, wok := ref.taggedSpan(a, b)
+			if ok != wok || math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(j) != math.Float64bits(wj) {
+				fail("TaggedSpan(%d, %d) = %g, %g, %v; want %g, %g, %v", a, b, s, j, ok, ws, wj, wok)
+			}
+		}
+	}
+}
+
+// stamps returns n client timestamps from at on, each 0 to 1 ms after
+// the last, or, when back is set, up to 0.25 ms before it in a fifth of
+// the steps (the monitor clamps what the daemon's decoder would refuse).
+func stamps(rng *rand.Rand, n int, at sim.Time, back bool) []sim.Time {
+	ts := make([]sim.Time, n)
+	for i := range ts {
+		step := rng.Float64() * 0.001
+		if back && rng.Intn(5) == 0 {
+			step = -step / 4
+		}
+		at += sim.Time(step)
+		ts[i] = at
+	}
+	return ts
+}
+
 // The columnar ring is the old ring: random interleavings of every beat
-// entry point — clocked and timestamped, tagged, batched both ways,
-// clamped into the past — across window wrap-around, with and without a
-// meter, and with distortions that are signed zeros, NaN, cancelling or
-// overflowing, leave Window, Observe, LastTime, Count and TaggedSpan
-// bit-identical to refRing's after every call. Runs that never carry a
-// distortion or a tag keep those columns unallocated, and are compared
-// too.
+// entry point — clocked and timestamped, tagged, batched both ways with
+// batches up to ten windows long, clamped into the past — across window
+// wrap-around, with and without a meter, and with distortions that are
+// signed zeros, NaN, cancelling or overflowing, leave Window, Observe,
+// LastTime, Count and TaggedSpan bit-identical to refRing's after every
+// call. Runs that never carry a distortion or a tag keep those columns
+// unallocated, and are compared too.
 func TestColumnarRingMatchesRecordRing(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	distortions := []float64{negZero, 0.25, -0.25, 1e-300, -1e-300, 5e-324, 1e150, -1e150, 1e308, -1e308, math.Inf(1), math.NaN()}
-	tags := []uint64{1, 2, 7}
 	for _, window := range []int{2, 3, 8, 20, 256} {
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed*7919 + int64(window)))
@@ -379,41 +436,11 @@ func TestColumnarRingMatchesRecordRing(t *testing.T) {
 				if plain || rng.Intn(3) > 0 {
 					return 0
 				}
-				return tags[rng.Intn(len(tags))]
+				return ringTags[rng.Intn(len(ringTags))]
 			}
 			check := func(step string) {
 				t.Helper()
-				fail := func(format string, args ...any) {
-					t.Helper()
-					t.Fatalf("window %d seed %d, after %s (beat %d): "+format, append([]any{window, seed, step, ref.count}, args...)...)
-				}
-				if got, want := m.Observe(), ref.observe(); !sameObservation(got, want) {
-					fail("Observe\n got %+v\nwant %+v", got, want)
-				}
-				got, want := m.Window(), ref.windowCopy()
-				if len(got) != len(want) {
-					fail("Window holds %d records, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if !sameRecord(got[i], want[i]) {
-						fail("Window[%d]\n got %+v\nwant %+v", i, got[i], want[i])
-					}
-				}
-				if got, want := m.LastTime(), ref.lastTime(); math.Float64bits(got) != math.Float64bits(want) {
-					fail("LastTime %g, want %g", got, want)
-				}
-				if got, want := m.Count(), ref.count; got != want {
-					fail("Count %d, want %d", got, want)
-				}
-				for _, a := range append(tags, 0) {
-					for _, b := range append(tags, 0) {
-						s, j, ok := m.TaggedSpan(a, b)
-						ws, wj, wok := ref.taggedSpan(a, b)
-						if ok != wok || math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(j) != math.Float64bits(wj) {
-							fail("TaggedSpan(%d, %d) = %g, %g, %v; want %g, %g, %v", a, b, s, j, ok, ws, wj, wok)
-						}
-					}
-				}
+				compareRings(t, m, ref, fmt.Sprintf("window %d seed %d, after %s", window, seed, step))
 			}
 			check("construction")
 			for op := 0; op < 3*window+60; op++ {
@@ -445,20 +472,19 @@ func TestColumnarRingMatchesRecordRing(t *testing.T) {
 					ref.emitLocked(now, 0, d)
 					check("BeatWithAccuracyAt")
 				case 5:
-					n, d := 1+rng.Intn(2*window), pickD()
+					n, d := 1+rng.Intn(10*window), pickD()
 					m.BeatBatchSpreadAt(now, n, d)
 					ref.batchSpreadAt(now, n, d)
 					check("BeatBatchSpreadAt")
 				case 6:
-					ts := make([]sim.Time, rng.Intn(window+2))
 					at := now - 0.005
-					for i := range ts {
-						at += sim.Time(rng.Float64() * 0.001)
-						ts[i] = at
+					ts := stamps(rng, rng.Intn(3*window+2), at, rng.Intn(4) == 0)
+					if len(ts) > 0 {
+						at = ts[len(ts)-1]
 					}
-					d := pickD()
-					m.BeatBatchShiftedAt(ts, now-at, now, d)
-					ref.batchShiftedAt(ts, now-at, now, d)
+					d, shift := pickD(), now-at
+					m.BeatBatchShiftedAt(ts, shift, now, d)
+					ref.batchShiftedAt(ts, shift, now, d)
 					check("BeatBatchShiftedAt")
 				case 7:
 					d := pickD()
@@ -472,6 +498,92 @@ func TestColumnarRingMatchesRecordRing(t *testing.T) {
 			}
 			if (m.energy != nil) != (refMeter != nil) {
 				t.Fatalf("window %d seed %d: energy column present %v, meter attached %v", window, seed, m.energy != nil, refMeter != nil)
+			}
+		}
+	}
+}
+
+// readMeter counts its reads and reports the count as the reading, so
+// a skipped or repeated read shows in every later energy value.
+type readMeter struct{ reads float64 }
+
+func (r *readMeter) EnergyJoules() float64 { r.reads++; return r.reads }
+
+// maxBeatBatch is the serving daemon's bound on one batch
+// (server.MaxBeatBatch).
+const maxBeatBatch = 10000
+
+// The batch cases a random interleaving may miss, each past the window
+// and inside it, compared with refRing after every call: a first-ever
+// batch of both forms; a paused clock (now == last) and one that runs
+// backwards (now < last); client stamps that step backwards in the
+// prefix the window drops; batches over existing distortion and tag
+// columns, with final distortions of NaN and -0; and a meter that must
+// be read once per beat, retained or not.
+func TestBatchEdgesMatchRecordRing(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, window := range []int{2, 3, 20, 64, 256} {
+		counts := []int{1, window - 1, window, window + 1, 10 * window, maxBeatBatch}
+		for _, metered := range []bool{false, true} {
+			for first := 0; first < 2; first++ {
+				rng := rand.New(rand.NewSource(int64(window)))
+				clock := sim.NewClock(5)
+				var opts []Option
+				var meter, refMeter EnergyMeter
+				if metered {
+					meter, refMeter = &readMeter{}, &readMeter{}
+					opts = append(opts, WithEnergyMeter(meter))
+				}
+				m, ref := New(clock, append(opts, WithWindow(window))...), newRefRing(clock, refMeter, window)
+				where := func(step string, n int) string {
+					return fmt.Sprintf("window %d metered %v first %d, after %s of %d", window, metered, first, step, n)
+				}
+				spread := func(now sim.Time, n int, d float64, step string) {
+					m.BeatBatchSpreadAt(now, n, d)
+					ref.batchSpreadAt(now, n, d)
+					compareRings(t, m, ref, where(step, n))
+				}
+				shifted := func(now sim.Time, n int, back bool, d float64, step string) {
+					ts := stamps(rng, n-1, now-1, back)
+					shift := sim.Time(0.25)
+					m.BeatBatchShiftedAt(ts, shift, now, d)
+					ref.batchShiftedAt(ts, shift, now, d)
+					compareRings(t, m, ref, where(step, n))
+				}
+				n := counts[len(counts)-1-first] // a first batch past the window
+				if first == 0 {
+					spread(clock.Now(), n, 0, "first spread batch")
+				} else {
+					shifted(clock.Now(), n, true, 0, "first shifted batch")
+				}
+				for _, n := range counts {
+					clock.Advance(1)
+					spread(clock.Now(), n, 0, "spread batch")
+					spread(clock.Now(), n, 0, "spread batch on a paused clock")
+					spread(clock.Now()-0.5, n, 0.5, "spread batch before the last beat")
+					shifted(clock.Now(), n, false, 0, "shifted batch")
+					shifted(clock.Now(), n, true, 0, "shifted batch stepping back")
+					shifted(clock.Now()-3, n, false, 0, "shifted batch before the last beat")
+				}
+				m.BeatTagged(7)
+				ref.emit(7, 0)
+				m.BeatWithAccuracy(0.25)
+				ref.emit(0, 0.25)
+				compareRings(t, m, ref, where("a tagged and a distorted beat", 1))
+				for _, n := range counts {
+					for _, d := range []float64{math.NaN(), negZero, 0, 0.75} {
+						clock.Advance(0.5)
+						m.BeatTagged(2)
+						ref.emit(2, 0)
+						spread(clock.Now(), n, d, fmt.Sprintf("spread batch with distortion %g over both columns", d))
+						m.BeatTagged(1)
+						ref.emit(1, 0)
+						shifted(clock.Now(), n, true, d, fmt.Sprintf("shifted batch with distortion %g over both columns", d))
+					}
+				}
+				if metered && meter.(*readMeter).reads != refMeter.(*readMeter).reads {
+					t.Fatalf("window %d first %d: meter read %g times for %g beats", window, first, meter.(*readMeter).reads, refMeter.(*readMeter).reads)
+				}
 			}
 		}
 	}

@@ -178,10 +178,19 @@ type Options struct {
 	OnError func(error)
 }
 
+// flushBytes is the append buffer's size bound: an Append that leaves
+// this much buffered wakes the background flusher early, so a fast
+// ingest rate cannot grow the buffer (and the spare it swaps with) to
+// a whole FlushEvery interval of records.
+const flushBytes = 1 << 20
+
 // Writer appends framed records to the current journal segment.
 // Append buffers without touching the disk (hot paths); Commit is
 // Append plus durability, amortized across concurrent committers by
-// group commit. All methods are safe for concurrent use.
+// group commit. With a background flusher (Options.FlushEvery),
+// appended records become durable every FlushEvery or once flushBytes
+// of them are buffered, whichever comes first. All methods are safe
+// for concurrent use.
 type Writer struct {
 	fs   FS
 	dir  string
@@ -201,6 +210,9 @@ type Writer struct {
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
+	// wake asks the flusher for an early flush (one slot: a request
+	// already pending covers every later one).
+	wake chan struct{}
 }
 
 // NewWriter opens a fresh segment starting at sequence start (an
@@ -219,6 +231,7 @@ func NewWriter(fs FS, dir string, start uint64, opts Options) (*Writer, error) {
 	if opts.FlushEvery > 0 {
 		w.stopFlusher = make(chan struct{})
 		w.flusherDone = make(chan struct{})
+		w.wake = make(chan struct{}, 1)
 		go w.flushLoop()
 	}
 	return w, nil
@@ -226,7 +239,8 @@ func NewWriter(fs FS, dir string, start uint64, opts Options) (*Writer, error) {
 
 // flushLoop is the interval writer behind asynchronous appends: beats
 // and tick records become durable within FlushEvery of landing in the
-// buffer even when no synchronous commit comes along to carry them.
+// buffer even when no synchronous commit comes along to carry them,
+// and sooner when Append finds flushBytes buffered.
 func (w *Writer) flushLoop() {
 	defer close(w.flusherDone)
 	ticker := time.NewTicker(w.opts.FlushEvery)
@@ -236,8 +250,9 @@ func (w *Writer) flushLoop() {
 		case <-w.stopFlusher:
 			return
 		case <-ticker.C:
-			_ = w.Flush() // errors latch; the next caller sees them
+		case <-w.wake:
 		}
+		_ = w.Flush() // errors latch; the next caller sees them
 	}
 }
 
@@ -276,7 +291,8 @@ func (w *Writer) Seq() uint64 {
 
 // Append buffers one record and returns its sequence number without
 // touching the disk: the record becomes durable with the next commit or
-// interval flush. This is the hot-path entry — no I/O, no fsync.
+// flush. This is the hot-path entry — no I/O, no fsync; once flushBytes
+// are buffered it only wakes the background flusher, without waiting.
 //
 //angstrom:hotpath
 func (w *Writer) Append(payload []byte) (uint64, error) {
@@ -291,6 +307,12 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	}
 	w.buf = AppendFrame(w.buf, payload)
 	w.appended++
+	if len(w.buf) >= flushBytes { // a nil wake (no flusher) takes the default
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
 	return w.appended, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func commit(t *testing.T, w *Writer, payload string) uint64 {
@@ -233,6 +234,40 @@ func TestAppendIsPureBuffering(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A writer whose interval flush is an hour away still makes its
+// records durable once flushBytes of them are buffered: Append wakes
+// the background flusher, and nobody calls Commit or Flush.
+func TestAppendPastSizeBoundWakesFlusher(t *testing.T) {
+	fs := NewMemFS()
+	w, err := NewWriter(fs, "j", 0, Options{FlushEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := make([]byte, 1000)
+	for i := 0; i < flushBytes/(frameHeader+len(payload)); i++ {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := fs.Syncs(); got != 0 {
+		t.Fatalf("%d syncs below the size bound, want 0", got)
+	}
+	last, err := w.Append(payload) // crosses the bound
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); w.synced.Load() < last; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("records up to %d still not durable after 10 s past the size bound (%d syncs)", last, fs.Syncs())
+		}
+	}
+	if fs.Syncs() < 1 {
+		t.Fatal("records durable without a sync")
 	}
 }
 

@@ -107,7 +107,8 @@ type Config struct {
 	SnapshotEvery time.Duration
 	// JournalFlush bounds how long an asynchronously appended record
 	// (beats, tick marks) stays buffered before the background flusher
-	// makes it durable (default 100ms). Negative disables the flusher;
+	// makes it durable (default 100ms); the flusher also runs as soon
+	// as 1 MiB of records is buffered. Negative disables the flusher;
 	// synchronous commits still flush. Requires DataDir.
 	JournalFlush time.Duration
 	// BeatTimeout, when positive, evicts advisory applications whose

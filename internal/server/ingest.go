@@ -37,7 +37,9 @@ func (d *Daemon) lookup(name string) (*app, bool) { return d.dir.get(name) }
 // windowed rates stay unbiased even when the averaging window is
 // smaller than a batch. (The very first batch has no prior reference
 // and lands at the current time; clients that need exact placement send
-// per-beat timestamps via BeatTimestamps.)
+// per-beat timestamps via BeatTimestamps.) The monitor writes only the
+// beats its window retains, so a batch's ring cost stops growing once
+// count passes the window.
 //
 // Chip-backed applications are refused: their partition is the beat
 // source, and a client beat stamped at wall-clock time would drag the
@@ -78,8 +80,9 @@ func (d *Daemon) beatTarget(name string, count int, distortion float64) (*app, e
 // ingestSpread journals and applies a validated server-spread batch:
 // count beats spread across the interval since the app's previous
 // beat, the last carrying distortion (one lock acquisition on the
-// monitor). Both ingestion transports funnel here; the fleet-wide beats
-// total is left to the caller, because the wire path publishes it through per-connection
+// monitor, and O(min(count, window)) ring writes). Both ingestion
+// transports funnel here; the fleet-wide beats total is left to the
+// caller, because the wire path publishes it through per-connection
 // deltas instead of per batch.
 func (d *Daemon) ingestSpread(a *app, count int, distortion float64) {
 	now := d.clock.Now()
