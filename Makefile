@@ -38,8 +38,9 @@ vet:
 	$(GO) vet ./...
 
 # angstromlint enforces the repo's own contracts: deterministic scopes,
-# zero-allocation hot paths, journal-before-mutate, and clock
-# discipline (see ARCHITECTURE.md, "Static analysis & contracts").
+# zero-allocation hot paths, journal-before-mutate, clock discipline,
+# and no exported internal/ API that only tests use (see
+# ARCHITECTURE.md, "Static analysis & contracts").
 lint: vet
 	$(GO) run ./cmd/angstromlint ./...
 

@@ -250,37 +250,6 @@ func BenchmarkPartnerCore(b *testing.B) {
 	}
 }
 
-// BenchmarkNoCAdaptations is ablation A3: mesh latency evaluation with
-// each §4.2.2 feature toggled.
-func BenchmarkNoCAdaptations(b *testing.B) {
-	run := func(b *testing.B, evc, ban, aor bool) {
-		cfg := noc.DefaultConfig(16, 16)
-		cfg.EVC, cfg.BAN = evc, ban
-		m, err := noc.NewMesh(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 1; i < 15; i++ {
-			if err := m.SetFlow(i, 255-i, 0.1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if aor {
-			m.OptimizeAOR()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if m.AvgFlowLatency() <= 0 {
-				b.Fatal("no latency")
-			}
-		}
-	}
-	b.Run("baseline", func(b *testing.B) { run(b, false, false, false) })
-	b.Run("evc", func(b *testing.B) { run(b, true, false, false) })
-	b.Run("evc+ban", func(b *testing.B) { run(b, true, true, false) })
-	b.Run("evc+ban+aor", func(b *testing.B) { run(b, true, true, true) })
-}
-
 // BenchmarkCoherenceProtocols is ablation A4: per-access cost of the
 // three coherence protocols on a mixed sharing pattern.
 func BenchmarkCoherenceProtocols(b *testing.B) {

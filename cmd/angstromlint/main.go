@@ -1,8 +1,9 @@
 // Command angstromlint is the repository's contract multichecker: it
 // runs the internal/lint analyzers (determinism, hotpath,
-// journalbefore, clockdiscipline, plus the stdlib-quality shadow pass)
-// over the packages matching its arguments and exits non-zero on any
-// finding.
+// journalbefore, clockdiscipline, unusedexport, plus the
+// stdlib-quality shadow pass) over the packages matching its arguments
+// and exits non-zero on any finding. unusedexport reports only when the
+// patterns cover the whole module (./...).
 //
 //	go run ./cmd/angstromlint ./...
 //	go run ./cmd/angstromlint -only determinism,hotpath ./internal/...

@@ -26,7 +26,6 @@ package actuator
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Axis identifies a behavioural dimension an actuator can affect.
@@ -194,14 +193,3 @@ func (a *Actuator) Set(index int) error {
 
 // EffectOf returns the declared effect of setting index i.
 func (a *Actuator) EffectOf(i int) Effect { return a.Settings[i].Effect }
-
-// MaxSpeedup reports the largest declared speedup across settings.
-func (a *Actuator) MaxSpeedup() float64 {
-	best := math.Inf(-1)
-	for _, s := range a.Settings {
-		if s.Effect.Speedup > best {
-			best = s.Effect.Speedup
-		}
-	}
-	return best
-}

@@ -112,9 +112,9 @@ func TestSpaceSizeAndNominal(t *testing.T) {
 	if s.Size() != 9 {
 		t.Fatalf("Size() = %d, want 9", s.Size())
 	}
-	nom := s.Nominal()
+	nom := Config{s.Acts[0].NominalIndex, s.Acts[1].NominalIndex}
 	if nom[0] != 0 || nom[1] != 1 {
-		t.Fatalf("Nominal() = %v, want [0 1]", nom)
+		t.Fatalf("nominal config = %v, want [0 1]", nom)
 	}
 	e := s.Effect(nom)
 	if e.Speedup != 1 || e.PowerX != 1 {
@@ -201,13 +201,6 @@ func TestPointsSortedBySpeedup(t *testing.T) {
 		if pts[i].Effect.Speedup < pts[i-1].Effect.Speedup {
 			t.Fatal("Points() not sorted by speedup")
 		}
-	}
-}
-
-func TestMaxSpeedup(t *testing.T) {
-	a := knob("a", 1, 2, 8, 4)
-	if got := a.MaxSpeedup(); got != 8 {
-		t.Fatalf("MaxSpeedup = %g, want 8", got)
 	}
 }
 

@@ -19,14 +19,14 @@ package actuator
 // fakes in tests and alternative backends without code changes.
 
 // Knob is one discrete, ordered hardware setting ("ladder"): level 0 is
-// the lowest rung, Levels()-1 the highest. Implementations must be safe
-// for the single-actuation-goroutine discipline of the SEEC runtime;
-// implementations shared across goroutines must synchronize internally.
+// the lowest rung, each higher level the next one up; the action space
+// that steps the knob declares how many rungs there are.
+// Implementations must be safe for the single-actuation-goroutine
+// discipline of the SEEC runtime; implementations shared across
+// goroutines must synchronize internally.
 type Knob interface {
 	// Name identifies the knob in reports and error messages.
 	Name() string
-	// Levels reports the number of rungs.
-	Levels() int
 	// Level reports the current rung.
 	Level() int
 	// SetLevel moves the knob to the given rung, or refuses and stays.

@@ -68,16 +68,6 @@ func (s *Space) Size() int {
 	return n
 }
 
-// Nominal returns the configuration selecting every actuator's nominal
-// setting.
-func (s *Space) Nominal() Config {
-	cfg := make(Config, len(s.Acts))
-	for i, a := range s.Acts {
-		cfg[i] = a.NominalIndex
-	}
-	return cfg
-}
-
 // Effect composes the declared effects of cfg across all actuators.
 // This is the model the decision engine uses before any on-line
 // correction by the adaptive layer.

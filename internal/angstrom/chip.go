@@ -45,8 +45,9 @@ type Config struct {
 	VF int
 	// Coherence selects the protocol.
 	Coherence CoherenceKind
-	// EVC, BAN, AOR enable the corresponding NoC adaptations.
-	EVC, BAN, AOR bool
+	// EVC and BAN enable the corresponding NoC adaptations (priced by
+	// the interval model; the trace-driven mesh models EVC only).
+	EVC, BAN bool
 }
 
 // The chip's three knob axes, in the order Partition.Knobs returns a
@@ -157,10 +158,9 @@ type Params struct {
 	MemEnergyPJ  float64
 	// MemBandwidthBps is aggregate off-chip bandwidth.
 	MemBandwidthBps float64
-	// NoCFlitBW is the per-link mesh bandwidth in flits/cycle (the
-	// noc.Config.LinkBandwidth of the chip-wide mesh); the contention
-	// model derives total flit-hop capacity from it. Non-positive means
-	// the default of 1.
+	// NoCFlitBW is the per-link mesh bandwidth in flits/cycle; the
+	// contention model derives total flit-hop capacity from it.
+	// Non-positive means the default of 1.
 	NoCFlitBW float64
 	// UncoreW is constant chip overhead (clock spine, IO); it is also
 	// the idle power subtracted by the perf/Watt metric.

@@ -18,8 +18,8 @@ import "math"
 //     and re-prices each partition's CPI with the *shared* utilization
 //     in place of the private one. Memory stalls inflate through the
 //     same 1/(1-rho) service-time factor the assembler uses; network
-//     stalls gain the mesh's M/M/1 queueing term rho/(1-rho) per hop
-//     (noc.Mesh.LatencyCycles uses the identical form per link).
+//     stalls gain an M/M/1 queueing wait of rho/(1-rho) cycles per hop,
+//     rho being the chip-wide flit-hop utilization.
 //  3. The resulting slowdown (isolated CPI / contended CPI) multiplies
 //     the partition's effective IPS and heart rate, flows into Sense,
 //     Advance, and attributed power, and is re-estimated each pass by

@@ -98,13 +98,13 @@ func TestContentionCoLocationDegrades(t *testing.T) {
 	for _, pt := range []*Partition{a, b} {
 		in := pt.Interference()
 		if in.Slowdown >= soloSlow {
-			t.Fatalf("%s: co-located slowdown %g not below solo %g", pt.Name(), in.Slowdown, soloSlow)
+			t.Fatalf("%s: co-located slowdown %g not below solo %g", pt.name, in.Slowdown, soloSlow)
 		}
 		if got := pt.Sense().IPS; got >= soloIPS {
-			t.Fatalf("%s: co-located IPS %g not below solo %g", pt.Name(), got, soloIPS)
+			t.Fatalf("%s: co-located IPS %g not below solo %g", pt.name, got, soloIPS)
 		}
 		if in.MemRho <= ptSolo.Interference().MemRho {
-			t.Fatalf("%s: shared mem rho %g not above solo %g", pt.Name(), in.MemRho, ptSolo.Interference().MemRho)
+			t.Fatalf("%s: shared mem rho %g not above solo %g", pt.name, in.MemRho, ptSolo.Interference().MemRho)
 		}
 	}
 	if c := both.Contention(); c.MemRho <= solo.Contention().MemRho {

@@ -37,7 +37,6 @@ func EvaluateDetailed(p Params, spec workload.Spec, cfg Config, accesses int, se
 	ncfg.LinkCycles = p.LinkCycles
 	ncfg.EVCCycles = p.EVCCycles
 	ncfg.EVC = cfg.EVC
-	ncfg.BAN = cfg.BAN
 	mesh, err := noc.NewMesh(ncfg)
 	if err != nil {
 		return Metrics{}, err

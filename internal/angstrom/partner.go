@@ -35,6 +35,8 @@ type PartnerCore struct {
 }
 
 // NewPartnerCore pairs a partner with a main core's observation state.
+//
+//lint:allow unusedexport the §4.1 probes and §4.3 partner core wait for ROADMAP B.2 (a daemon that observes itself)
 func NewPartnerCore(main VFPoint, energy CoreEnergy, counters *CounterFile, events *EventQueue) (*PartnerCore, error) {
 	if counters == nil {
 		return nil, fmt.Errorf("angstrom: partner core without counter access")
@@ -61,6 +63,8 @@ type DecisionCost struct {
 
 // RunDecision models executing `instructions` of decision-engine code on
 // the partner core at the main core's current voltage.
+//
+//lint:allow unusedexport the §4.1 probes and §4.3 partner core wait for ROADMAP B.2 (a daemon that observes itself)
 func (p *PartnerCore) RunDecision(instructions float64) DecisionCost {
 	f := p.Main.FHz * p.FreqRatio
 	cycles := instructions * p.CPIRatio
@@ -77,6 +81,8 @@ func (p *PartnerCore) RunDecision(instructions float64) DecisionCost {
 // the baseline the partner core exists to beat. It costs application
 // time (the main core cannot run the application meanwhile) and full
 // main-core power.
+//
+//lint:allow unusedexport the §4.1 probes and §4.3 partner core wait for ROADMAP B.2 (a daemon that observes itself)
 func (p *PartnerCore) RunDecisionOnMain(instructions float64) DecisionCost {
 	seconds := instructions / p.Main.FHz // CPI 1 on the big core
 	mainPowerW := p.Energy.DynamicPJPerCycle(p.Main.Volts)*1e-12*p.Main.FHz +
@@ -86,6 +92,8 @@ func (p *PartnerCore) RunDecisionOnMain(instructions float64) DecisionCost {
 
 // DrainEvents pops up to max pending probe events for processing,
 // returning them oldest-first.
+//
+//lint:allow unusedexport the §4.1 probes and §4.3 partner core wait for ROADMAP B.2 (a daemon that observes itself)
 func (p *PartnerCore) DrainEvents(max int) []Event {
 	if p.Events == nil {
 		return nil

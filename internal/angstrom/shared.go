@@ -97,9 +97,6 @@ func (sc *SharedChip) MemBandwidthScale() float64 {
 	return sc.memScale
 }
 
-// Params returns the chip constants.
-func (sc *SharedChip) Params() Params { return sc.p }
-
 // Tiles reports the physical tile count.
 func (sc *SharedChip) Tiles() int { return sc.tiles }
 
@@ -243,9 +240,6 @@ type Partition struct {
 	intf            Interference
 	contendedPowerW float64 // m.PowerW minus throughput-scaled NoC/DRAM energy
 }
-
-// Name returns the owning application's name.
-func (pt *Partition) Name() string { return pt.name }
 
 // Config returns the partition's current hardware configuration.
 func (pt *Partition) Config() Config {
@@ -542,7 +536,6 @@ type fieldKnob struct {
 }
 
 func (k *fieldKnob) Name() string { return axes[k.axis].name }
-func (k *fieldKnob) Levels() int  { return len(k.options) }
 func (k *fieldKnob) Level() int   { return indexOf(k.options, k.pt.Config().Level(k.axis)) }
 func (k *fieldKnob) SetLevel(level int) error {
 	if level < 0 || level >= len(k.options) {

@@ -96,8 +96,8 @@ func TestShrinkSharesMatchesReferenceLoop(t *testing.T) {
 		// Withdrawn tenants a caller's snapshot still lists.
 		for i := range refT {
 			if len(refT) > 1 && rng.Intn(12) == 0 {
-				ref.Release(refT[i].Name())
-				got.Release(gotT[i].Name())
+				ref.Release(refT[i].name)
+				got.Release(gotT[i].name)
 			}
 		}
 		parts, used := ref.Usage()

@@ -17,19 +17,16 @@ import "fmt"
 // — the real cost of migrating the on-chip data layout.
 //
 // In the Angstrom design this knob is exposed to SEEC like any other
-// actuator; Adaptive is the hardware-autonomous policy it defaults to,
-// and ForceProtocol is the software override.
+// actuator; Adaptive is the hardware-autonomous policy it defaults to.
 type Adaptive struct {
 	prots  [2]Protocol
 	active int
 
 	epochLen   int
 	hysteresis float64
-	forced     bool
 
 	n            int
 	cycles       [2]float64 // per-protocol latency this epoch
-	switches     int
 	flushPenalty float64
 }
 
@@ -53,46 +50,18 @@ func NewAdaptive(dir, nuca Protocol, epochLen int, flushPenaltyCycles float64) (
 // Name implements Protocol.
 func (a *Adaptive) Name() string { return "arcc(" + a.prots[a.active].Name() + ")" }
 
-// Active returns the currently selected protocol's name.
-func (a *Adaptive) Active() string { return a.prots[a.active].Name() }
-
-// Switches reports how many protocol switches have occurred.
-func (a *Adaptive) Switches() int { return a.switches }
-
-// ForceProtocol pins the protocol by index (0 = directory, 1 = NUCA),
-// disabling autonomous adaptation — this is the software-exposure path.
-func (a *Adaptive) ForceProtocol(idx int) error {
-	if idx < 0 || idx > 1 {
-		return fmt.Errorf("cache: protocol index %d outside [0,1]", idx)
-	}
-	if idx != a.active {
-		a.active = idx
-		a.switches++
-		a.n, a.cycles = 0, [2]float64{}
-	}
-	a.forced = true
-	return nil
-}
-
-// Unforce re-enables autonomous adaptation.
-func (a *Adaptive) Unforce() { a.forced = false }
-
 // Access implements Protocol: the active protocol serves the access, the
 // alternative's shadow state replays it, and epoch accounting may flip
 // the selection.
 func (a *Adaptive) Access(core int, line uint64, write bool) Outcome {
 	out := a.prots[a.active].Access(core, line, write)
 	shadow := a.prots[1-a.active].Access(core, line, write)
-	if a.forced {
-		return out
-	}
 	a.cycles[a.active] += out.Cycles
 	a.cycles[1-a.active] += shadow.Cycles
 	a.n++
 	if a.n >= a.epochLen {
 		if a.cycles[1-a.active] < a.cycles[a.active]*a.hysteresis {
 			a.active = 1 - a.active
-			a.switches++
 			out.Cycles += a.flushPenalty
 		}
 		a.n, a.cycles = 0, [2]float64{}

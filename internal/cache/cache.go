@@ -1,9 +1,10 @@
 // Package cache implements Angstrom's reconfigurable cache substrate
 // (§4.2.1) and its adaptive coherence protocols (§4.2.2):
 //
-//   - a set-associative cache with way and set disabling, so the SEEC
-//     runtime can shrink a core's L2 from 256 KB down to 16 KB "for the
-//     same performance" at lower power [4];
+//   - a set-associative LRU cache of fixed geometry; the paper's
+//     reconfigurable L2 (256 KB down to 16 KB "for the same
+//     performance" at lower power [4]) is a configuration axis, so each
+//     swept configuration builds its caches at that size;
 //   - a voltage-scalable SRAM energy/latency model (the paper's cores
 //     "need to feature voltage-scalable SRAMs");
 //   - directory-based MSI, shared-NUCA, and ARCc-style adaptive
@@ -41,16 +42,12 @@ type line struct {
 	lru   uint64 // last-touch stamp
 }
 
-// Cache is a set-associative cache with run-time way and set disabling.
-// Addresses are cache-line granular (the workload generators emit line
-// addresses directly).
+// Cache is a set-associative cache with LRU replacement. Addresses are
+// cache-line granular (the workload generators emit line addresses
+// directly).
 type Cache struct {
-	totalSets int // physical sets
-	ways      int // physical ways
-	lineBytes int
-
-	enabledWays int
-	setShift    uint // sets disabled in powers of two: enabled = total >> shift
+	ways    int
+	setBits uint // log2 of the set count
 
 	sets  [][]line
 	stamp uint64
@@ -79,9 +76,9 @@ func New(sizeKB, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nsets)
 	}
 	c := &Cache{
-		totalSets: nsets, ways: ways, lineBytes: lineBytes,
-		enabledWays: ways,
-		sets:        make([][]line, nsets),
+		ways:    ways,
+		setBits: uint(bits.TrailingZeros64(uint64(nsets))),
+		sets:    make([][]line, nsets),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, ways)
@@ -89,59 +86,12 @@ func New(sizeKB, ways, lineBytes int) (*Cache, error) {
 	return c, nil
 }
 
-// Resize reconfigures the enabled portion: waysEnabled of the physical
-// ways and totalSets>>setShift of the physical sets. Disabled lines are
-// flushed (counted as evictions; dirty ones as writebacks).
-func (c *Cache) Resize(waysEnabled int, setShift uint) error {
-	if waysEnabled < 1 || waysEnabled > c.ways {
-		return fmt.Errorf("cache: ways %d outside [1,%d]", waysEnabled, c.ways)
-	}
-	if c.totalSets>>setShift < 1 {
-		return fmt.Errorf("cache: set shift %d disables every set", setShift)
-	}
-	c.enabledWays = waysEnabled
-	c.setShift = setShift
-	enabledSets := c.totalSets >> setShift
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			if !ln.valid {
-				continue
-			}
-			if si >= enabledSets || wi >= waysEnabled {
-				if ln.dirty {
-					c.stats.Writebacks++
-				}
-				c.stats.Evictions++
-				ln.valid = false
-				ln.dirty = false
-			}
-		}
-	}
-	return nil
-}
-
-// EnabledKB reports the currently enabled capacity.
-func (c *Cache) EnabledKB() int {
-	return (c.totalSets >> c.setShift) * c.enabledWays * c.lineBytes / 1024
-}
-
-// SizeKB reports the physical capacity.
-func (c *Cache) SizeKB() int { return c.totalSets * c.ways * c.lineBytes / 1024 }
-
-// Ways reports physical associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// setIndex maps a line address to its (enabled) set.
+// setIndex maps a line address to its set.
 func (c *Cache) setIndex(lineAddr uint64) int {
-	enabled := uint64(c.totalSets >> c.setShift)
-	return int(lineAddr & (enabled - 1))
+	return int(lineAddr & (1<<c.setBits - 1))
 }
 
-func (c *Cache) tag(lineAddr uint64) uint64 {
-	shift := uint(bits.TrailingZeros64(uint64(c.totalSets >> c.setShift)))
-	return lineAddr >> shift
-}
+func (c *Cache) tag(lineAddr uint64) uint64 { return lineAddr >> c.setBits }
 
 // AccessResult describes one access's outcome.
 type AccessResult struct {
@@ -154,8 +104,7 @@ type AccessResult struct {
 }
 
 // Access looks up lineAddr, filling it on a miss (allocate-on-miss for
-// both reads and writes) and applying LRU replacement within the enabled
-// ways. write marks the line dirty.
+// both reads and writes) and applying LRU replacement within the set. write marks the line dirty.
 func (c *Cache) Access(lineAddr uint64, write bool) AccessResult {
 	c.stats.Accesses++
 	c.stamp++
@@ -163,7 +112,7 @@ func (c *Cache) Access(lineAddr uint64, write bool) AccessResult {
 	tg := c.tag(lineAddr)
 	set := c.sets[si]
 	// Hit path.
-	for wi := 0; wi < c.enabledWays; wi++ {
+	for wi := 0; wi < c.ways; wi++ {
 		if set[wi].valid && set[wi].tag == tg {
 			set[wi].lru = c.stamp
 			if write {
@@ -173,12 +122,12 @@ func (c *Cache) Access(lineAddr uint64, write bool) AccessResult {
 			return AccessResult{Hit: true}
 		}
 	}
-	// Miss: find a victim among enabled ways (invalid first, else LRU).
+	// Miss: find a victim among the set's ways (invalid first, else LRU).
 	c.stats.Misses++
 	victim := 0
 	var oldest uint64 = ^uint64(0)
 	found := false
-	for wi := 0; wi < c.enabledWays; wi++ {
+	for wi := 0; wi < c.ways; wi++ {
 		if !set[wi].valid {
 			victim = wi
 			found = true
@@ -206,15 +155,14 @@ func (c *Cache) Access(lineAddr uint64, write bool) AccessResult {
 
 // reconstruct rebuilds a line address from tag and set index.
 func (c *Cache) reconstruct(tag uint64, setIdx int) uint64 {
-	shift := uint(bits.TrailingZeros64(uint64(c.totalSets >> c.setShift)))
-	return tag<<shift | uint64(setIdx)
+	return tag<<c.setBits | uint64(setIdx)
 }
 
 // Contains reports whether lineAddr is currently cached (no LRU update).
 func (c *Cache) Contains(lineAddr uint64) bool {
 	si := c.setIndex(lineAddr)
 	tg := c.tag(lineAddr)
-	for wi := 0; wi < c.enabledWays; wi++ {
+	for wi := 0; wi < c.ways; wi++ {
 		if c.sets[si][wi].valid && c.sets[si][wi].tag == tg {
 			return true
 		}
@@ -227,7 +175,7 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 	si := c.setIndex(lineAddr)
 	tg := c.tag(lineAddr)
-	for wi := 0; wi < c.enabledWays; wi++ {
+	for wi := 0; wi < c.ways; wi++ {
 		ln := &c.sets[si][wi]
 		if ln.valid && ln.tag == tg {
 			present, dirty = true, ln.dirty
@@ -260,6 +208,3 @@ func (c *Cache) Flush() (writebacks int) {
 
 // Stats returns the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters (contents are preserved).
-func (c *Cache) ResetStats() { c.stats = Stats{} }

@@ -71,47 +71,11 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	}
 }
 
-func TestResizeShrinksCapacityAndFlushesDisabled(t *testing.T) {
-	c := mustCache(t, 256, 8)
-	if c.EnabledKB() != 256 {
-		t.Fatalf("EnabledKB = %d, want 256", c.EnabledKB())
-	}
-	// Fill some lines, then shrink to 2 ways and 1/4 the sets = 16 KB.
-	for i := uint64(0); i < 1000; i++ {
-		c.Access(i, i%3 == 0)
-	}
-	if err := c.Resize(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if c.EnabledKB() != 16 {
-		t.Fatalf("EnabledKB after resize = %d, want 16", c.EnabledKB())
-	}
-	if c.SizeKB() != 256 {
-		t.Fatalf("SizeKB changed to %d; physical capacity must not change", c.SizeKB())
-	}
-}
-
-func TestResizeRejectsBadConfigs(t *testing.T) {
-	c := mustCache(t, 64, 4)
-	if err := c.Resize(0, 0); err == nil {
-		t.Fatal("0 ways accepted")
-	}
-	if err := c.Resize(5, 0); err == nil {
-		t.Fatal("more ways than physical accepted")
-	}
-	if err := c.Resize(1, 30); err == nil {
-		t.Fatal("shift disabling all sets accepted")
-	}
-}
-
 func TestSmallerCacheMissesMore(t *testing.T) {
 	// A fixed Zipf-ish working set of 2048 lines (128 KB): the 256 KB
 	// configuration must hit more than the 16 KB one.
-	run := func(ways int, shift uint) float64 {
-		c := mustCache(t, 256, 8)
-		if err := c.Resize(ways, shift); err != nil {
-			t.Fatal(err)
-		}
+	run := func(kb, ways int) float64 {
+		c := mustCache(t, kb, ways)
 		// Stride pattern with reuse.
 		for pass := 0; pass < 20; pass++ {
 			for i := uint64(0); i < 2048; i++ {
@@ -120,8 +84,8 @@ func TestSmallerCacheMissesMore(t *testing.T) {
 		}
 		return c.Stats().MissRate()
 	}
-	big := run(8, 0)   // 256 KB: entire set fits
-	small := run(2, 2) // 16 KB
+	big := run(256, 8) // entire set fits
+	small := run(16, 2)
 	if big >= small {
 		t.Fatalf("256KB miss rate %g not below 16KB miss rate %g", big, small)
 	}

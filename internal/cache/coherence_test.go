@@ -232,16 +232,16 @@ func TestAdaptiveSelectsNUCAForCapacityBoundSharing(t *testing.T) {
 		line := uint64(rng.Intn(8192))
 		ad.Access(core, line, false)
 	}
-	if ad.Active() != "shared-nuca" {
-		t.Fatalf("adaptive protocol settled on %s, want shared-nuca", ad.Active())
+	if ad.Name() != "arcc(shared-nuca)" {
+		t.Fatalf("adaptive protocol settled on %s, want shared-nuca", ad.Name())
 	}
 	// When the sharing phase ends the protocol follows the workload back.
 	for i := 0; i < 120000; i++ {
 		core := rng.Intn(tiles)
 		ad.Access(core, uint64(core*10000+rng.Intn(256)), false)
 	}
-	if ad.Active() != "directory-msi" {
-		t.Fatalf("after a return to private locality the protocol stayed on %s, want directory-msi", ad.Active())
+	if ad.Name() != "arcc(directory-msi)" {
+		t.Fatalf("after a return to private locality the protocol stayed on %s, want directory-msi", ad.Name())
 	}
 }
 
@@ -257,32 +257,8 @@ func TestAdaptiveSelectsDirectoryForPrivateLocality(t *testing.T) {
 		line := uint64(core*10000 + rng.Intn(256))
 		ad.Access(core, line, false)
 	}
-	if ad.Active() != "directory-msi" {
-		t.Fatalf("adaptive protocol settled on %s, want directory-msi", ad.Active())
-	}
-}
-
-func TestAdaptiveForceProtocol(t *testing.T) {
-	ad, err := NewAdaptive(newDir(t, 4, 64), newNUCA(t, 4, 64), 1024, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ad.ForceProtocol(1); err != nil {
-		t.Fatal(err)
-	}
-	if ad.Active() != "shared-nuca" {
-		t.Fatalf("Active = %s after ForceProtocol(1)", ad.Active())
-	}
-	// Forced: many accesses must not flip it back.
-	rng := sim.NewRNG(9)
-	for i := 0; i < 30000; i++ {
-		ad.Access(rng.Intn(4), uint64(rng.Intn(100)), false)
-	}
-	if ad.Active() != "shared-nuca" {
-		t.Fatal("forced protocol changed autonomously")
-	}
-	if err := ad.ForceProtocol(5); err == nil {
-		t.Fatal("bad protocol index accepted")
+	if ad.Name() != "arcc(directory-msi)" {
+		t.Fatalf("adaptive protocol settled on %s, want directory-msi", ad.Name())
 	}
 }
 

@@ -50,9 +50,6 @@ func (c *Integral) Step(goal, observed, baseEstimate float64) float64 {
 	return c.s
 }
 
-// Signal returns the current control signal.
-func (c *Integral) Signal() float64 { return c.s }
-
 // SetSignal forces the control signal (used when the runtime knows the
 // platform was reconfigured externally).
 func (c *Integral) SetSignal(s float64) {

@@ -72,11 +72,3 @@ func (k *Kalman) Update(h, s float64) float64 {
 // Estimate returns the current base-speed estimate (0 before the first
 // update).
 func (k *Kalman) Estimate() float64 { return k.x }
-
-// Covariance returns the current estimate covariance.
-func (k *Kalman) Covariance() float64 { return k.p }
-
-// Reset clears the filter, e.g. when the runtime switches applications.
-func (k *Kalman) Reset() {
-	k.x, k.p, k.initialized = 0, 1, false
-}

@@ -55,25 +55,6 @@ func (m *MW) Update(losses []float64) {
 	}
 }
 
-// Weights returns a copy of the current distribution.
-func (m *MW) Weights() []float64 {
-	out := make([]float64, len(m.w))
-	copy(out, m.w)
-	return out
-}
-
-// Best returns the index of the highest-weight expert (smallest index on
-// ties, for determinism).
-func (m *MW) Best() int {
-	best, bw := 0, m.w[0]
-	for i, w := range m.w {
-		if w > bw {
-			best, bw = i, w
-		}
-	}
-	return best
-}
-
 // Blend returns the weight-averaged combination of per-expert values,
 // e.g. blending several models' speedup predictions.
 func (m *MW) Blend(values []float64) float64 {

@@ -145,13 +145,6 @@ func (t *Translator) MinSpeedup() float64 { return t.hull[0].Speedup }
 // MaxSpeedup reports the fastest achievable speedup.
 func (t *Translator) MaxSpeedup() float64 { return t.hull[len(t.hull)-1].Speedup }
 
-// Hull exposes the retained candidates (ascending speedup), for reports.
-func (t *Translator) Hull() []Candidate {
-	out := make([]Candidate, len(t.hull))
-	copy(out, t.hull)
-	return out
-}
-
 // Translate returns the minimum-average-power schedule whose speedup is
 // target. Targets outside the achievable range clamp to the extremes.
 func (t *Translator) Translate(target float64) Schedule {

@@ -187,6 +187,8 @@ func (m *Manager) AggregateDemand() float64 {
 // linear scaling-curve scan, fully re-sorts, and re-walks the
 // water-fill — the reference algorithm the incremental path must match
 // byte for byte. Tests drive both modes in lockstep to enforce that.
+//
+//lint:allow unusedexport the reference algorithm the incremental water-fill is tested against
 func (m *Manager) SetIncremental(on bool) { m.incremental = on }
 
 // VerifyCurve inspects a scaling curve once: the longest non-decreasing
@@ -337,6 +339,8 @@ func (m *Manager) SetPriority(name string, weight float64) error {
 }
 
 // Priority reports an application's water-fill weight.
+//
+//lint:allow unusedexport the recovery identity tests compare live and replayed water-fill weights through it
 func (m *Manager) Priority(name string) (float64, bool) {
 	if a, ok := m.byName[name]; ok {
 		return a.weight, true
@@ -715,12 +719,4 @@ func (m *Manager) partitionShared(pool int) {
 		left--
 		weightLeft -= a.weight
 	}
-}
-
-// Allocated reports an application's current share.
-func (m *Manager) Allocated(name string) (int, bool) {
-	if a, ok := m.byName[name]; ok {
-		return a.allocated, true
-	}
-	return 0, false
 }

@@ -219,11 +219,11 @@ func TestManagerRespectsScalingCurves(t *testing.T) {
 func TestManagerAllocatedLookup(t *testing.T) {
 	h := newManagedHarness(t, 4, []float64{10}, []func(int) float64{linear})
 	h.mons[0].SetPerformanceGoal(10, 12)
-	if _, ok := h.mgr.Allocated("nope"); ok {
+	if _, ok := h.mgr.byName["nope"]; ok {
 		t.Fatal("unknown app reported allocated")
 	}
-	if u, ok := h.mgr.Allocated("a"); !ok || u != 1 {
-		t.Fatalf("initial allocation = %d, want 1", u)
+	if a, ok := h.mgr.byName["a"]; !ok || a.allocated != 1 {
+		t.Fatalf("initial allocation = %+v, want 1", a)
 	}
 }
 

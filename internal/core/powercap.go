@@ -44,6 +44,8 @@ func (r *Runtime) SetPowerCap(capX float64) error {
 }
 
 // ClearPowerCap removes the bound.
+//
+//lint:allow unusedexport the runtime-decisions golden lifts its power cap through it
 func (r *Runtime) ClearPowerCap() error {
 	r.powerCap = 0
 	return r.reshape()
@@ -52,6 +54,8 @@ func (r *Runtime) ClearPowerCap() error {
 // SetDistortionBound excludes configurations whose composed distortion
 // multiplier exceeds bound (1 = nominal quality; higher = worse). The
 // bound must keep at least one configuration.
+//
+//lint:allow unusedexport the distortion bound waits for ROADMAP V/M to decide what a served goal is
 func (r *Runtime) SetDistortionBound(bound float64) error {
 	if bound <= 0 {
 		return fmt.Errorf("core: non-positive distortion bound %g", bound)
@@ -71,6 +75,8 @@ func (r *Runtime) SetDistortionBound(bound float64) error {
 }
 
 // ClearDistortionBound removes the bound.
+//
+//lint:allow unusedexport the distortion bound waits for ROADMAP V/M to decide what a served goal is
 func (r *Runtime) ClearDistortionBound() error {
 	r.distortionBound = 0
 	return r.reshape()

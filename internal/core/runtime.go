@@ -398,16 +398,9 @@ func (r *Runtime) RequiredPowerX(speedup float64) float64 {
 
 // Space exposes the runtime's action space, its class's declaration
 // (read-only; drivers apply its configurations).
+//
+//lint:allow unusedexport the class tests prove every app decides over its class's one space through it
 func (r *Runtime) Space() *actuator.Space { return r.space }
 
 // BaseEstimate reports the current base-speed estimate.
 func (r *Runtime) BaseEstimate() float64 { return r.kf.Estimate() }
-
-// PriorWeights exposes the ML layer's current distribution (nil if the
-// layer is disabled); used in tests and reports.
-func (r *Runtime) PriorWeights() []float64 {
-	if r.mw == nil {
-		return nil
-	}
-	return r.mw.Weights()
-}

@@ -282,7 +282,13 @@ func TestPriorsConcentrateOnMatchingProfile(t *testing.T) {
 		}
 		p.run(d, 1.0)
 	}
-	w := rt.PriorWeights()
+	// Blending a unit vector reads back one prior's weight.
+	w := make([]float64, 3)
+	for i := range w {
+		unit := make([]float64, len(w))
+		unit[i] = 1
+		w[i] = rt.mw.Blend(unit)
+	}
 	if w[1] < w[0] || w[1] < w[2] {
 		t.Fatalf("prior weights = %v, want index 1 dominant", w)
 	}

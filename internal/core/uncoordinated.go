@@ -21,9 +21,8 @@ import (
 // mis-attribution that makes composed closed systems oscillate through
 // sub-optimal allocations (§2, §5.2).
 type Uncoordinated struct {
-	app   string
-	space *actuator.Space
-	subs  []*Runtime
+	app  string
+	subs []*Runtime
 }
 
 // NewUncoordinated builds one single-knob runtime per actuator in space.
@@ -31,7 +30,7 @@ func NewUncoordinated(app string, clock sim.Nower, mon *heartbeat.Monitor, space
 	if space == nil {
 		return nil, fmt.Errorf("core: nil space")
 	}
-	u := &Uncoordinated{app: app, space: space}
+	u := &Uncoordinated{app: app}
 	for _, act := range space.Acts {
 		sub, err := newSingleKnob(app, clock, mon, act, opts)
 		if err != nil {
@@ -72,9 +71,3 @@ func (u *Uncoordinated) Step() (actuator.Config, []Decision, error) {
 	}
 	return cfg, decisions, nil
 }
-
-// Space returns the full (merged) action space.
-func (u *Uncoordinated) Space() *actuator.Space { return u.space }
-
-// Runtimes exposes the per-knob runtimes (for inspection in tests).
-func (u *Uncoordinated) Runtimes() []*Runtime { return u.subs }

@@ -74,6 +74,3 @@ func (d *Delta) Flush() {
 		d.pending = 0
 	}
 }
-
-// Pending reports the buffered, not-yet-published count.
-func (d *Delta) Pending() uint64 { return d.pending }

@@ -21,12 +21,12 @@ func TestDeltaFlushSemantics(t *testing.T) {
 	if c.Load() != 0 {
 		t.Fatalf("published %d below threshold, want 0", c.Load())
 	}
-	if d.Pending() != 9 {
-		t.Fatalf("pending = %d, want 9", d.Pending())
+	if d.pending != 9 {
+		t.Fatalf("pending = %d, want 9", d.pending)
 	}
 	d.Add(1) // crosses the threshold
-	if c.Load() != 10 || d.Pending() != 0 {
-		t.Fatalf("after crossing: published=%d pending=%d, want 10/0", c.Load(), d.Pending())
+	if c.Load() != 10 || d.pending != 0 {
+		t.Fatalf("after crossing: published=%d pending=%d, want 10/0", c.Load(), d.pending)
 	}
 	d.Add(25) // one large add publishes whole
 	if c.Load() != 35 {
@@ -35,8 +35,8 @@ func TestDeltaFlushSemantics(t *testing.T) {
 	d.Add(3)
 	d.Flush()
 	d.Flush() // idempotent
-	if c.Load() != 38 || d.Pending() != 0 {
-		t.Fatalf("after flush: published=%d pending=%d, want 38/0", c.Load(), d.Pending())
+	if c.Load() != 38 || d.pending != 0 {
+		t.Fatalf("after flush: published=%d pending=%d, want 38/0", c.Load(), d.pending)
 	}
 }
 

@@ -77,6 +77,8 @@ func (m *Monitor) SetPerformanceGoal(minRate, maxRate float64) {
 }
 
 // SetLatencyGoal declares a tagged-latency target.
+//
+//lint:allow unusedexport the tagged and accuracy goal kinds wait for ROADMAP V/M to decide what a served goal is
 func (m *Monitor) SetLatencyGoal(startTag, endTag uint64, target float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -84,6 +86,8 @@ func (m *Monitor) SetLatencyGoal(startTag, endTag uint64, target float64) {
 }
 
 // SetAccuracyGoal declares a maximum mean distortion.
+//
+//lint:allow unusedexport the tagged and accuracy goal kinds wait for ROADMAP V/M to decide what a served goal is
 func (m *Monitor) SetAccuracyGoal(maxDistortion float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -91,6 +95,8 @@ func (m *Monitor) SetAccuracyGoal(maxDistortion float64) {
 }
 
 // SetPowerGoal declares a target average power for a given minimum rate.
+//
+//lint:allow unusedexport the tagged and accuracy goal kinds wait for ROADMAP V/M to decide what a served goal is
 func (m *Monitor) SetPowerGoal(targetW, minRate float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -98,6 +104,8 @@ func (m *Monitor) SetPowerGoal(targetW, minRate float64) {
 }
 
 // SetEnergyGoal declares a tagged-energy target.
+//
+//lint:allow unusedexport the tagged and accuracy goal kinds wait for ROADMAP V/M to decide what a served goal is
 func (m *Monitor) SetEnergyGoal(startTag, endTag uint64, targetJ float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

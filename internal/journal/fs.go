@@ -97,6 +97,8 @@ func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memData)} }
 
 // SetWriteErr makes every subsequent Write (and Create/OpenAppend of
 // new files) fail with err. nil restores normal operation.
+//
+//lint:allow unusedexport fault-injection seam of the crash and degraded-mode tests
 func (m *MemFS) SetWriteErr(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -104,6 +106,8 @@ func (m *MemFS) SetWriteErr(err error) {
 }
 
 // SetSyncErr makes every subsequent Sync fail with err.
+//
+//lint:allow unusedexport fault-injection seam of the crash and degraded-mode tests
 func (m *MemFS) SetSyncErr(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -111,6 +115,8 @@ func (m *MemFS) SetSyncErr(err error) {
 }
 
 // Syncs reports how many Sync calls the filesystem has served.
+//
+//lint:allow unusedexport fault-injection seam of the crash and degraded-mode tests
 func (m *MemFS) Syncs() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -121,6 +127,8 @@ func (m *MemFS) Syncs() int {
 // bytes survive; of each file's unsynced tail, at most torn bytes make
 // it to disk (a torn write). The original is untouched, so one run can
 // be crash-imaged at many points.
+//
+//lint:allow unusedexport fault-injection seam of the crash and degraded-mode tests
 func (m *MemFS) Crash(torn int) *MemFS {
 	m.mu.Lock()
 	defer m.mu.Unlock()

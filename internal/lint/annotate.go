@@ -46,8 +46,12 @@ type Index struct {
 	fns        map[string]FuncAnn // FuncKey -> contracts
 	detPkgs    map[string]bool    // package path -> //angstrom:deterministic
 	lineAllows map[string]map[int]map[string]bool
-	fnAllows   []rangeAllow
+	declAllows []rangeAllow
 	errs       []Diagnostic
+	// partial is set when the load reached only some of the module's
+	// packages, so a module pass cannot tell that nothing uses an
+	// object (see UnusedExport).
+	partial bool
 }
 
 // FuncKey is the index key for a function object: "pkg.Name" for
@@ -82,10 +86,6 @@ func FuncKey(f *types.Func) string {
 // Fn returns the contracts declared on the given function key.
 func (idx *Index) Fn(key string) FuncAnn { return idx.fns[key] }
 
-// DeterministicPkg reports whether the whole package is annotated
-// //angstrom:deterministic on its package clause.
-func (idx *Index) DeterministicPkg(path string) bool { return idx.detPkgs[path] }
-
 // Deterministic reports whether fn (by key) is in a deterministic
 // scope, either directly or through its package's annotation.
 func (idx *Index) Deterministic(pkgPath, key string) bool {
@@ -98,7 +98,7 @@ func (idx *Index) Errors() []Diagnostic { return append([]Diagnostic(nil), idx.e
 
 // Allowed reports whether a diagnostic is suppressed by a
 // //lint:allow comment on its line, the line above it, or the doc
-// comment of the function containing it.
+// comment of the top-level declaration containing it.
 func (idx *Index) Allowed(d Diagnostic) bool {
 	if lines, ok := idx.lineAllows[d.Pos.Filename]; ok {
 		for _, ln := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
@@ -107,7 +107,7 @@ func (idx *Index) Allowed(d Diagnostic) bool {
 			}
 		}
 	}
-	for _, ra := range idx.fnAllows {
+	for _, ra := range idx.declAllows {
 		if ra.file == d.Pos.Filename && ra.analyzer == d.Analyzer &&
 			d.Pos.Line >= ra.start && d.Pos.Line <= ra.end {
 			return true
@@ -136,14 +136,22 @@ func BuildIndex(fset *token.FileSet, pkgs []*Package) (*Index, error) {
 
 func (idx *Index) scanFile(fset *token.FileSet, pkg *Package, file *ast.File) {
 	// Comment groups that legitimately carry directives: the package
-	// clause doc and each top-level function's doc.
+	// clause doc and each top-level function's doc. A declaration's doc
+	// also scopes an allow to the whole declaration.
 	docFor := make(map[*ast.CommentGroup]ast.Node)
 	if file.Doc != nil {
 		docFor[file.Doc] = file
 	}
 	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-			docFor[fd.Doc] = fd
+		var doc *ast.CommentGroup
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			doc = d.Doc
+		case *ast.GenDecl:
+			doc = d.Doc
+		}
+		if doc != nil {
+			docFor[doc] = decl
 		}
 	}
 	for _, cg := range file.Comments {
@@ -249,12 +257,12 @@ func (idx *Index) allow(fset *token.FileSet, owner ast.Node, c *ast.Comment, bod
 		idx.errorf(fset, c.Pos(), "//lint:allow names unknown analyzer %q", name)
 		return
 	}
-	if fd, ok := owner.(*ast.FuncDecl); ok {
-		p := fset.Position(fd.Pos())
-		idx.fnAllows = append(idx.fnAllows, rangeAllow{
+	if decl, ok := owner.(ast.Decl); ok {
+		p := fset.Position(decl.Pos())
+		idx.declAllows = append(idx.declAllows, rangeAllow{
 			file:     p.Filename,
 			start:    p.Line,
-			end:      fset.Position(fd.End()).Line,
+			end:      fset.Position(decl.End()).Line,
 			analyzer: name,
 		})
 		return

@@ -114,7 +114,7 @@ package p
 func anything() {}
 `)
 	wantNoErrors(t, idx)
-	if !idx.DeterministicPkg("p") {
+	if !idx.detPkgs["p"] {
 		t.Fatalf("package directive not recorded")
 	}
 	if !idx.Deterministic("p", "p.anything") {

@@ -1,7 +1,8 @@
 // Package lint is angstromlint: a static-analysis suite that enforces
 // the repository's determinism, hot-path, and journaling contracts at
 // compile time instead of hoping a runtime test happens to cross the
-// offending path.
+// offending path, and keeps the internal API no larger than the code
+// that uses it (unusedexport).
 //
 // The suite is a multichecker in the spirit of
 // golang.org/x/tools/go/analysis, rebuilt self-contained on the
@@ -33,8 +34,12 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// either on (or immediately above) the offending line, or in a
-// function's doc comment to waive the whole function.
+// either on (or immediately above) the offending line, or in the doc
+// comment of a top-level declaration (a function, or a const, var or
+// type declaration) to waive the whole declaration. An export only
+// tests use stays only as a waived test seam:
+//
+//	//lint:allow unusedexport crash-recovery tests image the filesystem through it
 package lint
 
 import (
@@ -98,16 +103,17 @@ type Analyzer struct {
 	Run    func(*Pass) error
 }
 
-// All is the angstromlint multichecker: the four contract analyzers
-// plus shadow, a stricter-than-vet pass `go vet` does not run by
-// default. (shadow is a self-contained reimplementation of the x/tools
-// pass of the same name; the x/tools original cannot be vendored into
-// this offline, zero-dependency build.)
+// All is the angstromlint multichecker: the four contract analyzers,
+// unusedexport, and shadow, a stricter-than-vet pass `go vet` does not
+// run by default. (shadow is a self-contained reimplementation of the
+// x/tools pass of the same name; the x/tools original cannot be
+// vendored into this offline, zero-dependency build.)
 var All = []*Analyzer{
 	Determinism,
 	Hotpath,
 	JournalBefore,
 	ClockDiscipline,
+	UnusedExport,
 	Shadow,
 }
 

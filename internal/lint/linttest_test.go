@@ -4,9 +4,9 @@ package lint
 // violations and marks the expected findings with `// want "regex"`
 // comments on the offending line, mirroring
 // golang.org/x/tools/go/analysis/analysistest (which this offline build
-// cannot depend on). Test packages are type-checked with the stdlib
-// source importer, so they may import anything in GOROOT but nothing
-// from this module.
+// cannot depend on). A test package may import another testdata
+// package by its path under testdata/src, and anything in GOROOT
+// (type-checked from source), but nothing from this module.
 
 import (
 	"go/ast"
@@ -42,6 +42,23 @@ func loadTestPkg(t *testing.T, name string) *Package {
 		tl.imp = importer.ForCompiler(tl.fset, "source", nil)
 		tl.pkgs = make(map[string]*Package)
 	}
+	return loadTestPkgLocked(t, name)
+}
+
+// testImporter resolves imports of testdata packages from testdata/src
+// and everything else from GOROOT source. It runs under testLoader.mu.
+type testImporter struct{ t *testing.T }
+
+func (ti testImporter) Import(path string) (*types.Package, error) {
+	if _, err := os.Stat(filepath.Join("testdata", "src", path)); err == nil {
+		return loadTestPkgLocked(ti.t, path).Types, nil
+	}
+	return testLoader.imp.Import(path)
+}
+
+func loadTestPkgLocked(t *testing.T, name string) *Package {
+	t.Helper()
+	tl := &testLoader
 	if pkg, ok := tl.pkgs[name]; ok {
 		return pkg
 	}
@@ -62,7 +79,7 @@ func loadTestPkg(t *testing.T, name string) *Package {
 		files = append(files, f)
 	}
 	info := NewInfo()
-	conf := types.Config{Importer: tl.imp}
+	conf := types.Config{Importer: testImporter{t}}
 	tpkg, err := conf.Check(name, tl.fset, files, info)
 	if err != nil {
 		t.Fatalf("type-check %s: %v", name, err)

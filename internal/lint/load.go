@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // The loader. x/tools drivers use go/packages; this offline build
@@ -30,22 +31,19 @@ type listPkg struct {
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	Module     *struct{ Path string }
+	Module     *struct{ Path, Dir string }
 }
 
 // Load type-checks the packages matching patterns (plus their
 // annotation index) for analysis. Only packages of the surrounding
 // module are returned; test files are not loaded — contracts bind the
-// shipped code, and tests exercise violations on purpose.
+// shipped code, and tests exercise violations on purpose. When the
+// patterns reach only some of the module's packages, the index records
+// the load as partial.
 func Load(dir string, patterns ...string) (*token.FileSet, []*Package, *Index, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Module"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	out, err := goList(dir, append([]string{"-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Module"}, patterns...)...)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.Bytes())
+		return nil, nil, nil, err
 	}
 
 	exports := make(map[string]string) // import path -> export data file
@@ -87,7 +85,44 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, *Index, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	if idx.partial, err = partialLoad(targets); err != nil {
+		return nil, nil, nil, err
+	}
 	return fset, pkgs, idx, nil
+}
+
+// partialLoad reports whether some package of the loaded module is
+// missing from targets.
+func partialLoad(targets []listPkg) (bool, error) {
+	if len(targets) == 0 {
+		return false, nil
+	}
+	loaded := make(map[string]bool, len(targets))
+	for _, t := range targets {
+		loaded[t.ImportPath] = true
+	}
+	out, err := goList(targets[0].Module.Dir, "-f={{.ImportPath}}", "./...")
+	if err != nil {
+		return false, err
+	}
+	for _, path := range strings.Fields(string(out)) {
+		if !loaded[path] {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.Bytes())
+	}
+	return out, nil
 }
 
 func checkPackage(fset *token.FileSet, imp types.Importer, t listPkg) (*Package, error) {

@@ -42,12 +42,6 @@ func isInterfaceRecv(f *types.Func) bool {
 	return types.IsInterface(sig.Recv().Type())
 }
 
-// isFunc reports whether f is the package-level function pkgPath.name.
-func isFunc(f *types.Func, pkgPath, name string) bool {
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath &&
-		f.Name() == name && !hasRecv(f)
-}
-
 func hasRecv(f *types.Func) bool {
 	sig, _ := f.Type().(*types.Signature)
 	return sig != nil && sig.Recv() != nil

@@ -3,7 +3,8 @@
 //
 //   - the best *non-adaptive* configuration ("all applications use the
 //     same number of cores and the same clock speed") — the single
-//     configuration with the best average efficiency across applications;
+//     configuration that meets every application's target at least
+//     power;
 //   - the *static oracle*, which provisions once per application;
 //   - the *dynamic oracle*, which re-selects every interval with perfect
 //     knowledge of the next interval's workload ("computed after the fact
@@ -28,7 +29,7 @@ type Point struct {
 // Watt beyond idle. Unphysical inputs — non-positive power, NaN rate or
 // target — score 0, so a corrupt sample can never win a selection by
 // propagating NaN through the comparisons (NaN compares false against
-// everything, which would freeze BestMetric's running maximum).
+// everything, which would freeze any running maximum over scores).
 func Metric(p Point, target float64) float64 {
 	if p.Power <= 0 || math.IsNaN(p.Rate) || math.IsNaN(target) || math.IsNaN(p.Power) {
 		return 0
@@ -62,18 +63,6 @@ func BestMeeting(points []Point, target float64) (idx int, ok bool) {
 	return bestRateIdx, false
 }
 
-// BestMetric returns the index maximizing the paper's efficiency metric
-// for one application (first maximal point wins ties, deterministically).
-func BestMetric(points []Point, target float64) int {
-	best, bestIdx := math.Inf(-1), -1
-	for i, p := range points {
-		if m := Metric(p, target); m > best {
-			best, bestIdx = m, i
-		}
-	}
-	return bestIdx
-}
-
 // BestMeetingAll returns the single configuration that meets every
 // application's target at minimum power — the best *valid* non-adaptive
 // system (§5.2: "all applications use the same number of cores and the
@@ -104,37 +93,4 @@ func BestMeetingAll(points [][]Point, targets []float64) int {
 		}
 	}
 	return bestIdx
-}
-
-// BestAverageAcross returns the configuration index maximizing the mean
-// efficiency metric across applications: points[app][cfg] must be
-// rectangular, targets[app] gives each application's goal. This is the
-// §5.3 non-adaptive selection (the one that lands on 64 cores).
-func BestAverageAcross(points [][]Point, targets []float64) int {
-	if len(points) == 0 {
-		return -1
-	}
-	nCfg := len(points[0])
-	best, bestIdx := math.Inf(-1), -1
-	for c := 0; c < nCfg; c++ {
-		sum := 0.0
-		for a := range points {
-			sum += Metric(points[a][c], targets[a])
-		}
-		if sum > best {
-			best, bestIdx = sum, c
-		}
-	}
-	return bestIdx
-}
-
-// NormalizeTo divides each value by the reference, guarding zeros.
-func NormalizeTo(values []float64, reference float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		if reference > 0 {
-			out[i] = v / reference
-		}
-	}
-	return out
 }

@@ -40,36 +40,6 @@ func TestBestMeetingFallsBackToFastest(t *testing.T) {
 	}
 }
 
-func TestBestMetric(t *testing.T) {
-	pts := []Point{
-		{Rate: 40, Power: 10}, // metric 4
-		{Rate: 60, Power: 10}, // capped: 5
-		{Rate: 80, Power: 20}, // capped: 2.5
-	}
-	if got := BestMetric(pts, 50); got != 1 {
-		t.Fatalf("BestMetric = %d, want 1", got)
-	}
-	if BestMetric(nil, 50) != -1 {
-		t.Fatal("empty input must return -1")
-	}
-}
-
-func TestBestAverageAcross(t *testing.T) {
-	// Config 0 is great for app 0, terrible for app 1; config 1 is a
-	// decent compromise and must win on average.
-	points := [][]Point{
-		{{Rate: 100, Power: 10}, {Rate: 80, Power: 10}},
-		{{Rate: 5, Power: 10}, {Rate: 70, Power: 10}},
-	}
-	targets := []float64{100, 100}
-	if got := BestAverageAcross(points, targets); got != 1 {
-		t.Fatalf("BestAverageAcross = %d, want 1", got)
-	}
-	if BestAverageAcross(nil, nil) != -1 {
-		t.Fatal("empty input must return -1")
-	}
-}
-
 func TestBestMeetingOptimalProperty(t *testing.T) {
 	// Property: the chosen config has minimal power among those meeting
 	// the target; when ok=false, nothing meets the target.
@@ -100,29 +70,6 @@ func TestBestMeetingOptimalProperty(t *testing.T) {
 				if p.Rate >= target {
 					return false
 				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBestMetricDominatesProperty(t *testing.T) {
-	f := func(raw []struct{ R, P uint8 }, tsel uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		pts := make([]Point, len(raw))
-		for i, r := range raw {
-			pts[i] = Point{Rate: float64(r.R), Power: float64(r.P) + 1}
-		}
-		target := float64(tsel) + 1
-		idx := BestMetric(pts, target)
-		for _, p := range pts {
-			if Metric(p, target) > Metric(pts[idx], target)+1e-12 {
-				return false
 			}
 		}
 		return true
@@ -219,23 +166,5 @@ func TestMetricNaNGuards(t *testing.T) {
 		if got := Metric(tc.p, tc.target); got != 0 {
 			t.Errorf("%s: Metric = %g, want 0", tc.name, got)
 		}
-	}
-	// And BestMetric must still prefer any finite point over NaN ones.
-	pts := []Point{{Rate: nan, Power: 1}, {Rate: 4, Power: 2}}
-	if got := BestMetric(pts, 10); got != 1 {
-		t.Fatalf("BestMetric with NaN point = %d, want 1", got)
-	}
-}
-
-func TestNormalizeTo(t *testing.T) {
-	got := NormalizeTo([]float64{1, 2, 4}, 4)
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NormalizeTo = %v, want %v", got, want)
-		}
-	}
-	if z := NormalizeTo([]float64{1}, 0); z[0] != 0 {
-		t.Fatal("zero reference must yield zeros, not Inf")
 	}
 }

@@ -137,6 +137,8 @@ func (d *Daemon) Ready() (bool, string) {
 }
 
 // Degraded reports read-only journal-degraded mode.
+//
+//lint:allow unusedexport the degraded-mode tests read the latch through it
 func (d *Daemon) Degraded() bool { return d.jd.degraded.Load() }
 
 // degrade latches the daemon into journal-degraded mode (first failure

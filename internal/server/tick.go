@@ -294,6 +294,8 @@ func (d *Daemon) evictStale(now sim.Time) {
 }
 
 // Evicted reports how many stale applications BeatTimeout has evicted.
+//
+//lint:allow unusedexport the BeatTimeout eviction tests count evictions through it
 func (d *Daemon) Evicted() uint64 { return d.evicted.Load() }
 
 // allocFor reads this tick's allocation for a Manager app ID on one

@@ -350,7 +350,10 @@ func TestWireServerClose(t *testing.T) {
 	if _, err := fx.wc.Flush(); err == nil {
 		t.Fatal("flush succeeded against a closed wire server")
 	}
-	if err := fx.wc.Err(); err == nil {
+	fx.wc.mu.Lock()
+	latched := fx.wc.err
+	fx.wc.mu.Unlock()
+	if latched == nil {
 		t.Fatal("client error not latched after server close")
 	}
 }

@@ -158,13 +158,6 @@ func (w *WireClient) Flush() (uint64, error) {
 	return binary.LittleEndian.Uint64(reply[1:]), nil
 }
 
-// Err reports the latched fatal error, if any.
-func (w *WireClient) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Close flushes the write buffer (best effort) and closes the
 // connection.
 func (w *WireClient) Close() error {

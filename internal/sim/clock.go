@@ -40,6 +40,8 @@ func (c *Clock) Advance(dt Time) {
 }
 
 // AdvanceTo moves the clock forward to t. It panics if t is in the past.
+//
+//lint:allow unusedexport the chip_run golden steps its reference clock to the partition's time with it
 func (c *Clock) AdvanceTo(t Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: clock moved backwards from %g to %g", c.now, t))

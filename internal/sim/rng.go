@@ -94,16 +94,11 @@ func (r *RNG) Exp(mean float64) float64 {
 
 // Zipf returns an integer in [0, n) drawn from a Zipf-like distribution
 // with exponent s (s = 0 is uniform; larger s concentrates mass on small
-// indices). It uses inverse-CDF sampling over a harmonic table that is
-// rebuilt only when parameters change, so repeated draws are cheap.
+// indices). It uses inverse-CDF sampling over a shared, precomputed
+// harmonic table (ZipfCDF), so repeated draws are cheap.
 type Zipf struct {
 	cdf []float64
 	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with exponent s >= 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	return NewZipfFromCDF(rng, ZipfCDF(n, s))
 }
 
 // ZipfCDF precomputes the harmonic CDF table for [0, n) with exponent

@@ -194,7 +194,7 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 
 func TestZipfUniformWhenSZero(t *testing.T) {
 	r := NewRNG(5)
-	z := NewZipf(r, 4, 0)
+	z := NewZipfFromCDF(r, ZipfCDF(4, 0))
 	counts := make([]int, 4)
 	const n = 40000
 	for i := 0; i < n; i++ {
@@ -210,7 +210,7 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 
 func TestZipfSkewsTowardSmallIndices(t *testing.T) {
 	r := NewRNG(6)
-	z := NewZipf(r, 100, 1.2)
+	z := NewZipfFromCDF(r, ZipfCDF(100, 1.2))
 	counts := make([]int, 100)
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -229,7 +229,7 @@ func TestZipfSkewsTowardSmallIndices(t *testing.T) {
 func TestZipfDrawInRangeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
-		z := NewZipf(r, 13, 0.8)
+		z := NewZipfFromCDF(r, ZipfCDF(13, 0.8))
 		for i := 0; i < 200; i++ {
 			v := z.Draw()
 			if v < 0 || v >= 13 {
@@ -246,8 +246,8 @@ func TestZipfDrawInRangeProperty(t *testing.T) {
 func TestZipfPanicsOnEmptyDomain(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewZipf(_, 0, 1) did not panic")
+			t.Fatal("NewZipfFromCDF(_, ZipfCDF(0, 1)) did not panic")
 		}
 	}()
-	NewZipf(NewRNG(1), 0, 1)
+	NewZipfFromCDF(NewRNG(1), ZipfCDF(0, 1))
 }

@@ -88,13 +88,3 @@ func ByName(name string) (Spec, error) {
 	}
 	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
-
-// Names lists the benchmark names in canonical (paper) order.
-func Names() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}

@@ -19,14 +19,12 @@ import (
 // hotter head that fits small caches and a long tail that only large
 // caches capture.
 type TraceGen struct {
-	rng         *sim.RNG
-	sharedLines int
-	privLines   int
-	sharedFrac  float64
-	sharedZipf  *sim.Zipf
-	privZipf    *sim.Zipf
-	privBase    uint64
-	writeFrac   float64
+	rng        *sim.RNG
+	sharedFrac float64
+	sharedZipf *sim.Zipf
+	privZipf   *sim.Zipf
+	privBase   uint64
+	writeFrac  float64
 }
 
 // LineBytes is the cache-line size used throughout the simulators.
@@ -52,11 +50,9 @@ func NewTraceGen(spec Spec, cores, coreID int, seed uint64) *TraceGen {
 	total := spec.SharedWSKB + spec.PrivateWSKB/float64(cores)
 	rng := sim.NewRNG(seed).Split(uint64(coreID))
 	g := &TraceGen{
-		rng:         rng,
-		sharedLines: sharedLines,
-		privLines:   privLines,
-		sharedFrac:  spec.SharedWSKB / total,
-		writeFrac:   0.3,
+		rng:        rng,
+		sharedFrac: spec.SharedWSKB / total,
+		writeFrac:  0.3,
 	}
 	g.sharedZipf = sim.NewZipfFromCDF(rng.Split(1), zipfTable(sharedLines, spec.ZipfS))
 	g.privZipf = sim.NewZipfFromCDF(rng.Split(2), zipfTable(privLines, spec.ZipfS))
@@ -95,12 +91,4 @@ func zipfTable(n int, s float64) []float64 {
 	}
 	t, _ := zipfCache.LoadOrStore(k, sim.ZipfCDF(n, s))
 	return t.([]float64)
-}
-
-// SharedLines reports the size of the shared region in lines.
-func (g *TraceGen) SharedLines() int { return g.sharedLines }
-
-// IsShared reports whether a line address falls in the shared region.
-func (g *TraceGen) IsShared(line uint64) bool {
-	return line < uint64(g.sharedLines)
 }

@@ -16,13 +16,13 @@ func TestAllSpecsValidate(t *testing.T) {
 
 func TestFiveBenchmarksInPaperOrder(t *testing.T) {
 	want := []string{"barnes", "ocean", "raytrace", "water", "volrend"}
-	got := Names()
+	got := Specs()
 	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("Specs() = %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names()[%d] = %s, want %s", i, got[i], want[i])
+		if got[i].Name != want[i] {
+			t.Fatalf("Specs()[%d] = %s, want %s", i, got[i].Name, want[i])
 		}
 	}
 }
@@ -278,10 +278,11 @@ func TestTraceGenAddressPartitioning(t *testing.T) {
 		privSeen[i] = make(map[uint64]bool)
 	}
 	sharedCount := 0
+	sharedEnd := gens[0].privBase // core 0's private region follows the shared one
 	for i, g := range gens {
 		for n := 0; n < 20000; n++ {
 			line, _ := g.Next()
-			if g.IsShared(line) {
+			if line < sharedEnd {
 				sharedCount++
 			} else {
 				privSeen[i][line] = true

@@ -1,71 +1,18 @@
 package xeon
 
-import "angstrom/internal/sim"
-
 // PowerMeter models the WattsUp .net device of §5.2 [1]: it integrates
-// wall energy continuously and reports the average consumed power over
-// fixed sampling windows (one second on the real device).
+// wall energy continuously. (The device also reports per-second average
+// power; nothing here reads those windows, so they are not modelled.)
 //
-// It also satisfies heartbeat.EnergyMeter, so application monitors can
+// It satisfies heartbeat.EnergyMeter, so application monitors can
 // evaluate power and energy goals against wall measurements exactly as
 // the real SEEC deployment did.
 type PowerMeter struct {
-	clock    sim.Nower
-	windowS  float64
-	joules   float64 // cumulative energy
-	winStart sim.Time
-	winJ     float64
-	samples  []float64
+	joules float64 // cumulative energy
 }
 
-// NewPowerMeter builds a meter with the given sampling window.
-func NewPowerMeter(clock sim.Nower, windowS float64) *PowerMeter {
-	if windowS <= 0 {
-		windowS = 1
-	}
-	return &PowerMeter{clock: clock, windowS: windowS, winStart: clock.Now()}
-}
-
-// Integrate accumulates powerW drawn for dt seconds. The caller advances
-// the clock; Integrate closes sampling windows as they fill.
-func (m *PowerMeter) Integrate(powerW, dt float64) {
-	m.joules += powerW * dt
-	remaining := dt
-	for remaining > 0 {
-		now := m.clock.Now() - remaining // interval start
-		winEnd := m.winStart + m.windowS
-		if now+remaining < winEnd {
-			m.winJ += powerW * remaining
-			return
-		}
-		inWindow := winEnd - now
-		if inWindow > 0 {
-			m.winJ += powerW * inWindow
-			remaining -= inWindow
-		} else {
-			remaining = 0
-		}
-		m.samples = append(m.samples, m.winJ/m.windowS)
-		m.winStart = winEnd
-		m.winJ = 0
-	}
-}
+// Integrate accumulates powerW drawn for dt seconds.
+func (m *PowerMeter) Integrate(powerW, dt float64) { m.joules += powerW * dt }
 
 // EnergyJoules implements heartbeat.EnergyMeter.
 func (m *PowerMeter) EnergyJoules() float64 { return m.joules }
-
-// Samples returns the completed per-window average powers, oldest first.
-func (m *PowerMeter) Samples() []float64 {
-	out := make([]float64, len(m.samples))
-	copy(out, m.samples)
-	return out
-}
-
-// LastSample returns the most recent completed window's average power
-// (0 before the first window closes).
-func (m *PowerMeter) LastSample() float64 {
-	if len(m.samples) == 0 {
-		return 0
-	}
-	return m.samples[len(m.samples)-1]
-}

@@ -183,7 +183,7 @@ func NewServer(p Params, cfg Config, clock *sim.Clock) (*Server, error) {
 	if err := p.Validate(cfg); err != nil {
 		return nil, err
 	}
-	return &Server{p: p, cfg: cfg, clock: clock, Meter: NewPowerMeter(clock, 1.0)}, nil
+	return &Server{p: p, cfg: cfg, clock: clock, Meter: &PowerMeter{}}, nil
 }
 
 // Attach connects the running application and its monitor.
@@ -194,15 +194,14 @@ func (s *Server) Attach(inst *workload.Instance, mon *heartbeat.Monitor) {
 }
 
 // Config returns the current knob settings.
+//
+//lint:allow unusedexport the xeon_run golden records every beat's configuration through it
 func (s *Server) Config() Config { return s.cfg }
 
 // BeatCount reports how many beats the attached application has emitted;
 // the dynamic oracle uses it to index the phase signal with perfect
 // knowledge.
 func (s *Server) BeatCount() uint64 { return s.cur.Beats() }
-
-// Params returns the hardware constants.
-func (s *Server) Params() Params { return s.p }
 
 // SetConfig applies new knob settings (cpufrequtils / scheduler calls in
 // the real system).
