@@ -81,8 +81,8 @@ func main() {
 	period := flag.Duration("period", 100*time.Millisecond, "decision period of the ODA loop")
 	accel := flag.Float64("accel", 0, "simulated seconds per tick (0 = serve in real time)")
 	oversub := flag.Bool("oversubscribe", false, "admit fleets larger than the core pool (time-sharing)")
-	shards := flag.Int("shards", 0, "app-directory shard count, rounded to a power of two (0 = scaled from GOMAXPROCS)")
-	tickWorkers := flag.Int("tick-workers", 0, "tick worker-pool size for the per-shard phases (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "app-directory name-index shard count, rounded to a power of two (0 = scaled from GOMAXPROCS)")
+	tickWorkers := flag.Int("tick-workers", 0, "tick worker-pool size for the decide phase (0 = GOMAXPROCS)")
 	chips := flag.Int("chips", 0, "bind enrolled apps to a fleet of N identical Angstrom dies driving real knobs (0 = advisory serving)")
 	chipTiles := flag.Int("chip-tiles", 0, "physical tiles of each die (0 = core pool size)")
 	chipPower := flag.Float64("chip-power", 0, "chip-wide power budget in watts (0 = unlimited)")

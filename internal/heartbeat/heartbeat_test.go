@@ -559,14 +559,33 @@ func sizeClass(n uintptr) uint64 {
 	panic(fmt.Sprintf("sizeClass: %d bytes is above the table", n))
 }
 
-// heapDelta reports the objects and bytes one call of f allocates.
-func heapDelta(f func()) (objects, bytes uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+// heapDelta reports the objects and bytes one call of the measured
+// function allocates. MemStats counts every goroutine's allocations, so
+// heapDelta measures several tries, each on a function setup builds
+// afresh outside the measurement, and reports the fewest objects and
+// bytes seen: an allocation made elsewhere (a runtime or test goroutine
+// waking between a try's two reads) inflates only the try it lands in,
+// while the measured call's own allocations show in every try. It runs
+// at GOMAXPROCS 1, as testing.AllocsPerRun does, so no other goroutine
+// runs alongside the call unless the call blocks.
+func heapDelta(setup func() func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	for range 5 {
+		f := setup()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
 }
+
+// again is a heapDelta setup for a call that allocates the same on
+// every try.
+func again(f func()) func() func() { return func() func() { return f } }
 
 // The monitor's footprint is what its beats carry. New with a 256-beat
 // window and no meter allocates the Monitor and the 8-byte time column,
@@ -582,10 +601,10 @@ func TestMonitorFootprintAndAllocs(t *testing.T) {
 	monitor := sizeClass(unsafe.Sizeof(Monitor{}))
 
 	var m *Monitor
-	if objs, bytes := heapDelta(func() { m = New(clock, withWindow, withMeter) }); objs != 3 || bytes != monitor+2*column {
+	if objs, bytes := heapDelta(again(func() { m = New(clock, withWindow, withMeter) })); objs != 3 || bytes != monitor+2*column {
 		t.Fatalf("New with a meter: %d objects, %d bytes; want 3 objects, %d bytes", objs, bytes, monitor+2*column)
 	}
-	if objs, bytes := heapDelta(func() { m = New(clock, withWindow) }); objs != 2 || bytes != monitor+column {
+	if objs, bytes := heapDelta(again(func() { m = New(clock, withWindow) })); objs != 2 || bytes != monitor+column {
 		t.Fatalf("New without a meter: %d objects, %d bytes; want 2 objects, %d bytes (Monitor %d + times %d)",
 			objs, bytes, monitor+column, monitor, column)
 	}
@@ -599,17 +618,28 @@ func TestMonitorFootprintAndAllocs(t *testing.T) {
 		}
 	}
 	plain := beat(2*window, 0, 0)
-	if objs, _ := heapDelta(plain); objs != 0 {
+	if objs, _ := heapDelta(again(plain)); objs != 0 {
 		t.Fatalf("plain beats allocated %d objects, want 0", objs)
 	}
 	if m.distortion != nil || m.tags != nil {
 		t.Fatal("plain beats allocated a distortion or tag column")
 	}
+	// A column is allocated once per monitor, so each try measures f on a
+	// fresh monitor that has taken the beats before it first.
+	onFresh := func(f func(), before ...func()) func() func() {
+		return func() func() {
+			m = New(clock, withWindow)
+			for _, b := range before {
+				b()
+			}
+			return f
+		}
+	}
 	negZero, tagged := beat(1, 0, math.Copysign(0, -1)), beat(1, 7, 0)
-	if objs, bytes := heapDelta(negZero); objs != 1 || bytes != column {
+	if objs, bytes := heapDelta(onFresh(negZero)); objs != 1 || bytes != column {
 		t.Fatalf("first -0 distortion: %d objects, %d bytes; want 1 object, %d bytes", objs, bytes, column)
 	}
-	if objs, bytes := heapDelta(tagged); objs != 1 || bytes != column {
+	if objs, bytes := heapDelta(onFresh(tagged, negZero)); objs != 1 || bytes != column {
 		t.Fatalf("first tagged beat: %d objects, %d bytes; want 1 object, %d bytes", objs, bytes, column)
 	}
 	if m.distortion == nil || m.tags == nil {
@@ -617,7 +647,7 @@ func TestMonitorFootprintAndAllocs(t *testing.T) {
 	}
 	for _, d := range []float64{0, 0.5, math.NaN()} {
 		both, neither := beat(2*window, 3, d), beat(window, 0, 0)
-		if objs, _ := heapDelta(func() { both(); neither() }); objs != 0 {
+		if objs, _ := heapDelta(again(func() { both(); neither() })); objs != 0 {
 			t.Fatalf("beats after both columns exist (distortion %g) allocated %d objects, want 0", d, objs)
 		}
 	}

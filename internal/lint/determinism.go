@@ -17,7 +17,7 @@ import (
 //   - the global math/rand source: unseeded process-global randomness
 //     differs run to run — derive a seeded rand.New(...) from the
 //     configuration instead;
-//   - goroutine spawns: concurrency belongs in the sweep/shard worker
+//   - goroutine spawns: concurrency belongs in the sweep and tick worker
 //     pools, whose merge order is fixed; an ad-hoc goroutine races its
 //     results into whatever order the scheduler picks;
 //   - map iteration feeding results: Go randomizes range-over-map
@@ -45,7 +45,7 @@ func runDeterminism(pass *Pass) error {
 			case *ast.CallExpr:
 				checkDeterministicCall(pass, info, n)
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "goroutine spawned in deterministic scope: fan out through the sweep/shard worker pool, whose merge order is fixed")
+				pass.Reportf(n.Pos(), "goroutine spawned in deterministic scope: fan out through the sweep or tick worker pool, whose merge order is fixed")
 			case *ast.RangeStmt:
 				checkMapRange(pass, info, decl.Body, n)
 			}

@@ -16,18 +16,18 @@ import (
 )
 
 // The actuation golden pins what the chip tick does to the hardware,
-// call for call. testdata/chip_actuation.golden was written by running
-// this file with -update in a checkout of the commit *before* the act
-// phase learned to leave knobs alone that already hold their target,
-// before the tick kept its sorted membership across ticks, and before
-// decisions aliased the runtime's point table — when every apply went
-// through every knob, every tick re-sorted, and every decision cloned.
-// A fast path that skipped a call the full path would have made, sorted
-// differently after a membership change, or let one decision's
-// configuration leak into another shows up here as a different knob
-// log or a different fleet. Regenerate (go test ./internal/server -run
-// ChipActuationGolden -update) only for a change that means to move the
-// fleet's behaviour, and say so.
+// call for call. testdata/chip_actuation.golden was last written with
+// -update when every state-writing pass of the tick (act, share, power
+// cap, migration, eviction) and makeRoom came to walk the fleet in one
+// order, enrollment order; the file before it was written by a commit
+// that ran every apply through every knob and cloned every decision,
+// and the rewrite moved only the order of the fleet's passes. A fast
+// path that skips a call the full path would have made, walks the
+// fleet in another order after a membership change, or lets one
+// decision's configuration leak into another shows up here as a
+// different knob log or a different fleet. Regenerate (go test
+// ./internal/server -run ChipActuationGolden -update) only for a change
+// that means to move the fleet's behaviour, and say so.
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // loggingKnob records every SetLevel that reaches a partition's
@@ -58,12 +58,13 @@ func digest(v any) string {
 // and regaining half its memory bandwidth, and a forced migration. It
 // writes one line per tick: the knob calls the tick made (refused ones
 // counted apart) and digests of everything the daemon reports about the
-// fleet afterwards. The daemon ticks with the given worker count.
-func actuationScript(t *testing.T, out *strings.Builder, workers int, label string, apps, ticks int, minRate func(*rand.Rand) float64) (calls, refused int) {
+// fleet afterwards. The daemon runs with the given directory shard and
+// tick worker counts.
+func actuationScript(t *testing.T, out *strings.Builder, shards, workers int, label string, apps, ticks int, minRate func(*rand.Rand) float64) (calls, refused int) {
 	t.Helper()
 	var knobLog []string
 	d, err := NewDaemon(Config{
-		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: 8, TickWorkers: workers,
+		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: shards, TickWorkers: workers,
 		Chip: &ChipConfig{Chips: 2, Tiles: 32,
 			KnobWrap: func(app string, k actuator.Knob) actuator.Knob { return loggingKnob{Knob: k, app: app, log: &knobLog} }},
 	})
@@ -147,23 +148,30 @@ func actuationScript(t *testing.T, out *strings.Builder, workers int, label stri
 // and DVFS moves), and 20 apps with goals that want more cores than 64
 // tiles hold (the core knob climbs until the tile ledger refuses it,
 // which aborts that apply half-way and surfaces in the app's status).
-// Both run at several tick-worker counts: knob moves share each die's
-// tile ledger, so the fleet must come out byte-identical for any count.
+// Both run along two axes, tick workers {1, 3, 8} at 8 directory shards
+// and shards {1, 3, 8, 16} at 2 workers: knob moves share each die's
+// tile ledger, so the fleet must come out byte-identical whatever the
+// worker count and however the directory shards its name index.
 func TestChipActuationGolden(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			chipActuationGolden(t, workers)
+			chipActuationGolden(t, 8, workers)
+		})
+	}
+	for _, shards := range []int{1, 3, 8, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			chipActuationGolden(t, shards, 2)
 		})
 	}
 }
 
-func chipActuationGolden(t *testing.T, workers int) {
+func chipActuationGolden(t *testing.T, shards, workers int) {
 	var out strings.Builder
-	calls, _ := actuationScript(t, &out, workers, "time-shared", 200, 200, func(rng *rand.Rand) float64 { return 8 + float64(rng.Intn(40)) })
+	calls, _ := actuationScript(t, &out, shards, workers, "time-shared", 200, 200, func(rng *rand.Rand) float64 { return 8 + float64(rng.Intn(40)) })
 	if calls == 0 {
 		t.Fatal("time-shared: no knob ever moved")
 	}
-	_, refused := actuationScript(t, &out, workers, "space-shared", 20, 120, func(rng *rand.Rand) float64 { return 200 + float64(rng.Intn(400)) })
+	_, refused := actuationScript(t, &out, shards, workers, "space-shared", 20, 120, func(rng *rand.Rand) float64 { return 200 + float64(rng.Intn(400)) })
 	if refused == 0 {
 		t.Fatal("space-shared: the tile ledger never refused a core knob")
 	}

@@ -180,8 +180,8 @@ type StatsResponse struct {
 	Cores    int `json:"cores"`
 	// Chips is the fleet's die count (absent for advisory daemons).
 	Chips int `json:"chips,omitempty"`
-	// Shards is the application-directory shard count (the tick fans
-	// its per-app phases across these).
+	// Shards is the directory's name-index shard count (a lookup
+	// performance knob; no tick phase depends on it).
 	Shards    int    `json:"shards,omitempty"`
 	Ticks     uint64 `json:"ticks"`
 	Beats     uint64 `json:"beats"`

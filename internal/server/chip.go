@@ -285,14 +285,12 @@ func (d *Daemon) makeRoom(chip int) (float64, error) {
 	if slot < minChipShare {
 		return 0, fmt.Errorf("server: %w (chip oversubscribed beyond %gx)", ErrPoolExhausted, 1/minChipShare)
 	}
-	// The die's tenants in directory order (shard by shard): the ledger
-	// sums their shares as floats, so the order is part of the result.
+	// The die's tenants in enrollment order: the ledger sums their
+	// shares as floats, so the order is part of the result.
 	tenants := d.roomBuf[:0]
-	for i := range d.dir.shards {
-		for _, other := range d.dir.shardList(i) {
-			if part := other.partition(); part != nil && other.chip == chip {
-				tenants = append(tenants, part)
-			}
+	for _, other := range d.dir.apps() {
+		if part := other.partition(); part != nil && other.chip == chip {
+			tenants = append(tenants, part)
 		}
 	}
 	used = sc.ShrinkShares(tenants, minChipShare, tiles-slot)

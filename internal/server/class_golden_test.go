@@ -24,8 +24,11 @@ import (
 // knob position, correction or power cap showing through another's, a
 // re-enrollment under a different workload inheriting the old class, a
 // migrated or cold-booted app bound to the wrong tables — the fleet's
-// reported state diverges here. Regenerate only for a change that means
-// to move the fleet's behaviour, and say so.
+// reported state diverges here. It was regenerated once since, with
+// -update, when the tick's state-writing passes came to walk the fleet
+// in enrollment order; that moved the digests from the first tick after
+// the cold boot on, and nothing before it. Regenerate only for a change
+// that means to move the fleet's behaviour, and say so.
 
 // classFleetScript drives a two-die fleet of three workloads, each both
 // chip-backed and advisory, with a different goal per app, through goal

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"sort"
 
 	"angstrom/internal/sim"
 )
@@ -275,8 +274,7 @@ func (d *Daemon) buildImage(seq uint64) snapImage {
 			img.LoadAvgNoC = append([]float64(nil), d.loadAvgNoC...)
 		}
 	}
-	apps := d.dir.snapshot(make([]*app, 0, d.dir.len()))
-	sort.Slice(apps, func(i, j int) bool { return apps[i].seq < apps[j].seq })
+	apps := d.dir.apps() // enrollment order: restore re-admits in image order, keeping it
 	img.Apps = make([]snapApp, 0, len(apps))
 	for _, a := range apps {
 		sa := snapApp{Name: a.name, Workload: a.spec.Name, Window: a.window, Priority: a.prio}

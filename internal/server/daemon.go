@@ -8,19 +8,22 @@
 // core pool, ticking continuously on a wall clock (or an accelerated
 // simulated clock for tests and offline drivers).
 //
-// Concurrency model: the application directory is sharded (shard.go) —
-// beat ingestion and status lookups resolve an app with one lock-free
-// atomic load, enroll/withdraw update one shard under its own mutex,
-// and the tick fans its decide phase across a worker pool one shard at a
-// time (the chip act phase walks the shards serially: knob moves share
-// each die's tile ledger). The Daemon's own mutex guards only the
+// Concurrency model: the application directory (shard.go) resolves an
+// app for beat ingestion and status lookups with one lock-free atomic
+// load in a sharded name index, and keeps the fleet in one
+// enrollment-ordered list that enroll/withdraw republish under the
+// directory's writer mutex. The tick walks that list: serially where
+// order is part of the result (the chip act phase, whose knob moves
+// share each die's tile ledger, and the share, power-cap, migration
+// and eviction passes), and fanned across a worker pool in fixed-size
+// chunks for the decide phase. The Daemon's own mutex guards the
 // control plane (the single-threaded Manager and chip admission);
 // per-app decision state is guarded by the app's mutex; each app's
 // core.Runtime is touched by exactly one tick worker per tick (ticks
-// never overlap).
-// The sharded tick is byte-identical to the serial pass: allocations
-// come from one deterministic Manager.Step, and every decision is
-// independent across apps (enforced by the invariant tests).
+// never overlap). The fanned-out tick is byte-identical to the serial
+// pass at any shard or worker count: allocations come from one
+// deterministic Manager.Step, and every decision is independent across
+// apps (enforced by the invariant tests).
 package server
 
 import (
@@ -81,13 +84,14 @@ type Config struct {
 	// applications time-share units (fractional Allocation.Share)
 	// instead of being refused at enrollment.
 	Oversubscribe bool
-	// Shards is the application-directory shard count, rounded up to a
-	// power of two (default: scaled from GOMAXPROCS). One shard plus one
-	// tick worker reproduces the serial daemon exactly.
+	// Shards sizes the application directory's name index: the number
+	// of hash-partitioned lookup tables, rounded up to a power of two
+	// (default: scaled from GOMAXPROCS). A pure performance knob:
+	// nothing the daemon decides depends on it.
 	Shards int
-	// TickWorkers is the tick's worker-pool size for the per-shard
-	// decide phase (default GOMAXPROCS). Allocations, and a chip fleet's
-	// knob moves, are byte-identical for any worker count.
+	// TickWorkers is the tick's worker-pool size for the decide phase
+	// (default GOMAXPROCS). Allocations, and a chip fleet's knob moves,
+	// are byte-identical for any worker count.
 	TickWorkers int
 	// Chip, when non-nil, turns on chip-backed serving: every enrolled
 	// application is bound to a partition of a shared angstrom chip —
@@ -139,11 +143,7 @@ func (c *Config) fill() {
 
 // app is one enrolled application's serving state.
 type app struct {
-	name string
-	// seq orders apps by enrollment (assigned under d.mu): snapshots
-	// store the fleet in this order so a restore re-enrolls it exactly
-	// as it was built (manager and contention-pass iteration order).
-	seq    uint64
+	name   string
 	window int // heartbeat averaging window (persisted by snapshots)
 	// prio is the enrollment's declared water-fill weight (0 = default
 	// 1); persisted by snapshots so a restore re-weights the manager.
@@ -164,8 +164,8 @@ type app struct {
 	goalEpoch atomic.Uint64
 	// retired is set when retire takes the app out of the directory, and
 	// never cleared (a re-enrollment under the same name is a new app). A
-	// tick holds its per-shard snapshots across phases; this is how each
-	// phase learns an app in them has since been withdrawn.
+	// tick holds its snapshot of the fleet across phases; this is how
+	// each phase learns an app in it has since been withdrawn.
 	retired atomic.Bool
 
 	// Chip-backed state (nil/zero for advisory apps). part is the app's
@@ -258,7 +258,6 @@ type Daemon struct {
 	// aggregate corrected demand.
 	mgrs   []*core.Manager
 	broker *core.Broker
-	appSeq uint64 // enrollment counter behind app.seq (under mu)
 	// classes holds what admission derives once per (workload, mode)
 	// instead of once per app (see appClass); written by classFor only,
 	// under mu or during single-goroutine boot.
@@ -339,7 +338,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	d.tick.snapBuf = make([][]*app, len(d.dir.shards))
 	if cfg.Accel > 0 {
 		d.simClock = NewAtomicClock(0)
 		d.clock = d.simClock

@@ -151,8 +151,8 @@ func (d *Daemon) maybeMigrate(now sim.Time) {
 	// threshold, the one whose share-scaled memory demand is largest —
 	// moving the heaviest contributor relieves its die the most. Apps
 	// still inside their post-migration cooldown are ineligible.
-	// d.tick.chipApps is this tick's name-sorted fleet, so ties resolve by
-	// name.
+	// d.tick.chipApps is this tick's fleet in enrollment order, so ties
+	// resolve to the earlier enrollment.
 	var victim *app
 	var victimPart *angstrom.Partition
 	var victimLoad float64

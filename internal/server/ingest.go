@@ -24,8 +24,9 @@ func validDistortion(d float64) error {
 	return nil
 }
 
-// lookup resolves an app through the sharded directory: one hash, one
-// atomic load, one short probe — no locks on the ingestion path.
+// lookup resolves an app through the directory's sharded name index:
+// one hash, one atomic load, one short probe — no locks on the
+// ingestion path.
 func (d *Daemon) lookup(name string) (*app, bool) { return d.dir.get(name) }
 
 // Beat ingests count heartbeats for name, the last one carrying the

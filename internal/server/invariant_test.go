@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 // and tick workers is pure mechanism — for an advisory fleet the full
 // serving transcript (allocations, decisions, observations) must be
 // byte-identical for ANY (Shards, TickWorkers) choice, and a chip
-// daemon must replay byte-identically for a fixed configuration. These
-// tests drive deterministic fleet scripts and compare entire List()
+// daemon must replay byte-identically (and, by the actuation golden,
+// come out the same at any shard or worker count). These tests drive deterministic fleet scripts and compare entire List()
 // transcripts with reflect.DeepEqual.
 
 // fleetScript drives one daemon through a fixed, fully deterministic
@@ -157,13 +158,13 @@ func TestShardedTickMatchesSerial(t *testing.T) {
 }
 
 // The chip passes that touch the shared tile ledgers walk the fleet in
-// name order whatever the shard layout, and the tick re-sorts only when
-// the membership it gathered differs from last tick's. So on the tick
-// after every kind of membership change — and on the quiet ticks between,
-// which reuse the standing order — chipApps must be exactly the enrolled
-// chip fleet, name-sorted, each entry the directory's *current* app (a
-// same-name re-enrollment is a different app than the one it replaced).
-func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
+// enrollment order whatever the shard layout. So on the tick after
+// every kind of membership change, and on the quiet ticks between,
+// chipApps must be exactly the enrolled chip fleet in the order it
+// enrolled, each entry the directory's *current* app: a same-name
+// re-enrollment is a new app and moves to the end, a migration keeps
+// its place, and a withdrawal leaves no hole.
+func TestChipAppsInEnrollmentOrder(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		d, err := NewDaemon(Config{
 			Cores: 32, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: shards, TickWorkers: 1,
@@ -172,23 +173,31 @@ func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var order []string // the enrolled names, oldest enrollment first
 		enroll := func(name string) {
 			t.Helper()
 			if err := d.Enroll(EnrollRequest{Name: name, Workload: "water", Window: 16, MinRate: 5}); err != nil {
 				t.Fatal(err)
 			}
+			order = append(order, name)
+		}
+		withdraw := func(name string) {
+			t.Helper()
+			if err := d.Withdraw(name); err != nil {
+				t.Fatal(err)
+			}
+			order = slices.DeleteFunc(order, func(n string) bool { return n == name })
 		}
 		tickAndCheck := func(step string) {
 			t.Helper()
 			d.Tick()
-			list := d.List() // name-sorted by contract
-			if len(d.tick.chipApps) != len(list) {
-				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.tick.chipApps), len(list))
+			if len(d.tick.chipApps) != len(order) {
+				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.tick.chipApps), len(order))
 			}
-			for i, st := range list {
-				if a := d.tick.chipApps[i]; a.name != st.Name || a != mustApp(t, d, st.Name) {
+			for i, name := range order {
+				if a := d.tick.chipApps[i]; a.name != name || a != mustApp(t, d, name) {
 					t.Fatalf("shards=%d, tick after %s: chipApps[%d] is %q (current app: %v), want %q",
-						shards, step, i, a.name, a == mustApp(t, d, a.name), st.Name)
+						shards, step, i, a.name, a == mustApp(t, d, a.name), name)
 				}
 			}
 		}
@@ -197,32 +206,32 @@ func TestChipAppsSortedAfterMembershipChanges(t *testing.T) {
 		}
 		tickAndCheck("the first enrollments")
 		tickAndCheck("nothing")
-		enroll("a-first")
 		enroll("z-last")
+		enroll("a-first")
 		tickAndCheck("enroll")
-		if err := d.Withdraw("m-20"); err != nil {
-			t.Fatal(err)
-		}
+		withdraw("m-20")
 		tickAndCheck("withdraw")
 		old := mustApp(t, d, "m-07")
-		if err := d.Withdraw("m-07"); err != nil {
-			t.Fatal(err)
-		}
+		withdraw("m-07")
 		enroll("m-07")
 		if mustApp(t, d, "m-07") == old {
 			t.Fatal("re-enrollment reused the withdrawn app")
 		}
 		tickAndCheck("same-name re-enroll")
+		if last := d.tick.chipApps[len(d.tick.chipApps)-1]; last.name != "m-07" {
+			t.Fatalf("shards=%d: the re-enrolled m-07 is not last: %q is", shards, last.name)
+		}
 		tickAndCheck("nothing")
 		victim := d.tick.chipApps[3]
 		if err := d.applyMigration(victim.name, 1-victim.chip, d.clock.Now()); err != nil {
 			t.Fatal(err)
 		}
 		tickAndCheck("migration")
-		for _, st := range d.List() {
-			if err := d.Withdraw(st.Name); err != nil {
-				t.Fatal(err)
-			}
+		if d.tick.chipApps[3] != victim {
+			t.Fatalf("shards=%d: migrated %q left its place", shards, victim.name)
+		}
+		for len(order) > 0 {
+			withdraw(order[len(order)/2])
 		}
 		tickAndCheck("the last withdrawal")
 	}
@@ -300,7 +309,7 @@ func TestChipTickDeterministicReplay(t *testing.T) {
 	diffTranscripts(t, "chip replay", first, second)
 }
 
-// Satellite regression: Tick holds per-shard snapshots across the
+// Regression: Tick holds its snapshot of the fleet across the
 // advance phase. Withdrawing an app in that window must neither panic
 // nor release its partition's tiles twice — the ledger must account
 // exactly for the survivors, with zero faults, and the withdrawn app
@@ -323,7 +332,7 @@ func TestWithdrawMidTickReleasesTilesOnce(t *testing.T) {
 	}
 	d.Tick() // warm: schedules queued, knobs moved
 
-	// Run the next tick phase by phase. Once the snapshots hold m-03 and
+	// Run the next tick phase by phase. Once the snapshot holds m-03 and
 	// m-07, withdraw both, and immediately re-enroll one name so a stale
 	// snapshot entry coexists with a live successor app.
 	d.simClock.Advance(d.cfg.Accel)

@@ -234,10 +234,10 @@ const (
 // admit is the one way an application enters the fleet; Enroll (live and
 // replayed) and restoreApp validate, build the app, and hand it here. It
 // binds the app to a chip partition at `at` (or, when at is nil, builds
-// its runtime on its advisory class), then joins the die's manager, the
-// enrollment order, and the directory, in that order. A stage that
-// refuses retires the stages before it, so a failed admission leaves no
-// trace. Called with d.mu held (or single-goroutine during boot),
+// its runtime on its advisory class), then joins the die's manager and
+// then the directory, at the end of its list: admissions serialize, so
+// the directory's order is enrollment order. A stage that refuses
+// retires the stages before it, so a failed admission leaves no trace. Called with d.mu held (or single-goroutine during boot),
 // downstream of the caller's durable record.
 //
 //angstrom:journaled writer
@@ -261,8 +261,6 @@ func (d *Daemon) admit(a *app, at *placement, now sim.Time) error {
 		d.retire(a, stageBound)
 		return err
 	}
-	d.appSeq++
-	a.seq = d.appSeq
 	if !d.dir.insert(a.name, a) {
 		// Unreachable while admissions serialize on d.mu, but keep the
 		// bookkeeping honest if that ever changes.

@@ -2,38 +2,41 @@ package server
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// The sharded application directory. One daemon mutex in front of a
-// single map bounds fleet size long before the ingestion path does:
-// every beat, status read, and tick snapshot serializes on it. The
-// directory instead hashes application names across N shards. Reads
-// (the beat hot path, status lookups, tick snapshots) are lock-free:
-// each shard publishes an open-addressed table of atomic slots (name
-// lookup) and a slice in insertion order (iteration) through atomic
-// pointers. Writers (enroll/withdraw) serialize on the shard's mutex
-// and do amortized O(1) work: an insert fills an empty slot of the
-// published table in place and appends to the list, a remove leaves a
-// tombstone, and the table is rebuilt and swapped only when live
-// entries plus tombstones pass half its slots — so enrolling a fleet
-// (live or at boot) is linear in its size, not quadratic. The tick fans
-// its per-application phases across a worker pool one shard at a time,
-// so decide-phase work scales with cores instead of running
-// single-threaded, and its snapshot phase is a slice-header load per
-// shard rather than a map walk.
+// The application directory. One daemon mutex in front of a single map
+// bounds fleet size long before the ingestion path does: every beat,
+// status read, and tick snapshot serializes on it. The directory
+// instead keeps two lock-free views. Name lookup (the beat hot path,
+// status reads) hashes the name across N shards, each an open-addressed
+// table of atomic slots behind an atomic pointer. Iteration reads one
+// published slice of every app in insertion order: admissions insert
+// under the daemon mutex, so insertion order is enrollment order, and
+// every pass that writes state (the tick's
+// phases, makeRoom, the snapshot image) walks that one list. Nothing
+// the daemon decides depends on the shard count. Writers
+// (enroll/withdraw) serialize on one mutex and do amortized O(1) table
+// work: an insert fills an empty slot of the published table in place
+// and appends to the list, a remove leaves a tombstone and publishes a
+// copy of the list without the app, and a shard's table is rebuilt and
+// swapped only when live entries plus tombstones pass half its slots —
+// so enrolling a fleet (live or at boot) is linear in its size, not
+// quadratic.
 
 // dirTable is one shard's name index: linear probing over atomic slots.
 // Inside one table a slot only ever goes nil → app → tombstone, so no
 // probe chain a reader is walking can break under it; reclaiming
-// tombstones means building a new table. used is writer state, guarded
-// by the shard mutex.
+// tombstones means building a new table. used and live are writer
+// state, guarded by the directory mutex.
 type dirTable struct {
 	slots []atomic.Pointer[app]
 	mask  uint64
 	shift uint // 64 - log2(len(slots))
 	used  int  // slots no longer nil: live entries + tombstones
+	live  int  // slots holding an app
 }
 
 // tombstone marks a slot whose application was removed: probes step
@@ -77,35 +80,39 @@ func (t *dirTable) find(h uint64, name string) (uint64, *app) {
 	}
 }
 
-// dirShard is one slice of the directory. The mutex serializes writers
-// only; readers go straight through the atomic pointers.
-type dirShard struct {
-	mu    sync.Mutex
-	table atomic.Pointer[dirTable]
-	// list is the shard's apps in insertion order — the tick's iteration
-	// order. A published header is never shortened or rewritten: insert
-	// appends past its length (in place when the backing array has room,
-	// which readers holding the shorter header cannot see) and publishes
-	// a longer one; remove publishes a copy.
-	list atomic.Pointer[[]*app]
-	// Pad the struct to a full 64-byte cache line (8 mutex + 16
-	// pointers + 40) so write-heavy churn on one shard does not
-	// false-share a line with its neighbors' read pointers
-	// (TestDirShardFillsCacheLine holds the arithmetic to the fields).
-	_ [40]byte
+// rebuilt returns a fresh table holding t's live entries and room for
+// one more: readers still probing t see the directory as of the swap.
+func (t *dirTable) rebuilt() *dirTable {
+	n := newDirTable(t.live + 1)
+	for i := range t.slots {
+		if b := t.slots[i].Load(); b != nil && b != tombstone {
+			j, _ := n.find(b.hash, b.name)
+			n.slots[j].Store(b)
+		}
+	}
+	n.used, n.live = t.live, t.live
+	return n
 }
 
-// directory is the N-way sharded application index.
+// directory is the application index: sharded name tables for lookup,
+// one list for iteration. The mutex serializes writers only; readers go
+// straight through the atomic pointers.
 type directory struct {
-	shards []dirShard
+	mu     sync.Mutex
+	tables []atomic.Pointer[dirTable]
 	mask   uint64
-	count  atomic.Int64
+	// list is every enrolled app in insertion order. A published header
+	// is never shortened or rewritten: insert appends past its length
+	// (in place when the backing array has room, which readers holding
+	// the shorter header cannot see) and publishes a longer one; remove
+	// publishes a copy.
+	list atomic.Pointer[[]*app]
 }
 
-// defaultShardCount sizes the directory when the config does not:
-// enough shards that tick workers (one per core) rarely idle behind a
-// straggler shard and writer contention spreads, without making
-// tiny-fleet snapshots scan hundreds of empty shards.
+// defaultShardCount sizes the name index when the config does not:
+// enough shards that a table rebuild (which copies one shard) stays a
+// short writer pause, without making tiny fleets allocate hundreds of
+// empty tables.
 func defaultShardCount() int {
 	n := 4 * runtime.GOMAXPROCS(0)
 	if n < 8 {
@@ -117,26 +124,25 @@ func defaultShardCount() int {
 	return n
 }
 
-// newDirectory builds a directory with n shards (rounded up to a power
-// of two so the hash can mask instead of mod).
+// newDirectory builds a directory with n name-table shards (rounded up
+// to a power of two so the hash can mask instead of mod).
 func newDirectory(n int) *directory {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	d := &directory{shards: make([]dirShard, size), mask: uint64(size - 1)}
-	for i := range d.shards {
-		d.shards[i].table.Store(newDirTable(0))
-		d.shards[i].list.Store(new([]*app))
+	d := &directory{tables: make([]atomic.Pointer[dirTable], size), mask: uint64(size - 1)}
+	for i := range d.tables {
+		d.tables[i].Store(newDirTable(0))
 	}
+	d.list.Store(new([]*app))
 	return d
 }
 
 // hashName is FNV-1a over the name; its low bits pick the shard. A
-// fixed hash (not a per-directory random seed) keeps shard assignment —
-// and therefore tick iteration order — identical across daemons and
-// runs: the same determinism discipline Sweep follows, enforced by the
-// replay tests.
+// fixed hash (not a per-directory random seed) keeps the tables' layout
+// a function of the names alone, the same determinism discipline Sweep
+// follows.
 //
 //angstrom:hotpath
 func hashName(name string) uint64 {
@@ -154,124 +160,73 @@ func hashName(name string) uint64 {
 //angstrom:hotpath
 func (d *directory) get(name string) (*app, bool) {
 	h := hashName(name)
-	_, a := d.shards[h&d.mask].table.Load().find(h, name)
+	_, a := d.tables[h&d.mask].Load().find(h, name)
 	return a, a != nil
 }
 
-// insert adds an application, reporting false on a duplicate name. It
-// stamps the app's hash, which lookups compare before names.
-// Directory membership is journaled state: only persist.go writers
-// (enroll live or replayed) may call it.
+// insert adds an application at the end of the list, reporting false on
+// a duplicate name. It stamps the app's hash, which lookups compare
+// before names. Directory membership is journaled state: only
+// persist.go writers (enroll live or replayed) may call it.
 //
 //angstrom:journaled mutator
 func (d *directory) insert(name string, a *app) bool {
 	a.hash = hashName(name)
-	s := &d.shards[a.hash&d.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.table.Load()
+	tp := &d.tables[a.hash&d.mask]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t := tp.Load()
 	slot, dup := t.find(a.hash, name)
 	if dup != nil {
 		return false
 	}
-	list := *s.list.Load()
 	if 2*(t.used+1) > len(t.slots) {
-		// Rebuild without the tombstones, sized for the survivors. Readers
-		// still probing the old table see the directory as of the swap.
-		t = newDirTable(len(list) + 1)
-		for _, b := range list {
-			i, _ := t.find(b.hash, b.name)
-			t.slots[i].Store(b)
-		}
-		t.used = len(list)
-		s.table.Store(t)
+		t = t.rebuilt()
+		tp.Store(t)
 		slot, _ = t.find(a.hash, name)
 	}
 	t.slots[slot].Store(a)
 	t.used++
-	list = append(list, a)
-	s.list.Store(&list)
-	d.count.Add(1)
+	t.live++
+	list := append(d.apps(), a)
+	d.list.Store(&list)
 	return true
 }
 
-// remove deletes an application, returning it (ok=false if absent).
-// Directory membership is journaled state: only persist.go writers
-// (withdraw/evict live or replayed) may call it.
+// remove deletes an application, returning it (ok=false if absent); the
+// apps after it keep their order. Directory membership is journaled
+// state: only persist.go writers (withdraw/evict live or replayed) may
+// call it.
 //
 //angstrom:journaled mutator
 func (d *directory) remove(name string) (*app, bool) {
 	h := hashName(name)
-	s := &d.shards[h&d.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.table.Load()
+	tp := &d.tables[h&d.mask]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t := tp.Load()
 	slot, a := t.find(h, name)
 	if a == nil {
 		return nil, false
 	}
 	t.slots[slot].Store(tombstone)
-	oldList := *s.list.Load()
-	nextList := make([]*app, 0, len(oldList)-1)
-	for _, v := range oldList {
-		if v != a {
-			nextList = append(nextList, v)
-		}
-	}
-	s.list.Store(&nextList)
-	d.count.Add(-1)
+	t.live--
+	old := d.apps()
+	i := slices.Index(old, a)
+	list := make([]*app, 0, len(old)-1)
+	list = append(append(list, old[:i]...), old[i+1:]...)
+	d.list.Store(&list)
 	return a, true
 }
 
 // len reports the enrolled-application count.
-func (d *directory) len() int { return int(d.count.Load()) }
+func (d *directory) len() int { return len(d.apps()) }
 
-// snapshot appends every enrolled application to buf and returns it.
-// The result is a point-in-time view: apps withdrawn afterwards remain
-// in the slice (callers re-check identity via get before acting).
-func (d *directory) snapshot(buf []*app) []*app {
-	for i := range d.shards {
-		buf = append(buf, *d.shards[i].list.Load()...)
-	}
-	return buf
-}
-
-// shardList returns shard i's published app slice. Writers never touch
-// the elements a published header covers, so callers may hold it across
-// an entire tick without copying.
+// apps returns every enrolled application in insertion (enrollment)
+// order: the published list itself. Writers never touch the elements a
+// published header covers, so callers may hold it across an entire
+// tick without copying; apps withdrawn afterwards remain in it (callers
+// skip the ones retire has flagged, or re-check identity via get).
 //
 //angstrom:hotpath
-func (d *directory) shardList(i int) []*app { return *d.shards[i].list.Load() }
-
-// forEachShard runs fn(shard index) across a pool of `workers`
-// goroutines, each claiming whole shards so per-shard state never needs
-// cross-worker synchronization. workers <= 1 runs inline — the serial
-// pass the parallel one must match byte for byte.
-func (d *directory) forEachShard(workers int, fn func(shard int)) {
-	n := len(d.shards)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+func (d *directory) apps() []*app { return *d.list.Load() }

@@ -7,14 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 )
+
+// snapshot appends the directory's fleet, in enrollment order, to buf.
+func (d *directory) snapshot(buf []*app) []*app { return append(buf, d.apps()...) }
 
 // Directory unit coverage: the lock-free read path must agree with the
 // writers and keep table and list views consistent.
 func TestDirectoryBasics(t *testing.T) {
 	d := newDirectory(5) // rounds up to 8
-	if got := len(d.shards); got != 8 {
+	if got := len(d.tables); got != 8 {
 		t.Fatalf("shard count %d, want 8 (rounded up)", got)
 	}
 	names := []string{"a", "b", "c", "dd", "ee", "ff", "g-0", "g-1"}
@@ -60,29 +62,22 @@ func TestDirectoryBasics(t *testing.T) {
 	}
 }
 
-// The padding comment on dirShard is arithmetic over its fields; this
-// holds it to them.
-func TestDirShardFillsCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(dirShard{}); size%64 != 0 {
-		t.Fatalf("dirShard is %d bytes, not a multiple of the 64-byte cache line: fix the padding", size)
-	}
-}
-
 // Property test: a long random insert/remove/get script against a
 // reference map. The name pool is small next to the script, so shards
 // grow, accumulate tombstones, rebuild, drain, and re-insert removed
 // names over and over; after every step the directory must agree with the
 // reference on membership, identity, duplicate refusal and len(), each
-// table must keep the load bound that terminates probes, and each
-// shard's list must be its survivors in insertion order.
+// table must keep the load bound that terminates probes, and the one
+// list must be the survivors in insertion order, whatever shard their
+// names hash to.
 func TestDirectoryMatchesReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := newDirectory(4)
 	ref := make(map[string]*app)
-	order := make([][]*app, len(d.shards)) // per shard, insertion order
-	tables := make([]*dirTable, len(d.shards))
+	var order []*app // the survivors in insertion order
+	tables := make([]*dirTable, len(d.tables))
 	for i := range tables {
-		tables[i] = d.shards[i].table.Load()
+		tables[i] = d.tables[i].Load()
 	}
 	var rebuilds, tombstoned int
 	for step := 0; step < 40000; step++ {
@@ -100,7 +95,7 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 			}
 			if !dup {
 				ref[name] = a
-				order[d.shardOf(a)] = append(order[d.shardOf(a)], a)
+				order = append(order, a)
 			}
 		case op < 10:
 			want, present := ref[name]
@@ -110,10 +105,10 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 			}
 			if present {
 				delete(ref, name)
-				sh := order[d.shardOf(want)]
-				for i, a := range sh {
+				for i, a := range order {
 					if a == want {
-						order[d.shardOf(want)] = append(sh[:i:i], sh[i+1:]...)
+						order = append(order[:i:i], order[i+1:]...)
+						break
 					}
 				}
 			}
@@ -124,32 +119,34 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 		if d.len() != len(ref) {
 			t.Fatalf("step %d: len %d, reference %d", step, d.len(), len(ref))
 		}
-		for i := range d.shards {
-			tb := d.shards[i].table.Load()
+		live := 0
+		for i := range d.tables {
+			tb := d.tables[i].Load()
 			if tb != tables[i] {
 				tables[i] = tb
 				rebuilds++
 			}
-			live := len(d.shardList(i))
-			if tb.used < live || 2*tb.used > len(tb.slots) {
-				t.Fatalf("step %d: shard %d table holds %d used slots of %d for %d live apps", step, i, tb.used, len(tb.slots), live)
+			if tb.used < tb.live || 2*tb.used > len(tb.slots) {
+				t.Fatalf("step %d: shard %d table holds %d used slots of %d for %d live apps", step, i, tb.used, len(tb.slots), tb.live)
 			}
-			if tb.used > live {
+			if tb.used > tb.live {
 				tombstoned++
 			}
+			live += tb.live
+		}
+		if live != len(ref) {
+			t.Fatalf("step %d: tables count %d live apps, reference %d", step, live, len(ref))
 		}
 		if step%500 != 0 {
 			continue
 		}
-		for i := range d.shards {
-			list := d.shardList(i)
-			if len(list) != len(order[i]) {
-				t.Fatalf("step %d: shard %d lists %d apps, want %d", step, i, len(list), len(order[i]))
-			}
-			for j, a := range list {
-				if a != order[i][j] {
-					t.Fatalf("step %d: shard %d position %d holds %q, insertion order says %q", step, i, j, a.name, order[i][j].name)
-				}
+		list := d.apps()
+		if len(list) != len(order) {
+			t.Fatalf("step %d: the list holds %d apps, want %d", step, len(list), len(order))
+		}
+		for j, a := range list {
+			if a != order[j] {
+				t.Fatalf("step %d: list position %d holds %q, insertion order says %q", step, j, a.name, order[j].name)
 			}
 		}
 		for name, a := range ref {
@@ -167,7 +164,8 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 // writers churn names in and out (growing, tombstoning and rebuilding
 // every shard's table, appending to its list in place), readers must
 // always find the resident names, find a churning name only as itself,
-// and walk shard lists that hold no stranger and no hole.
+// and walk a list that holds no hole and starts with the residents in
+// the order they were inserted.
 func TestDirectoryReadersDuringChurn(t *testing.T) {
 	d := newDirectory(4)
 	const residents, churners, writers = 64, 512, 4
@@ -196,19 +194,8 @@ func TestDirectoryReadersDuringChurn(t *testing.T) {
 					t.Errorf("get %q returned %q", name, got.name)
 					return
 				}
-				sh := rng.Intn(len(d.shards))
-				seen := 0
-				for _, a := range d.shardList(sh) {
-					if a == nil || d.shardOf(a) != sh {
-						t.Errorf("shard %d lists a hole or a stranger: %+v", sh, a)
-						return
-					}
-					if a.name[0] == 'r' {
-						seen++
-					}
-				}
-				if want := residentsOn(d, resident, sh); seen != want {
-					t.Errorf("shard %d lists %d residents, want %d", sh, seen, want)
+				if msg := checkList(d.apps(), resident); msg != "" {
+					t.Error(msg)
 					return
 				}
 			}
@@ -240,17 +227,22 @@ func TestDirectoryReadersDuringChurn(t *testing.T) {
 	rwg.Wait()
 }
 
-// shardOf is the shard insert placed a in.
-func (d *directory) shardOf(a *app) int { return int(a.hash & d.mask) }
-
-func residentsOn(d *directory, resident []*app, shard int) int {
-	n := 0
-	for _, a := range resident {
-		if d.shardOf(a) == shard {
-			n++
+// checkList reports what is wrong with a published list whose first
+// entries must be residents, in order, and which must hold no hole or
+// removed slot anywhere ("" when nothing is).
+func checkList(list, residents []*app) string {
+	if len(list) < len(residents) {
+		return fmt.Sprintf("the list holds %d apps, fewer than the %d residents", len(list), len(residents))
+	}
+	for i, a := range list {
+		if a == nil || a == tombstone {
+			return fmt.Sprintf("list position %d holds a hole", i)
+		}
+		if i < len(residents) && a != residents[i] {
+			return fmt.Sprintf("list position %d holds %q, want resident %q", i, a.name, residents[i].name)
 		}
 	}
-	return n
+	return ""
 }
 
 // Satellite: the sharded-directory churn test. Concurrent
@@ -335,17 +327,14 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 				default:
 					d.List()
 					d.Stats()
-					if a, ok := d.dir.get("resident"); !ok || a.name != "resident" {
+					a, ok := d.dir.get("resident")
+					if !ok || a.name != "resident" {
 						t.Errorf("resident app unresolvable mid-churn: %v, %v", a, ok)
 						return
 					}
-					for i := range d.dir.shards {
-						for _, a := range d.dir.shardList(i) {
-							if a == nil || d.dir.shardOf(a) != i {
-								t.Errorf("shard %d lists a hole or a stranger: %+v", i, a)
-								return
-							}
-						}
+					if msg := checkList(d.dir.apps(), []*app{a}); msg != "" {
+						t.Error(msg)
+						return
 					}
 					if sts := d.ChipStatuses(); len(sts) == 1 {
 						if st := sts[0]; st.CoreEquivalents > float64(tiles)+1e-6 {

@@ -21,9 +21,9 @@ func (d *Daemon) Status(name string) (AppStatus, error) {
 
 // List reports every enrolled application, sorted by name.
 func (d *Daemon) List() []AppStatus {
-	snapshot := d.dir.snapshot(make([]*app, 0, d.dir.len()))
-	out := make([]AppStatus, len(snapshot))
-	for i, a := range snapshot {
+	apps := d.dir.apps()
+	out := make([]AppStatus, len(apps))
+	for i, a := range apps {
 		out[i] = d.status(a)
 	}
 	sortAppStatuses(out)
@@ -154,7 +154,7 @@ func (d *Daemon) Stats() StatsResponse {
 	st := StatsResponse{
 		Apps:             d.dir.len(),
 		Cores:            d.cfg.Cores,
-		Shards:           len(d.dir.shards),
+		Shards:           len(d.dir.tables),
 		Migrations:       d.migrations.Load(),
 		Ticks:            d.ticks.Load(),
 		Beats:            d.beats.Load(),

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"slices"
-	"sort"
-	"strings"
+	"sync"
+	"sync/atomic"
 
 	"angstrom/internal/core"
 	"angstrom/internal/sim"
@@ -13,8 +12,9 @@ import (
 // the accelerated clock (if any), execute chip-backed apps over the
 // elapsed interval (emitting their heartbeats), arbitrate shared cores,
 // then step each app's SEEC runtime and queue its schedule for the next
-// interval. The decide phase fans out across the tick worker pool shard
-// by shard; quiescent apps (no new beats, unchanged allocation and goal,
+// interval. Every phase walks the fleet in enrollment order; the decide
+// phase fans it out across the tick worker pool in fixed-size chunks.
+// Quiescent apps (no new beats, unchanged allocation and goal,
 // last step clean) keep their previous decision without re-running the
 // decision engine. Start runs this on a timer; accelerated drivers and
 // benchmarks may call it directly instead (never concurrently with
@@ -44,16 +44,12 @@ func (d *Daemon) Tick() {
 // tick to tick. The migration and eviction scans read it after the
 // opTick record.
 type tick struct {
-	// snapBuf holds the tick's per-shard snapshots: immutable slice
-	// headers published by the directory, valid for the whole tick.
-	snapBuf [][]*app
-	// chipApps is the tick's name-sorted chip-backed fleet. chipSeq is
-	// the same fleet in the shard order the act phase gathered it in,
-	// last tick's kept in chipSeqPrev: while the two agree, pointer for
-	// pointer, membership has not changed and chipApps is still sorted.
-	chipApps    []*app
-	chipSeq     []*app
-	chipSeqPrev []*app
+	// apps is the tick's snapshot of the fleet in enrollment order: the
+	// immutable slice header the directory published, valid for the
+	// whole tick.
+	apps []*app
+	// chipApps is the tick's chip-backed fleet, in the same order.
+	chipApps []*app
 	// The allocation table, indexed by [chip][Manager app ID] (no string
 	// hashing on the per-app path): an entry is valid for this tick iff
 	// its epoch stamp matches allocTick. Written by arbitrate under d.mu,
@@ -95,21 +91,19 @@ func (d *Daemon) priceContention() {
 	}
 }
 
-// snapshotShards takes one immutable slice header per shard. Withdrawn
-// apps may linger in a snapshot; every later phase skips the ones
-// retire has flagged.
-func (d *Daemon) snapshotShards() {
-	for i := range d.tick.snapBuf {
-		d.tick.snapBuf[i] = d.dir.shardList(i)
-	}
-}
+// snapshotShards takes the tick's snapshot of the fleet: one load of the
+// list header the directory published, whatever its shard count.
+// Withdrawn apps may linger in the snapshot; every later phase skips the
+// ones retire has flagged.
+func (d *Daemon) snapshotShards() { d.tick.apps = d.dir.apps() }
 
 // actObserve runs every chip partition up to now under the previous
 // decision's schedule, so the heartbeats the manager and controllers
-// are about to read reflect this interval's execution. Serial, in shard
-// order: knob moves land in their die's shared tile ledger, so one order
-// keeps a chip fleet byte-identical at any TickWorkers. The chip apps it
-// ran become the tick's chipApps.
+// are about to read reflect this interval's execution. Serial, in
+// enrollment order: knob moves land in their die's shared tile ledger,
+// so one order keeps a chip fleet byte-identical at any TickWorkers.
+// The chip apps it ran, in that order, become the tick's chipApps, which
+// the share, power-cap and migration passes walk.
 //
 //angstrom:deterministic
 func (d *Daemon) actObserve(now sim.Time) {
@@ -117,27 +111,13 @@ func (d *Daemon) actObserve(now sim.Time) {
 		return
 	}
 	t := &d.tick
-	seq := t.chipSeqPrev[:0]
-	for _, shard := range t.snapBuf {
-		for _, a := range shard {
-			if a.partition() == nil || a.retired.Load() {
-				continue // advisory, or withdrawn since the snapshot (partition released)
-			}
-			seq = append(seq, a)
-			d.runChipInterval(a, now)
+	t.chipApps = t.chipApps[:0]
+	for _, a := range t.apps {
+		if a.partition() == nil || a.retired.Load() {
+			continue // advisory, or withdrawn since the snapshot (partition released)
 		}
-	}
-	t.chipSeq, t.chipSeqPrev = seq, t.chipSeq
-	// Name order, not shard order: the later share-apply and power-cap
-	// passes interact with the shared tile ledgers, so a stable
-	// order keeps them independent of the shard layout. Names are
-	// unique, so the order is a function of membership alone, and
-	// membership changes on a handful of ticks: the sort runs only
-	// when the gathered sequence differs from last tick's. (A withdraw
-	// and re-enroll under one name is a new *app: it differs.)
-	if !slices.Equal(t.chipSeq, t.chipSeqPrev) {
-		t.chipApps = append(t.chipApps[:0], t.chipSeq...)
-		sort.Slice(t.chipApps, func(i, j int) bool { return t.chipApps[i].name < t.chipApps[j].name })
+		t.chipApps = append(t.chipApps, a)
+		d.runChipInterval(a, now)
 	}
 }
 
@@ -231,15 +211,23 @@ func (d *Daemon) arbitrate() {
 	}
 }
 
-// decideAll steps every non-quiescent app's runtime, fanned per shard.
-// The allocation table is written by arbitrate and only read from here
-// on, so the workers share it without synchronization.
+// decideChunk is how many apps a decide worker claims at a time: enough
+// that claiming costs nothing next to stepping, few enough that the
+// workers finish together.
+const decideChunk = 64
+
+// decideAll steps every non-quiescent app's runtime, the fleet fanned out
+// across TickWorkers in chunks of decideChunk apps. Each app's decision
+// is independent of every other's, so the fan-out matches the serial
+// pass byte for byte. The allocation table is written by arbitrate and
+// only read from here on, so the workers share it without
+// synchronization.
 //
 //angstrom:deterministic
 func (d *Daemon) decideAll() {
 	t := &d.tick
-	d.dir.forEachShard(d.cfg.TickWorkers, func(i int) {
-		for _, a := range t.snapBuf[i] {
+	forEachChunk(len(t.apps), d.cfg.TickWorkers, func(lo, hi int) {
+		for _, a := range t.apps[lo:hi] {
 			// Skip apps withdrawn since the snapshot: stepping them would
 			// count decisions for (and actuate) an app no longer enrolled.
 			if a.retired.Load() {
@@ -254,6 +242,38 @@ func (d *Daemon) decideAll() {
 	})
 }
 
+// forEachChunk runs fn over [0, n) in chunks of decideChunk indices
+// across a pool of `workers` goroutines, the caller among them, each
+// claiming the next unclaimed chunk. workers <= 1, or a single chunk,
+// runs inline: the serial pass the parallel one must match byte for
+// byte.
+func forEachChunk(n, workers int, fn func(lo, hi int)) {
+	if n <= decideChunk {
+		workers = 1
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			hi := int(next.Add(decideChunk))
+			lo := hi - decideChunk
+			if lo >= n {
+				return
+			}
+			fn(lo, min(hi, n))
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // evictStale withdraws advisory applications whose last heartbeat (or
 // enrollment, for apps that never beat) is older than BeatTimeout
 // daemon-clock seconds, returning their cores and power share to the
@@ -266,30 +286,23 @@ func (d *Daemon) evictStale(now sim.Time) {
 	if timeout <= 0 {
 		return
 	}
-	var stale []*app
-	for i := range d.tick.snapBuf {
-		for _, a := range d.tick.snapBuf[i] {
-			if a.partition() != nil || a.retired.Load() {
-				continue
-			}
-			last := a.mon.LastTime()
-			a.mu.Lock()
-			if a.enrolledAt > last {
-				last = a.enrolledAt
-			}
-			a.mu.Unlock()
-			if now-last > timeout {
-				stale = append(stale, a)
-			}
+	// Enrollment order: eviction writes journal records, and the tick's
+	// list is the one order that does not depend on the shard layout.
+	for _, a := range d.tick.apps {
+		if a.partition() != nil || a.retired.Load() {
+			continue
 		}
-	}
-	// Name order, not shard order: eviction writes journal records, so
-	// a deterministic order keeps replay independent of shard layout.
-	slices.SortFunc(stale, func(a, b *app) int { return strings.Compare(a.name, b.name) })
-	for _, a := range stale {
-		// Evict a only: its name may already belong to a successor the
-		// snapshot never saw. Already-withdrawn races are no-ops.
-		_ = d.withdraw(a.name, true, a)
+		last := a.mon.LastTime()
+		a.mu.Lock()
+		if a.enrolledAt > last {
+			last = a.enrolledAt
+		}
+		a.mu.Unlock()
+		if now-last > timeout {
+			// Evict a only: its name may already belong to a successor the
+			// snapshot never saw. Already-withdrawn races are no-ops.
+			_ = d.withdraw(a.name, true, a)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // length-prefixed CRC-framed batch frames, identical in shape to the
 // journal's WAL frames ([len u32 LE][crc32 u32 LE][payload], CRC-IEEE
 // over the length bytes then the payload), decoded into reusable
-// per-connection buffers and written into the per-shard heartbeat rings
+// per-connection buffers and written into each app's heartbeat ring
 // through the same ingestSpread/ingestShifted helpers as the JSON API.
 // Control plane stays JSON: apps enroll over HTTP, then handshake a
 // conn-local handle here and stream beats against it.
