@@ -13,6 +13,9 @@
 #                cmd/ and examples/ code, plus Make ?= variables, plus
 #                exported fields of server.Config, server.ChipConfig and
 #                core.Options (a field list "A, B T" counts two)
+#   make delta   both figures for HEAD (a git archive export) and for the
+#                working tree, then the diff of the two knob-name lists
+#                ("<" only HEAD has the knob, ">" only the tree has it)
 #   make test    tier-1 verification (build + fmt-check + lint + docs +
 #                scenarios + the allocation contracts without -race +
 #                full test suite with -race)
@@ -29,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: build test scenarios allocs bench vet lint docs fmt-check loc knobs clean
+.PHONY: build test scenarios allocs bench vet lint docs fmt-check loc knobs delta clean
 
 build:
 	$(GO) build ./...
@@ -90,6 +93,20 @@ knobs:
 	nf=$$(printf '%s\n' "$$flags" | grep -c .); nv=$$(printf '%s\n' "$$vars" | grep -c .); \
 	nc=$$(printf '%s\n' "$$fields" | grep -c .); \
 	echo "$$((nf + nv + nc)) settable values ($$nf flags, $$nv make variables, $$nc config fields)"
+
+# What the working tree changes against HEAD, by the figures above. Both
+# sides run this Makefile's recipes, so a recipe change moves neither
+# side alone. The export lives in a temporary directory removed on exit.
+delta:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/head" && \
+	git archive HEAD | tar -x -C "$$tmp/head" && \
+	sub='$(MAKE) -s --no-print-directory -f $(CURDIR)/Makefile' && \
+	echo "loc   HEAD $$($$sub -C "$$tmp/head" loc)   tree $$($$sub loc)" && \
+	$$sub -C "$$tmp/head" knobs > "$$tmp/head.knobs" && $$sub knobs > "$$tmp/tree.knobs" && \
+	echo "knobs HEAD $$(tail -n 1 "$$tmp/head.knobs")" && \
+	echo "knobs tree $$(tail -n 1 "$$tmp/tree.knobs")" && \
+	sed '$$d' "$$tmp/head.knobs" > "$$tmp/head.names" && sed '$$d' "$$tmp/tree.knobs" > "$$tmp/tree.names" && \
+	{ diff "$$tmp/head.names" "$$tmp/tree.names"; test $$? -le 1; }
 
 # The scenario tier: every builtin torture scenario (flash crowd, goal
 # thrash, crash-restart, SLO classes, ...) must meet its oracle-regret

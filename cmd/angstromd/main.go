@@ -51,7 +51,7 @@
 //	GET    /v1/stats
 //	GET    /v1/chips              (404 unless -chips N)
 //	GET    /v1/apps
-//	POST   /v1/apps               {"name","workload","window","mode","min_rate","max_rate"}
+//	POST   /v1/apps               {"name","workload","window","mode","min_rate","max_rate","priority","chip"}
 //	GET    /v1/apps/{name}
 //	DELETE /v1/apps/{name}
 //	POST   /v1/apps/{name}/beats  {"count","distortion","timestamps"}
@@ -81,7 +81,6 @@ func main() {
 	period := flag.Duration("period", 100*time.Millisecond, "decision period of the ODA loop")
 	accel := flag.Float64("accel", 0, "simulated seconds per tick (0 = serve in real time)")
 	oversub := flag.Bool("oversubscribe", false, "admit fleets larger than the core pool (time-sharing)")
-	shards := flag.Int("shards", 0, "app-directory name-index shard count, rounded to a power of two (0 = scaled from GOMAXPROCS)")
 	tickWorkers := flag.Int("tick-workers", 0, "tick worker-pool size for the decide phase (0 = GOMAXPROCS)")
 	chips := flag.Int("chips", 0, "bind enrolled apps to a fleet of N identical Angstrom dies driving real knobs (0 = advisory serving)")
 	chipTiles := flag.Int("chip-tiles", 0, "physical tiles of each die (0 = core pool size)")
@@ -99,7 +98,6 @@ func main() {
 		Period:        *period,
 		Accel:         *accel,
 		Oversubscribe: *oversub,
-		Shards:        *shards,
 		TickWorkers:   *tickWorkers,
 		DataDir:       *dataDir,
 		SnapshotEvery: *snapEvery,
@@ -172,8 +170,8 @@ func main() {
 		log.Printf("angstromd: chip fleet (%d dies × %d tiles, budget %gW/die)",
 			len(sts), sts[0].Tiles, sts[0].PowerBudgetW)
 	}
-	log.Printf("angstromd: serving on %s (cores=%d period=%s accel=%g oversubscribe=%v shards=%d)",
-		*addr, *cores, *period, *accel, *oversub, d.Stats().Shards)
+	log.Printf("angstromd: serving on %s (cores=%d period=%s accel=%g oversubscribe=%v)",
+		*addr, *cores, *period, *accel, *oversub)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 //	go run ./cmd/scenario -seed 42 -v        # reseed, per-app detail
 //
 // The exit status is the gate: nonzero when any run violates its
-// spec's regret budgets. -shards/-workers select the daemon layout;
-// the scorecard's transcript hash is layout-independent by contract,
-// so two invocations with different layouts must print the same hash.
+// spec's regret budgets. -workers selects the daemon layout; the
+// scorecard's transcript hash is layout-independent by contract, so two
+// invocations with different worker counts must print the same hash.
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 		name    = flag.String("name", "", "run a single builtin scenario (default: all)")
 		specs   = flag.String("spec", "", "run a JSON spec file instead of builtins")
 		seed    = flag.Uint64("seed", 0, "override the spec seed (0 = keep)")
-		shards  = flag.Int("shards", 0, "daemon shard count (0 = default)")
 		workers = flag.Int("workers", 0, "daemon tick workers (0 = default)")
 		verbose = flag.Bool("v", false, "print per-application scores")
 		list    = flag.Bool("list", false, "list builtin scenarios and exit")
@@ -66,7 +65,7 @@ func main() {
 		runs = scenario.Builtins()
 	}
 
-	opts := scenario.Options{Shards: *shards, TickWorkers: *workers}
+	opts := scenario.Options{TickWorkers: *workers}
 	failed := 0
 	for _, s := range runs {
 		if *seed != 0 {

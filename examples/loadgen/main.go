@@ -7,16 +7,16 @@
 //
 // By default it spawns a daemon in-process on a loopback port: a 4,096
 // core pool, oversubscribed, every other setting the daemon's default.
-// To load a daemon configured otherwise (core pool, period, shards,
-// -data-dir, ...), start angstromd with those flags and point -addr at
-// it (plus -wire-addr at its -beat-listen address with -wire):
+// To load a daemon configured otherwise (core pool, period, tick
+// workers, -data-dir, ...), start angstromd with those flags and point
+// -addr at it (plus -wire-addr at its -beat-listen address with -wire):
 //
 //	angstromd -addr :8090 -beat-listen :8091 -cores 1024 -data-dir /var/lib/angstromd &
 //	go run ./examples/loadgen -addr http://127.0.0.1:8090 -wire -wire-addr 127.0.0.1:8091
 //
-// At fleet scale the daemon shards its app directory and re-prices
-// only what changed each tick, so one process sustains 10,000
-// concurrent streams:
+// At fleet scale the daemon resolves apps through a lock-free name
+// table and re-prices only what changed each tick, so one process
+// sustains 10,000 concurrent streams:
 //
 //	go run ./examples/loadgen -apps 10000 -rate 5 -batch 25 -duration 30s
 //
@@ -326,8 +326,8 @@ func main() {
 	if stats.Apps > 0 {
 		inBand = 100 * float64(met) / float64(stats.Apps)
 	}
-	fmt.Printf("fleet      %d enrolled (%d shards), %d with decisions, %d meeting their goal band (%.1f%%)\n",
-		stats.Apps, stats.Shards, decided, met, inBand)
+	fmt.Printf("fleet      %d enrolled, %d with decisions, %d meeting their goal band (%.1f%%)\n",
+		stats.Apps, decided, met, inBand)
 	if *wire && serverAcked != beats {
 		log.Printf("WARNING: server acked %d beats, client sent %d", serverAcked, beats)
 	}

@@ -375,8 +375,8 @@ func (m *Manager) Apps() int { return len(m.apps) }
 // Allocation is one application's share after a decision.
 type Allocation struct {
 	App string
-	// ID is the app's stable integer handle (see AppID): hot paths
-	// index by it instead of hashing App.
+	// ID is the app's stable integer handle (see AppID), by which
+	// Grant reads the allocation back without hashing App.
 	ID     int
 	Units  int
 	Demand float64 // un-rounded units the goal asks for
@@ -493,16 +493,32 @@ func (m *Manager) Step() ([]Allocation, error) {
 	}
 	out := m.out[:n]
 	for i, a := range m.apps {
-		out[i] = Allocation{
-			App:     a.name,
-			ID:      a.id,
-			Units:   a.allocated,
-			Demand:  a.demand,
-			Share:   a.share,
-			GoalMet: float64(a.allocated)*a.share >= a.demand,
-		}
+		out[i] = a.allocation()
 	}
 	return out, nil
+}
+
+// Grant reports the allocation the latest Step made the application
+// holding handle id (see AppID); ok is false when no application holds
+// it. Read-only: a caller that steps the manager reads each grant back
+// by handle instead of keeping a table of Step's output.
+func (m *Manager) Grant(id int) (Allocation, bool) {
+	if id < 0 || id >= len(m.byID) || m.byID[id] == nil {
+		return Allocation{}, false
+	}
+	return m.byID[id].allocation(), true
+}
+
+// allocation is the application's current grant as Step reports it.
+func (a *managedApp) allocation() Allocation {
+	return Allocation{
+		App:     a.name,
+		ID:      a.id,
+		Units:   a.allocated,
+		Demand:  a.demand,
+		Share:   a.share,
+		GoalMet: float64(a.allocated)*a.share >= a.demand,
+	}
 }
 
 // demandUnits inverts the application's scaling curve: the smallest unit

@@ -227,6 +227,38 @@ func TestManagerAllocatedLookup(t *testing.T) {
 	}
 }
 
+// Grant reads back, by handle, exactly what the latest Step returned,
+// refuses handles no application holds (never the one a removed app
+// freed), and allocates nothing: the daemon calls it once per app per
+// tick.
+func TestManagerGrantMatchesStepAndAllocatesNothing(t *testing.T) {
+	h := newManagedHarness(t, 8, []float64{10, 20, 5}, []func(int) float64{linear, linear, amdahl(0.9)})
+	for i, mon := range h.mons {
+		mon.SetPerformanceGoal(float64(20*(i+1)), float64(25*(i+1)))
+	}
+	for range 3 {
+		h.run(1)
+		for _, want := range h.step(t) {
+			if got, ok := h.mgr.Grant(want.ID); !ok || got != want {
+				t.Fatalf("Grant(%d) = %+v, %v; Step returned %+v", want.ID, got, ok, want)
+			}
+		}
+	}
+	id, _ := h.mgr.AppID("b")
+	if !h.mgr.RemoveApp("b") {
+		t.Fatal("remove b failed")
+	}
+	for _, bad := range []int{-1, id, 99} {
+		if got, ok := h.mgr.Grant(bad); ok {
+			t.Fatalf("Grant(%d) = %+v for a handle no application holds", bad, got)
+		}
+	}
+	a, _ := h.mgr.AppID("a")
+	if n := testing.AllocsPerRun(100, func() { h.mgr.Grant(a) }); n != 0 {
+		t.Fatalf("Grant allocates %g objects", n)
+	}
+}
+
 func TestManagerOversubscriptionAdmission(t *testing.T) {
 	clock := sim.NewClock(0)
 	mgr, err := NewManager(clock, 2)

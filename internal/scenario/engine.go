@@ -20,8 +20,8 @@ import (
 // at interface calls, which makes this the sanctioned boundary between
 // the deterministic engine (annotated below) and server internals that
 // legitimately touch the wall clock (snapshot pacing, uptime counters).
-// Determinism across layouts is the daemon's own sharding contract; the
-// engine's job is to feed it a byte-identical schedule.
+// Determinism across layouts is the daemon's own worker-pool contract;
+// the engine's job is to feed it a byte-identical schedule.
 type Host interface {
 	Enroll(req server.EnrollRequest) error
 	Withdraw(name string) error
@@ -44,7 +44,6 @@ type Host interface {
 // Options selects the daemon layout under test. The scenario contract
 // is that every layout produces the same transcript bytes.
 type Options struct {
-	Shards      int
 	TickWorkers int
 }
 

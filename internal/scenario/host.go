@@ -24,8 +24,8 @@ type DaemonHost struct {
 	d   *server.Daemon
 }
 
-// NewDaemonHost builds the daemon layout (shards, tick workers) the
-// scenario should run against.
+// NewDaemonHost builds the daemon layout (tick workers) the scenario
+// should run against.
 func NewDaemonHost(spec Spec, opts Options) (*DaemonHost, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -36,7 +36,6 @@ func NewDaemonHost(spec Spec, opts Options) (*DaemonHost, error) {
 			Period:        time.Hour,
 			Accel:         spec.TickSeconds,
 			Oversubscribe: spec.Oversubscribe,
-			Shards:        opts.Shards,
 			TickWorkers:   opts.TickWorkers,
 		},
 	}

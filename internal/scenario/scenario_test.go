@@ -30,14 +30,14 @@ func TestScenarioBudgets(t *testing.T) {
 }
 
 // TestScenarioReplayByteIdentical is the determinism gate: a fixed
-// (spec, seed) must produce the same transcript bytes on every shard
-// and tick-worker layout, including through flash crowds, priority
+// (spec, seed) must produce the same transcript bytes at every
+// tick-worker count, including through flash crowds, priority
 // classes, and crash-restart recovery.
 func TestScenarioReplayByteIdentical(t *testing.T) {
 	layouts := []Options{
-		{Shards: 1, TickWorkers: 1},
-		{Shards: 4, TickWorkers: 3},
-		{Shards: 8, TickWorkers: 2},
+		{TickWorkers: 1},
+		{TickWorkers: 3},
+		{TickWorkers: 2},
 	}
 	for _, name := range []string{"flash-crowd", "slo-classes", "crash-restart", "torture", "federation"} {
 		name := name
@@ -93,7 +93,7 @@ func TestScenarioSameSeedSameScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec, Options{Shards: 3, TickWorkers: 2})
+	b, err := Run(spec, Options{TickWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestScenarioCrashRestartRecoversFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, Options{Shards: 4, TickWorkers: 2})
+	res, err := Run(spec, Options{TickWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // into timed event schedules driven through the daemon's real mutation
 // paths on the accelerated sim clock, and every run is scored against
 // internal/oracle for per-application and fleet regret. Everything is
-// seeded: a fixed (spec, seed) replays byte-identically across shard
-// and worker layouts, which is what makes a regret budget a test gate
+// seeded: a fixed (spec, seed) replays byte-identically across tick
+// worker counts, which is what makes a regret budget a test gate
 // instead of a flaky aspiration.
 package scenario
 

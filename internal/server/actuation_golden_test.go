@@ -58,13 +58,12 @@ func digest(v any) string {
 // and regaining half its memory bandwidth, and a forced migration. It
 // writes one line per tick: the knob calls the tick made (refused ones
 // counted apart) and digests of everything the daemon reports about the
-// fleet afterwards. The daemon runs with the given directory shard and
-// tick worker counts.
-func actuationScript(t *testing.T, out *strings.Builder, shards, workers int, label string, apps, ticks int, minRate func(*rand.Rand) float64) (calls, refused int) {
+// fleet afterwards. The daemon runs with the given tick worker count.
+func actuationScript(t *testing.T, out *strings.Builder, workers int, label string, apps, ticks int, minRate func(*rand.Rand) float64) (calls, refused int) {
 	t.Helper()
 	var knobLog []string
 	d, err := NewDaemon(Config{
-		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: shards, TickWorkers: workers,
+		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, TickWorkers: workers,
 		Chip: &ChipConfig{Chips: 2, Tiles: 32,
 			KnobWrap: func(app string, k actuator.Knob) actuator.Knob { return loggingKnob{Knob: k, app: app, log: &knobLog} }},
 	})
@@ -148,30 +147,24 @@ func actuationScript(t *testing.T, out *strings.Builder, shards, workers int, la
 // and DVFS moves), and 20 apps with goals that want more cores than 64
 // tiles hold (the core knob climbs until the tile ledger refuses it,
 // which aborts that apply half-way and surfaces in the app's status).
-// Both run along two axes, tick workers {1, 3, 8} at 8 directory shards
-// and shards {1, 3, 8, 16} at 2 workers: knob moves share each die's
-// tile ledger, so the fleet must come out byte-identical whatever the
-// worker count and however the directory shards its name index.
+// Both run at tick workers {1, 3, 8}: knob moves share each die's tile
+// ledger, so the fleet must come out byte-identical whatever the worker
+// count.
 func TestChipActuationGolden(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			chipActuationGolden(t, 8, workers)
-		})
-	}
-	for _, shards := range []int{1, 3, 8, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			chipActuationGolden(t, shards, 2)
+			chipActuationGolden(t, workers)
 		})
 	}
 }
 
-func chipActuationGolden(t *testing.T, shards, workers int) {
+func chipActuationGolden(t *testing.T, workers int) {
 	var out strings.Builder
-	calls, _ := actuationScript(t, &out, shards, workers, "time-shared", 200, 200, func(rng *rand.Rand) float64 { return 8 + float64(rng.Intn(40)) })
+	calls, _ := actuationScript(t, &out, workers, "time-shared", 200, 200, func(rng *rand.Rand) float64 { return 8 + float64(rng.Intn(40)) })
 	if calls == 0 {
 		t.Fatal("time-shared: no knob ever moved")
 	}
-	_, refused := actuationScript(t, &out, shards, workers, "space-shared", 20, 120, func(rng *rand.Rand) float64 { return 200 + float64(rng.Intn(400)) })
+	_, refused := actuationScript(t, &out, workers, "space-shared", 20, 120, func(rng *rand.Rand) float64 { return 200 + float64(rng.Intn(400)) })
 	if refused == 0 {
 		t.Fatal("space-shared: the tile ledger never refused a core knob")
 	}

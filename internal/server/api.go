@@ -28,8 +28,8 @@ type EnrollRequest struct {
 	// spec) used for the action space and the core-scaling curve.
 	// Defaults to "barnes".
 	Workload string `json:"workload,omitempty"`
-	// Window is the heart-rate averaging window in beats (default: the
-	// daemon's configured window).
+	// Window is the heart-rate averaging window in beats (default
+	// heartbeat.DefaultWindow, 20).
 	Window int `json:"window,omitempty"`
 	// Mode selects chip-backed or advisory serving (default: chip when
 	// the daemon runs with a chip, advisory otherwise). See ModeChip and
@@ -179,10 +179,7 @@ type StatsResponse struct {
 	ChipApps int `json:"chip_apps,omitempty"`
 	Cores    int `json:"cores"`
 	// Chips is the fleet's die count (absent for advisory daemons).
-	Chips int `json:"chips,omitempty"`
-	// Shards is the directory's name-index shard count (a lookup
-	// performance knob; no tick phase depends on it).
-	Shards    int    `json:"shards,omitempty"`
+	Chips     int    `json:"chips,omitempty"`
 	Ticks     uint64 `json:"ticks"`
 	Beats     uint64 `json:"beats"`
 	Decisions uint64 `json:"decisions"`

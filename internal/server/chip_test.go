@@ -646,3 +646,47 @@ func TestTickCountsWhatItIsRefused(t *testing.T) {
 		t.Fatal("advisory daemon reports chip refusals")
 	}
 }
+
+// A chip app withdrawn after the act phase and before arbitrate takes
+// d.mu frees its manager handle, and a newcomer enrolled in that gap
+// takes it over. The share pass must not hand the withdrawn app the
+// newcomer's grant: its partition is already released, so applying a
+// share there is refused, and the refusal would be counted against a
+// healthy die.
+func TestMidTickWithdrawalIsOfferedNoShare(t *testing.T) {
+	d, err := NewDaemon(Config{
+		Cores: 8, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
+		Chip: &ChipConfig{Tiles: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := d.Enroll(EnrollRequest{Name: fmt.Sprintf("a-%02d", i), Workload: "water", MinRate: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		d.Tick()
+	}
+	refused := d.Stats().Chip.ShareRefusals
+
+	d.simClock.Advance(d.cfg.Accel)
+	d.priceContention()
+	d.snapshotFleet()
+	d.actObserve(d.clock.Now())
+	gone := mustApp(t, d, "a-03")
+	if err := d.Withdraw("a-03"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Enroll(EnrollRequest{Name: "y", Workload: "water", MinRate: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if y := mustApp(t, d, "y"); y.mgrID != gone.mgrID {
+		t.Fatalf("newcomer took handle %d, not the withdrawn app's %d: the script no longer reuses it", y.mgrID, gone.mgrID)
+	}
+	d.arbitrate()
+	if got := d.Stats().Chip.ShareRefusals; got != refused {
+		t.Fatalf("share refusals %d -> %d: the withdrawn app was offered its successor's share", refused, got)
+	}
+}

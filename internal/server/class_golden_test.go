@@ -43,7 +43,7 @@ func classFleetScript(t *testing.T, out *strings.Builder, observe func(stage str
 	const apps, ticks = 36, 200
 	fs := journal.NewMemFS()
 	cfg := Config{
-		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: 8, TickWorkers: 1,
+		Cores: 64, Accel: 0.1, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip:    &ChipConfig{Chips: 2, Tiles: 32},
 		DataDir: "j", FS: fs, JournalFlush: -1,
 	}

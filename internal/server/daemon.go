@@ -10,20 +10,22 @@
 //
 // Concurrency model: the application directory (shard.go) resolves an
 // app for beat ingestion and status lookups with one lock-free atomic
-// load in a sharded name index, and keeps the fleet in one
+// load of its one name table, and keeps the fleet in one
 // enrollment-ordered list that enroll/withdraw republish under the
 // directory's writer mutex. The tick walks that list: serially where
 // order is part of the result (the chip act phase, whose knob moves
 // share each die's tile ledger, and the share, power-cap, migration
 // and eviction passes), and fanned across a worker pool in fixed-size
 // chunks for the decide phase. The Daemon's own mutex guards the
-// control plane (the single-threaded Manager and chip admission);
+// control plane (the single-threaded Managers and chip admission);
+// each app carries its own grant, which the arbitrate phase copies from
+// its die's Manager under that mutex and the decide phase only reads;
 // per-app decision state is guarded by the app's mutex; each app's
 // core.Runtime is touched by exactly one tick worker per tick (ticks
 // never overlap). The fanned-out tick is byte-identical to the serial
-// pass at any shard or worker count: allocations come from one
-// deterministic Manager.Step, and every decision is independent across
-// apps (enforced by the invariant tests).
+// pass at any worker count: allocations come from one deterministic
+// Manager.Step, and every decision is independent across apps
+// (enforced by the invariant tests).
 package server
 
 import (
@@ -55,9 +57,11 @@ var (
 )
 
 // MaxWindow bounds a heartbeat averaging window, in beats: a monitor
-// allocates its whole ring (56 bytes a beat) when it is built, so without
-// a bound one enrollment request, or one snapshot entry, could ask for
-// more memory than the machine has. Far above any useful window.
+// allocates its ring's time column (8 bytes a beat) when it is built,
+// and up to three more of the same size (energy, distortion, tags) once
+// beats use them, so without a bound one enrollment request, or one
+// snapshot entry, could ask for more memory than the machine has. Far
+// above any useful window.
 const MaxWindow = 1 << 16
 
 func validWindow(w int) error {
@@ -84,10 +88,8 @@ type Config struct {
 	// applications time-share units (fractional Allocation.Share)
 	// instead of being refused at enrollment.
 	Oversubscribe bool
-	// Shards sizes the application directory's name index: the number
-	// of hash-partitioned lookup tables, rounded up to a power of two
-	// (default: scaled from GOMAXPROCS). A pure performance knob:
-	// nothing the daemon decides depends on it.
+	// Shards is ignored: the application directory has one name table.
+	// The field stays only until the benchmark harness stops setting it.
 	Shards int
 	// TickWorkers is the tick's worker-pool size for the decide phase
 	// (default GOMAXPROCS). Allocations, and a chip fleet's knob moves,
@@ -130,7 +132,6 @@ type Config struct {
 func (c *Config) fill() {
 	c.Cores = cmp.Or(c.Cores, 1024)
 	c.Period = cmp.Or(c.Period, 100*time.Millisecond)
-	c.Shards = cmp.Or(c.Shards, defaultShardCount())
 	c.TickWorkers = cmp.Or(c.TickWorkers, runtime.GOMAXPROCS(0))
 	if c.Chip != nil {
 		// Fill a copy: defaults derived from this daemon's Cores must not
@@ -143,12 +144,32 @@ func (c *Config) fill() {
 
 // app is one enrolled application's serving state.
 type app struct {
+	// What arbitrate's walk over the fleet reads and writes comes first,
+	// together, so the walk touches two cache lines per app.
+	//
+	// retired is set when retire takes the app out of the directory, and
+	// never cleared (a re-enrollment under the same name is a new app). A
+	// tick holds its snapshot of the fleet across phases; this is how
+	// each phase learns an app in it has since been withdrawn.
+	retired atomic.Bool
+	// grant is the allocation the app's die's Manager made it at the
+	// latest tick whose Step it was part of (seeded with the one unit an
+	// app starts with); granted reports whether that was this tick.
+	// Tick-owned: arbitrate writes both under d.mu, the act step and the
+	// decide workers only read them.
+	granted bool
+	grant   core.Allocation
+	mgrID   int // the handle the app's die's Manager knows it by
+	// chip is the die index the app is placed on (0 for advisory apps;
+	// rewritten by a migration — between ticks, under d.mu and a.mu;
+	// status readers read it under a.mu).
+	chip int
+
 	name   string
 	window int // heartbeat averaging window (persisted by snapshots)
 	// prio is the enrollment's declared water-fill weight (0 = default
 	// 1); persisted by snapshots so a restore re-weights the manager.
-	prio  float64
-	mgrID int // the Manager's stable handle; indexes the tick's alloc table
+	prio float64
 	// hash is the name's directory hash, stamped by insert: lookups
 	// compare hashes before names.
 	hash uint64
@@ -162,21 +183,13 @@ type app struct {
 	// goalEpoch counts SetGoal calls; the tick's quiescence check uses
 	// it to re-decide after a goal change without re-reading the goal.
 	goalEpoch atomic.Uint64
-	// retired is set when retire takes the app out of the directory, and
-	// never cleared (a re-enrollment under the same name is a new app). A
-	// tick holds its snapshot of the fleet across phases; this is how
-	// each phase learns an app in it has since been withdrawn.
-	retired atomic.Bool
 
 	// Chip-backed state (nil/zero for advisory apps). part is the app's
 	// slice of its chip — an atomic pointer because live migration
 	// rebinds it while lock-free beat/status readers race the tick;
-	// chip is the die index it is placed on (0 for advisory apps;
-	// rewritten by a migration — between ticks, under d.mu and a.mu;
-	// status readers read it under a.mu); knobs are part's three knobs
+	// knobs are part's three knobs
 	// by axis, wrapped by ChipConfig.KnobWrap when it is set (rebound
-	// with part; stepped by the act phase only); units mirrors the
-	// manager's latest unit grant for the core-knob clamp; pending is
+	// with part; stepped by the act phase only); pending is
 	// the previous decision's schedule, executed by the next tick;
 	// settle is the schedule's duration-weighted configuration the knobs
 	// are parked at between intervals (tick workers only); every
@@ -184,14 +197,12 @@ type app struct {
 	// one allocated.
 	part  atomic.Pointer[angstrom.Partition]
 	knobs [3]actuator.Knob
-	chip  int
 	// migratedAt is when the app last moved between dies (zero if
 	// never): the migration scan won't pick it as a victim again until
 	// its controller has had a cooldown to re-converge on the new die.
 	// Written under d.mu on migration, read by the tick goroutine;
 	// persisted by snapshots.
 	migratedAt sim.Time
-	units      atomic.Int64
 	pending    []core.Slice
 	settle     actuator.Config
 	nomActiveW float64 // active watts at the nominal configuration
@@ -220,7 +231,7 @@ type app struct {
 
 // allocUnits reports the manager's current unit grant (the act step
 // clamps the core knob to it).
-func (a *app) allocUnits() int { return int(a.units.Load()) }
+func (a *app) allocUnits() int { return a.grant.Units }
 
 // partition is the app's current chip slice (nil for advisory apps).
 // One atomic load: safe from the lock-free beat/status paths while a
@@ -324,15 +335,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("server: %d cores", cfg.Cores)
 	}
-	if cfg.Shards < 1 || cfg.Shards > 1<<16 {
-		return nil, fmt.Errorf("server: shard count %d outside [1, 65536]", cfg.Shards)
-	}
 	if cfg.TickWorkers < 1 {
 		return nil, fmt.Errorf("server: %d tick workers", cfg.TickWorkers)
 	}
 	d := &Daemon{
 		cfg:     cfg,
-		dir:     newDirectory(cfg.Shards),
+		dir:     newDirectory(),
 		classes: make(map[classKey]*appClass),
 		started: time.Now(),
 		stop:    make(chan struct{}),
@@ -382,8 +390,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		d.mgrs[i] = m
 	}
 	d.broker = core.NewBroker()
-	d.tick.allocByID = make([][]core.Allocation, chips)
-	d.tick.allocSeen = make([][]uint64, chips)
 	if cfg.DataDir == "" {
 		// A journal with no writer: it records nothing and has nothing to
 		// restore.

@@ -22,8 +22,7 @@ import (
 func fuzzDaemon(f *testing.F) (*Daemon, http.Handler) {
 	f.Helper()
 	d, err := NewDaemon(Config{
-		Cores: 8, Accel: 0.1, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 2,
+		Cores: 8, Accel: 0.1, Period: time.Hour, Oversubscribe: true, TickWorkers: 2,
 		Chip: &ChipConfig{Tiles: 8},
 	})
 	if err != nil {

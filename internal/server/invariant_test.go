@@ -11,14 +11,15 @@ import (
 	"angstrom/internal/sim"
 )
 
-// The sharded-tick invariant harness: the daemon's determinism contract
-// (the same discipline Sweep documents) says the fan-out across shards
-// and tick workers is pure mechanism — for an advisory fleet the full
-// serving transcript (allocations, decisions, observations) must be
-// byte-identical for ANY (Shards, TickWorkers) choice, and a chip
-// daemon must replay byte-identically (and, by the actuation golden,
-// come out the same at any shard or worker count). These tests drive deterministic fleet scripts and compare entire List()
-// transcripts with reflect.DeepEqual.
+// The fanned-out-tick invariant harness: the daemon's determinism
+// contract (the same discipline Sweep documents) says the fan-out
+// across tick workers is pure mechanism — for an advisory fleet the
+// full serving transcript (allocations, decisions, observations) must
+// be byte-identical for ANY TickWorkers choice, and a chip daemon must
+// replay byte-identically (and, by the actuation golden, come out the
+// same at any worker count). These tests drive deterministic fleet
+// scripts and compare entire List() transcripts with
+// reflect.DeepEqual.
 
 // fleetScript drives one daemon through a fixed, fully deterministic
 // enroll/beat/goal-churn/withdraw sequence and records every tick's
@@ -132,109 +133,102 @@ func diffTranscripts(t *testing.T, label string, want, got [][]AppStatus) {
 	t.Fatalf("%s: transcripts diverge (length %d vs %d)", label, len(want), len(got))
 }
 
-// The tentpole invariant: for an advisory fleet, one shard + one worker
-// (the serial daemon) and any sharded/parallel layout produce
-// byte-identical serving transcripts — allocations, decisions,
-// observations, everything List reports.
+// The tentpole invariant: for an advisory fleet, one worker (the serial
+// daemon) and any parallel layout produce byte-identical serving
+// transcripts — allocations, decisions, observations, everything List
+// reports.
 func TestShardedTickMatchesSerial(t *testing.T) {
 	base := Config{Cores: 48, Accel: 0.5, Period: time.Hour, Oversubscribe: true}
 	const apps, ticks = 90, 36 // apps > cores: exercises partitionShared too
 
 	serialCfg := base
-	serialCfg.Shards, serialCfg.TickWorkers = 1, 1
+	serialCfg.TickWorkers = 1
 	serial := fleetScript(t, serialCfg, apps, ticks)
 
-	layouts := []struct{ shards, workers int }{
-		{8, 4},
-		{32, 3},
-		{4, 8},
-	}
-	for _, l := range layouts {
+	for _, workers := range []int{4, 3, 8} {
 		cfg := base
-		cfg.Shards, cfg.TickWorkers = l.shards, l.workers
+		cfg.TickWorkers = workers
 		got := fleetScript(t, cfg, apps, ticks)
-		diffTranscripts(t, fmt.Sprintf("shards=%d workers=%d", l.shards, l.workers), serial, got)
+		diffTranscripts(t, fmt.Sprintf("workers=%d", workers), serial, got)
 	}
 }
 
 // The chip passes that touch the shared tile ledgers walk the fleet in
-// enrollment order whatever the shard layout. So on the tick after
+// enrollment order. So on the tick after
 // every kind of membership change, and on the quiet ticks between,
 // chipApps must be exactly the enrolled chip fleet in the order it
 // enrolled, each entry the directory's *current* app: a same-name
 // re-enrollment is a new app and moves to the end, a migration keeps
 // its place, and a withdrawal leaves no hole.
 func TestChipAppsInEnrollmentOrder(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		d, err := NewDaemon(Config{
-			Cores: 32, Accel: 0.1, Period: time.Hour, Oversubscribe: true, Shards: shards, TickWorkers: 1,
-			Chip: &ChipConfig{Chips: 2, Tiles: 16},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []string // the enrolled names, oldest enrollment first
-		enroll := func(name string) {
-			t.Helper()
-			if err := d.Enroll(EnrollRequest{Name: name, Workload: "water", Window: 16, MinRate: 5}); err != nil {
-				t.Fatal(err)
-			}
-			order = append(order, name)
-		}
-		withdraw := func(name string) {
-			t.Helper()
-			if err := d.Withdraw(name); err != nil {
-				t.Fatal(err)
-			}
-			order = slices.DeleteFunc(order, func(n string) bool { return n == name })
-		}
-		tickAndCheck := func(step string) {
-			t.Helper()
-			d.Tick()
-			if len(d.tick.chipApps) != len(order) {
-				t.Fatalf("shards=%d, tick after %s: chipApps holds %d apps, %d enrolled", shards, step, len(d.tick.chipApps), len(order))
-			}
-			for i, name := range order {
-				if a := d.tick.chipApps[i]; a.name != name || a != mustApp(t, d, name) {
-					t.Fatalf("shards=%d, tick after %s: chipApps[%d] is %q (current app: %v), want %q",
-						shards, step, i, a.name, a == mustApp(t, d, a.name), name)
-				}
-			}
-		}
-		for i := 0; i < 40; i++ {
-			enroll(fmt.Sprintf("m-%02d", (i*17)%40)) // enrollment order is not name order
-		}
-		tickAndCheck("the first enrollments")
-		tickAndCheck("nothing")
-		enroll("z-last")
-		enroll("a-first")
-		tickAndCheck("enroll")
-		withdraw("m-20")
-		tickAndCheck("withdraw")
-		old := mustApp(t, d, "m-07")
-		withdraw("m-07")
-		enroll("m-07")
-		if mustApp(t, d, "m-07") == old {
-			t.Fatal("re-enrollment reused the withdrawn app")
-		}
-		tickAndCheck("same-name re-enroll")
-		if last := d.tick.chipApps[len(d.tick.chipApps)-1]; last.name != "m-07" {
-			t.Fatalf("shards=%d: the re-enrolled m-07 is not last: %q is", shards, last.name)
-		}
-		tickAndCheck("nothing")
-		victim := d.tick.chipApps[3]
-		if err := d.applyMigration(victim.name, 1-victim.chip, d.clock.Now()); err != nil {
-			t.Fatal(err)
-		}
-		tickAndCheck("migration")
-		if d.tick.chipApps[3] != victim {
-			t.Fatalf("shards=%d: migrated %q left its place", shards, victim.name)
-		}
-		for len(order) > 0 {
-			withdraw(order[len(order)/2])
-		}
-		tickAndCheck("the last withdrawal")
+	d, err := NewDaemon(Config{
+		Cores: 32, Accel: 0.1, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
+		Chip: &ChipConfig{Chips: 2, Tiles: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var order []string // the enrolled names, oldest enrollment first
+	enroll := func(name string) {
+		t.Helper()
+		if err := d.Enroll(EnrollRequest{Name: name, Workload: "water", Window: 16, MinRate: 5}); err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, name)
+	}
+	withdraw := func(name string) {
+		t.Helper()
+		if err := d.Withdraw(name); err != nil {
+			t.Fatal(err)
+		}
+		order = slices.DeleteFunc(order, func(n string) bool { return n == name })
+	}
+	tickAndCheck := func(step string) {
+		t.Helper()
+		d.Tick()
+		if len(d.tick.chipApps) != len(order) {
+			t.Fatalf("tick after %s: chipApps holds %d apps, %d enrolled", step, len(d.tick.chipApps), len(order))
+		}
+		for i, name := range order {
+			if a := d.tick.chipApps[i]; a.name != name || a != mustApp(t, d, name) {
+				t.Fatalf("tick after %s: chipApps[%d] is %q (current app: %v), want %q",
+					step, i, a.name, a == mustApp(t, d, a.name), name)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		enroll(fmt.Sprintf("m-%02d", (i*17)%40)) // enrollment order is not name order
+	}
+	tickAndCheck("the first enrollments")
+	tickAndCheck("nothing")
+	enroll("z-last")
+	enroll("a-first")
+	tickAndCheck("enroll")
+	withdraw("m-20")
+	tickAndCheck("withdraw")
+	old := mustApp(t, d, "m-07")
+	withdraw("m-07")
+	enroll("m-07")
+	if mustApp(t, d, "m-07") == old {
+		t.Fatal("re-enrollment reused the withdrawn app")
+	}
+	tickAndCheck("same-name re-enroll")
+	if last := d.tick.chipApps[len(d.tick.chipApps)-1]; last.name != "m-07" {
+		t.Fatalf("the re-enrolled m-07 is not last: %q is", last.name)
+	}
+	tickAndCheck("nothing")
+	victim := d.tick.chipApps[3]
+	if err := d.applyMigration(victim.name, 1-victim.chip, d.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	tickAndCheck("migration")
+	if d.tick.chipApps[3] != victim {
+		t.Fatalf("migrated %q left its place", victim.name)
+	}
+	for len(order) > 0 {
+		withdraw(order[len(order)/2])
+	}
+	tickAndCheck("the last withdrawal")
 }
 
 // A space-shared fleet (fewer apps than cores) must hold the same
@@ -244,12 +238,12 @@ func TestShardedTickMatchesSerialSpaceShared(t *testing.T) {
 	const apps, ticks = 60, 30
 
 	serialCfg := base
-	serialCfg.Shards, serialCfg.TickWorkers = 1, 1
+	serialCfg.TickWorkers = 1
 	serial := fleetScript(t, serialCfg, apps, ticks)
 
 	cfg := base
-	cfg.Shards, cfg.TickWorkers = 16, 6
-	diffTranscripts(t, "space-shared shards=16 workers=6", serial, fleetScript(t, cfg, apps, ticks))
+	cfg.TickWorkers = 6
+	diffTranscripts(t, "space-shared workers=6", serial, fleetScript(t, cfg, apps, ticks))
 }
 
 // chipScript drives a chip-backed daemon deterministically (chip apps
@@ -294,13 +288,11 @@ func chipScript(t *testing.T, cfg Config, apps, ticks int) [][]AppStatus {
 }
 
 // Chip-backed serving replays byte-identically for a fixed
-// configuration: same shard count, one tick worker (knob actuation
-// shares the tile ledger, so cross-shard interleaving is the one
-// source of transient nondeterminism the contract excludes).
+// configuration: one tick worker, the same fleet script, the same
+// bytes on every run.
 func TestChipTickDeterministicReplay(t *testing.T) {
 	cfg := Config{
-		Cores: 32, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
-		Shards: 8, TickWorkers: 1,
+		Cores: 32, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip: &ChipConfig{Tiles: 32},
 	}
 	const apps, ticks = 40, 24
@@ -317,8 +309,7 @@ func TestChipTickDeterministicReplay(t *testing.T) {
 func TestWithdrawMidTickReleasesTilesOnce(t *testing.T) {
 	const tiles = 8
 	d, err := NewDaemon(Config{
-		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 2,
+		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2,
 		Chip: &ChipConfig{Tiles: tiles},
 	})
 	if err != nil {
@@ -338,7 +329,7 @@ func TestWithdrawMidTickReleasesTilesOnce(t *testing.T) {
 	d.simClock.Advance(d.cfg.Accel)
 	now := d.clock.Now()
 	d.priceContention()
-	d.snapshotShards()
+	d.snapshotFleet()
 	gone := []*app{mustApp(t, d, "m-03"), mustApp(t, d, "m-07")}
 	type standing struct {
 		at  sim.Time
@@ -414,7 +405,7 @@ func TestWithdrawMidTickReleasesTilesOnce(t *testing.T) {
 // decision engine, and wake the moment any input moves: a new beat, a
 // goal change, or an allocation shift.
 func TestQuiescentAppsSkipDecisions(t *testing.T) {
-	d, err := NewDaemon(Config{Cores: 16, Accel: 1, Period: time.Hour, Shards: 4, TickWorkers: 2})
+	d, err := NewDaemon(Config{Cores: 16, Accel: 1, Period: time.Hour, TickWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +461,7 @@ func TestQuiescentAppsSkipDecisions(t *testing.T) {
 // spread over the whole gap — which would corrupt the Kalman base
 // estimate exactly when the app comes back.
 func TestWakeAfterIdleGapMeasuresTrueRate(t *testing.T) {
-	d, err := NewDaemon(Config{Cores: 16, Accel: 1, Period: time.Hour, Shards: 4, TickWorkers: 2})
+	d, err := NewDaemon(Config{Cores: 16, Accel: 1, Period: time.Hour, TickWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

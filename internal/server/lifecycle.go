@@ -209,8 +209,8 @@ func (d *Daemon) newApp(name string, spec workload.Spec, window int, minRate, ma
 	mon := heartbeat.New(d.clock, heartbeat.WithWindow(window))
 	mon.SetPerformanceGoal(minRate, maxRate)
 	a := &app{name: name, spec: spec, mon: mon, window: window, prio: prio}
-	a.units.Store(1)
 	a.alloc = core.Allocation{App: name, Units: 1, Share: 1}
+	a.grant = a.alloc
 	return a
 }
 
@@ -237,8 +237,9 @@ const (
 // its runtime on its advisory class), then joins the die's manager and
 // then the directory, at the end of its list: admissions serialize, so
 // the directory's order is enrollment order. A stage that refuses
-// retires the stages before it, so a failed admission leaves no trace. Called with d.mu held (or single-goroutine during boot),
-// downstream of the caller's durable record.
+// retires the stages before it, so a failed admission leaves no trace.
+// Called with d.mu held (or single-goroutine during boot), downstream of
+// the caller's durable record.
 //
 //angstrom:journaled writer
 //angstrom:deterministic

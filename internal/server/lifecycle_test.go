@@ -154,7 +154,7 @@ func TestAdmissionFailureLeavesNoTrace(t *testing.T) {
 // enrollment order.
 func TestSnapshotBootAgreesWithLiveAdmission(t *testing.T) {
 	base := Config{
-		Cores: 32, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 1,
+		Cores: 32, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip: &ChipConfig{Chips: 2, Tiles: 8},
 	}
 	fs := journal.NewMemFS()

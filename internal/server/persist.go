@@ -379,7 +379,7 @@ func (d *Daemon) restoreApp(sa snapApp) error {
 	a := d.newApp(sa.Name, spec, sa.Window, sa.MinRate, sa.MaxRate, sa.Priority)
 	a.enrolledAt, a.migratedAt = sa.EnrolledAt, sa.MigratedAt
 	if sa.Units > 1 {
-		a.units.Store(int64(sa.Units))
+		a.grant.Units = sa.Units
 		a.alloc.Units = sa.Units
 	}
 	a.alloc.Demand, a.alloc.GoalMet = sa.Demand, sa.GoalFit

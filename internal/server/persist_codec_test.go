@@ -158,7 +158,7 @@ func TestLegacyJSONJournalBootsIdentically(t *testing.T) {
 		}
 	}
 
-	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 2}
+	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2}
 	fs := journal.NewMemFS()
 	d, err := NewDaemon(journalOnly(base, fs))
 	if err != nil {

@@ -148,7 +148,7 @@ func (f imagedFile) Sync() error {
 // byte-identical to a control daemon that applied the same prefix live
 // and never crashed.
 func TestJournalReplayMatchesControl(t *testing.T) {
-	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 2}
+	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2}
 	ops := recoveryOps(10, 6)
 
 	fs := journal.NewMemFS()
@@ -187,7 +187,7 @@ func TestJournalReplayMatchesControl(t *testing.T) {
 // A torn tail — garbage after the durable prefix — is repaired away,
 // and recovery lands exactly on the durable prefix.
 func TestTornTailTruncated(t *testing.T) {
-	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 2}
+	base := Config{Cores: 24, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2}
 	ops := recoveryOps(8, 4)
 
 	fs := journal.NewMemFS()
@@ -257,8 +257,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestChipCrashAtEveryCommitBoundary(t *testing.T) {
 	const tiles = 16
 	base := Config{
-		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 1,
+		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip: &ChipConfig{Tiles: tiles},
 	}
 	fs := &syncImager{MemFS: journal.NewMemFS()}
@@ -334,8 +333,7 @@ func TestChipCrashAtEveryCommitBoundary(t *testing.T) {
 func TestFederationCrashAtEveryCommitBoundary(t *testing.T) {
 	const tiles = 48
 	base := Config{
-		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 1,
+		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip: &ChipConfig{Chips: 2, Params: withMemBandwidth(12e9)},
 	}
 	fs := &syncImager{MemFS: journal.NewMemFS()}
@@ -419,8 +417,7 @@ func TestFederationCrashAtEveryCommitBoundary(t *testing.T) {
 func TestSnapshotRestoreExact(t *testing.T) {
 	const tiles = 24
 	base := Config{
-		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 1,
+		Cores: tiles, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 1,
 		Chip: &ChipConfig{Tiles: tiles},
 	}
 	fs := journal.NewMemFS()
@@ -554,11 +551,11 @@ func TestKillMidTickRestoresFleet(t *testing.T) {
 	}
 
 	// kill -9 mid-tick: run the tick up to its snapshot phase and image
-	// the filesystem while it holds its per-shard snapshots, before the
+	// the filesystem while it holds its snapshot of the fleet, before the
 	// tick record could ever commit.
 	d.simClock.Advance(d.cfg.Accel)
 	d.priceContention()
-	d.snapshotShards()
+	d.snapshotFleet()
 	img := fs.Crash(0)
 
 	restored, err := NewDaemon(journalOnly(base, img))

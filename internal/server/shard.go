@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,22 +10,20 @@ import (
 // bounds fleet size long before the ingestion path does: every beat,
 // status read, and tick snapshot serializes on it. The directory
 // instead keeps two lock-free views. Name lookup (the beat hot path,
-// status reads) hashes the name across N shards, each an open-addressed
-// table of atomic slots behind an atomic pointer. Iteration reads one
-// published slice of every app in insertion order: admissions insert
-// under the daemon mutex, so insertion order is enrollment order, and
-// every pass that writes state (the tick's
-// phases, makeRoom, the snapshot image) walks that one list. Nothing
-// the daemon decides depends on the shard count. Writers
-// (enroll/withdraw) serialize on one mutex and do amortized O(1) table
-// work: an insert fills an empty slot of the published table in place
-// and appends to the list, a remove leaves a tombstone and publishes a
-// copy of the list without the app, and a shard's table is rebuilt and
-// swapped only when live entries plus tombstones pass half its slots —
-// so enrolling a fleet (live or at boot) is linear in its size, not
-// quadratic.
+// status reads) probes one open-addressed table of atomic slots behind
+// an atomic pointer. Iteration reads one published slice of every app
+// in insertion order: admissions insert under the daemon mutex, so
+// insertion order is enrollment order, and every pass that writes state
+// (the tick's phases, makeRoom, the snapshot image) walks that one
+// list. Writers (enroll/withdraw) serialize on one mutex and do
+// amortized O(1) table work: an insert fills an empty slot of the
+// published table in place and appends to the list, a remove leaves a
+// tombstone and publishes a copy of the list without the app, and the
+// table is rebuilt and swapped only when live entries plus tombstones
+// pass half its slots — so enrolling a fleet (live or at boot) is
+// linear in its size, not quadratic.
 
-// dirTable is one shard's name index: linear probing over atomic slots.
+// dirTable is the name index: linear probing over atomic slots.
 // Inside one table a slot only ever goes nil → app → tombstone, so no
 // probe chain a reader is walking can break under it; reclaiming
 // tombstones means building a new table. used and live are writer
@@ -43,7 +40,7 @@ type dirTable struct {
 // over it instead of stopping.
 var tombstone = new(app)
 
-// minTableSlots is the smallest table a shard publishes.
+// minTableSlots is the smallest table the directory publishes.
 const minTableSlots = 8 // 1 << 3: newDirTable's starting shift assumes it
 
 // newDirTable sizes a table for live entries at a load of at most 1/4,
@@ -62,10 +59,10 @@ func newDirTable(live int) *dirTable {
 // Load stays at or below 1/2, so an empty slot always ends the probe.
 //
 // The probe starts at the top bits of a Fibonacci multiply of the hash,
-// which every bit of h reaches. FNV-1a's own bits will not do: the low
-// ones picked the shard, and the middle ones barely differ between
-// names that differ only in their last characters ("app-00041",
-// "app-00042"), which would pile a fleet onto a few long probe chains.
+// which every bit of h reaches. FNV-1a's own low and middle bits will
+// not do: they barely differ between names that differ only in their
+// last characters ("app-00041", "app-00042"), which would pile a fleet
+// onto a few long probe chains.
 //
 //angstrom:hotpath
 func (t *dirTable) find(h uint64, name string) (uint64, *app) {
@@ -94,13 +91,12 @@ func (t *dirTable) rebuilt() *dirTable {
 	return n
 }
 
-// directory is the application index: sharded name tables for lookup,
-// one list for iteration. The mutex serializes writers only; readers go
+// directory is the application index: one name table for lookup, one
+// list for iteration. The mutex serializes writers only; readers go
 // straight through the atomic pointers.
 type directory struct {
-	mu     sync.Mutex
-	tables []atomic.Pointer[dirTable]
-	mask   uint64
+	mu    sync.Mutex
+	table atomic.Pointer[dirTable]
 	// list is every enrolled app in insertion order. A published header
 	// is never shortened or rewritten: insert appends past its length
 	// (in place when the backing array has room, which readers holding
@@ -109,38 +105,16 @@ type directory struct {
 	list atomic.Pointer[[]*app]
 }
 
-// defaultShardCount sizes the name index when the config does not:
-// enough shards that a table rebuild (which copies one shard) stays a
-// short writer pause, without making tiny fleets allocate hundreds of
-// empty tables.
-func defaultShardCount() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	if n > 128 {
-		n = 128
-	}
-	return n
-}
-
-// newDirectory builds a directory with n name-table shards (rounded up
-// to a power of two so the hash can mask instead of mod).
-func newDirectory(n int) *directory {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	d := &directory{tables: make([]atomic.Pointer[dirTable], size), mask: uint64(size - 1)}
-	for i := range d.tables {
-		d.tables[i].Store(newDirTable(0))
-	}
+// newDirectory builds an empty directory.
+func newDirectory() *directory {
+	d := &directory{}
+	d.table.Store(newDirTable(0))
 	d.list.Store(new([]*app))
 	return d
 }
 
-// hashName is FNV-1a over the name; its low bits pick the shard. A
-// fixed hash (not a per-directory random seed) keeps the tables' layout
+// hashName is FNV-1a over the name; find spreads it over the table. A
+// fixed hash (not a per-directory random seed) keeps the table's layout
 // a function of the names alone, the same determinism discipline Sweep
 // follows.
 //
@@ -160,7 +134,7 @@ func hashName(name string) uint64 {
 //angstrom:hotpath
 func (d *directory) get(name string) (*app, bool) {
 	h := hashName(name)
-	_, a := d.tables[h&d.mask].Load().find(h, name)
+	_, a := d.table.Load().find(h, name)
 	return a, a != nil
 }
 
@@ -172,17 +146,16 @@ func (d *directory) get(name string) (*app, bool) {
 //angstrom:journaled mutator
 func (d *directory) insert(name string, a *app) bool {
 	a.hash = hashName(name)
-	tp := &d.tables[a.hash&d.mask]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t := tp.Load()
+	t := d.table.Load()
 	slot, dup := t.find(a.hash, name)
 	if dup != nil {
 		return false
 	}
 	if 2*(t.used+1) > len(t.slots) {
 		t = t.rebuilt()
-		tp.Store(t)
+		d.table.Store(t)
 		slot, _ = t.find(a.hash, name)
 	}
 	t.slots[slot].Store(a)
@@ -201,10 +174,9 @@ func (d *directory) insert(name string, a *app) bool {
 //angstrom:journaled mutator
 func (d *directory) remove(name string) (*app, bool) {
 	h := hashName(name)
-	tp := &d.tables[h&d.mask]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t := tp.Load()
+	t := d.table.Load()
 	slot, a := t.find(h, name)
 	if a == nil {
 		return nil, false

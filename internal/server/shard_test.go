@@ -15,10 +15,7 @@ func (d *directory) snapshot(buf []*app) []*app { return append(buf, d.apps()...
 // Directory unit coverage: the lock-free read path must agree with the
 // writers and keep table and list views consistent.
 func TestDirectoryBasics(t *testing.T) {
-	d := newDirectory(5) // rounds up to 8
-	if got := len(d.tables); got != 8 {
-		t.Fatalf("shard count %d, want 8 (rounded up)", got)
-	}
+	d := newDirectory()
 	names := []string{"a", "b", "c", "dd", "ee", "ff", "g-0", "g-1"}
 	for _, n := range names {
 		if !d.insert(n, &app{name: n}) {
@@ -53,32 +50,27 @@ func TestDirectoryBasics(t *testing.T) {
 	if d.len() != len(names) {
 		t.Fatalf("len %d after remove, want %d", d.len(), len(names))
 	}
-	// Shard assignment is a fixed hash: two directories agree.
-	d2 := newDirectory(8)
-	for _, n := range names {
-		if hashName(n)&d.mask != 0 && hashName(n)&d2.mask == 0 {
-			t.Fatalf("shard assignment for %q differs between directories", n)
-		}
+	// The table counts what it holds: the removed name's slot is a
+	// tombstone, still used but no longer live.
+	if tb := d.table.Load(); tb.live != len(names) || tb.used != len(names)+1 {
+		t.Fatalf("table holds %d live of %d used slots, want %d of %d", tb.live, tb.used, len(names), len(names)+1)
 	}
 }
 
 // Property test: a long random insert/remove/get script against a
-// reference map. The name pool is small next to the script, so shards
-// grow, accumulate tombstones, rebuild, drain, and re-insert removed
-// names over and over; after every step the directory must agree with the
-// reference on membership, identity, duplicate refusal and len(), each
-// table must keep the load bound that terminates probes, and the one
-// list must be the survivors in insertion order, whatever shard their
-// names hash to.
+// reference map. The name pool is small next to the script, so the
+// table grows, accumulates tombstones, rebuilds, drains, and re-inserts
+// removed names over and over; after every step the directory must
+// agree with the reference on membership, identity, duplicate refusal
+// and len(), the table must keep the load bound that terminates probes
+// and count the reference's apps as live, and the one list must be the
+// survivors in insertion order.
 func TestDirectoryMatchesReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d := newDirectory(4)
+	d := newDirectory()
 	ref := make(map[string]*app)
 	var order []*app // the survivors in insertion order
-	tables := make([]*dirTable, len(d.tables))
-	for i := range tables {
-		tables[i] = d.tables[i].Load()
-	}
+	table := d.table.Load()
 	var rebuilds, tombstoned int
 	for step := 0; step < 40000; step++ {
 		// Alternating phases favour inserts, then removes, so the fleet
@@ -119,23 +111,18 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 		if d.len() != len(ref) {
 			t.Fatalf("step %d: len %d, reference %d", step, d.len(), len(ref))
 		}
-		live := 0
-		for i := range d.tables {
-			tb := d.tables[i].Load()
-			if tb != tables[i] {
-				tables[i] = tb
-				rebuilds++
-			}
-			if tb.used < tb.live || 2*tb.used > len(tb.slots) {
-				t.Fatalf("step %d: shard %d table holds %d used slots of %d for %d live apps", step, i, tb.used, len(tb.slots), tb.live)
-			}
-			if tb.used > tb.live {
-				tombstoned++
-			}
-			live += tb.live
+		if tb := d.table.Load(); tb != table {
+			table = tb
+			rebuilds++
 		}
-		if live != len(ref) {
-			t.Fatalf("step %d: tables count %d live apps, reference %d", step, live, len(ref))
+		if table.used < table.live || 2*table.used > len(table.slots) {
+			t.Fatalf("step %d: the table holds %d used slots of %d for %d live apps", step, table.used, len(table.slots), table.live)
+		}
+		if table.used > table.live {
+			tombstoned++
+		}
+		if table.live != len(ref) {
+			t.Fatalf("step %d: the table counts %d live apps, reference %d", step, table.live, len(ref))
 		}
 		if step%500 != 0 {
 			continue
@@ -162,12 +149,12 @@ func TestDirectoryMatchesReferenceMap(t *testing.T) {
 
 // The lock-free readers against the in-place writers, for -race: while
 // writers churn names in and out (growing, tombstoning and rebuilding
-// every shard's table, appending to its list in place), readers must
+// the table, appending to the list in place), readers must
 // always find the resident names, find a churning name only as itself,
 // and walk a list that holds no hole and starts with the residents in
 // the order they were inserted.
 func TestDirectoryReadersDuringChurn(t *testing.T) {
-	d := newDirectory(4)
+	d := newDirectory()
 	const residents, churners, writers = 64, 512, 4
 	resident := make([]*app, residents)
 	for i := range resident {
@@ -245,16 +232,15 @@ func checkList(list, residents []*app) string {
 	return ""
 }
 
-// Satellite: the sharded-directory churn test. Concurrent
-// enroll/withdraw/beat/goal traffic against a fast-ticking chip-backed
-// daemon, run under -race (make test does). At every quiesce point the
-// tile ledger must account exactly for the survivors — never
-// overcommitted, never faulted.
+// The directory churn test (named for the sharded directory it first
+// covered). Concurrent enroll/withdraw/beat/goal traffic against a
+// fast-ticking chip-backed daemon, run under -race (make test does). At
+// every quiesce point the tile ledger must account exactly for the
+// survivors — never overcommitted, never faulted.
 func TestShardedDirectoryChurnRace(t *testing.T) {
 	const tiles = 16
 	d, err := NewDaemon(Config{
-		Cores: tiles, Period: time.Millisecond, Oversubscribe: true,
-		Shards: 8, TickWorkers: 4,
+		Cores: tiles, Period: time.Millisecond, Oversubscribe: true, TickWorkers: 4,
 		Chip: &ChipConfig{Tiles: tiles},
 	})
 	if err != nil {
@@ -371,8 +357,7 @@ func TestShardedDirectoryChurnRace(t *testing.T) {
 func TestMakeRoomChurnInvariants(t *testing.T) {
 	const tiles = 2
 	d, err := NewDaemon(Config{
-		Cores: tiles, Accel: 0.2, Period: time.Hour, Oversubscribe: true,
-		Shards: 4, TickWorkers: 2,
+		Cores: tiles, Accel: 0.2, Period: time.Hour, Oversubscribe: true, TickWorkers: 2,
 		Chip: &ChipConfig{Tiles: tiles},
 	})
 	if err != nil {
@@ -438,10 +423,10 @@ func TestMakeRoomChurnInvariants(t *testing.T) {
 }
 
 // BenchmarkDirectoryInsert measures the directory's write path at three
-// fleet sizes: one op inserts the whole fleet into a fresh 8-shard
-// directory, and ns/insert must stay flat from 1k to 100k — the
-// copy-on-write directory it replaced grew linearly (every insert
-// copied its shard's map), which made enrollment and boot quadratic.
+// fleet sizes: one op inserts the whole fleet into a fresh directory,
+// and ns/insert must stay flat from 1k to 100k — the copy-on-write
+// directory it replaced grew linearly (every insert copied its map),
+// which made enrollment and boot quadratic.
 func BenchmarkDirectoryInsert(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
@@ -452,7 +437,7 @@ func BenchmarkDirectoryInsert(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := newDirectory(8)
+				d := newDirectory()
 				for _, a := range apps {
 					if !d.insert(a.name, a) {
 						b.Fatal("insert refused")

@@ -154,7 +154,6 @@ func (d *Daemon) Stats() StatsResponse {
 	st := StatsResponse{
 		Apps:             d.dir.len(),
 		Cores:            d.cfg.Cores,
-		Shards:           len(d.dir.tables),
 		Migrations:       d.migrations.Load(),
 		Ticks:            d.ticks.Load(),
 		Beats:            d.beats.Load(),

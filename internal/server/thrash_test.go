@@ -38,7 +38,7 @@ func TestGoalThrashRaceAtScale(t *testing.T) {
 	)
 	base := Config{
 		Cores: 64, Period: time.Hour, Accel: 0.5,
-		Oversubscribe: true, Shards: 8, TickWorkers: 4,
+		Oversubscribe: true, TickWorkers: 4,
 		Chip: &ChipConfig{Tiles: 16},
 	}
 	fs := journal.NewMemFS()

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"angstrom/internal/core"
 	"angstrom/internal/sim"
 )
 
@@ -50,13 +49,9 @@ type tick struct {
 	apps []*app
 	// chipApps is the tick's chip-backed fleet, in the same order.
 	chipApps []*app
-	// The allocation table, indexed by [chip][Manager app ID] (no string
-	// hashing on the per-app path): an entry is valid for this tick iff
-	// its epoch stamp matches allocTick. Written by arbitrate under d.mu,
-	// read-only by the decide workers.
-	allocByID [][]core.Allocation
-	allocSeen [][]uint64
-	allocTick uint64
+	// stepped records, per die, whether arbitrate's Manager.Step ran
+	// this tick: only then are the die's tenants granted anew.
+	stepped []bool
 }
 
 // tickAt is one decision epoch at time now, phase by phase. Journal
@@ -70,7 +65,7 @@ type tick struct {
 //angstrom:deterministic
 func (d *Daemon) tickAt(now sim.Time) {
 	d.priceContention()
-	d.snapshotShards()
+	d.snapshotFleet()
 	d.actObserve(now)
 	d.arbitrate()
 	d.rebalancePowerCaps(d.tick.chipApps) // no-op without a budget; cheap when caps are stable
@@ -91,11 +86,10 @@ func (d *Daemon) priceContention() {
 	}
 }
 
-// snapshotShards takes the tick's snapshot of the fleet: one load of the
-// list header the directory published, whatever its shard count.
-// Withdrawn apps may linger in the snapshot; every later phase skips the
-// ones retire has flagged.
-func (d *Daemon) snapshotShards() { d.tick.apps = d.dir.apps() }
+// snapshotFleet takes the tick's snapshot of the fleet: one load of the
+// list header the directory published. Withdrawn apps may linger in the
+// snapshot; every later phase skips the ones retire has flagged.
+func (d *Daemon) snapshotFleet() { d.tick.apps = d.dir.apps() }
 
 // actObserve runs every chip partition up to now under the previous
 // decision's schedule, so the heartbeats the manager and controllers
@@ -124,8 +118,8 @@ func (d *Daemon) actObserve(now sim.Time) {
 // arbitrate is the control-plane phase, run under d.mu: it folds the
 // tick's load into the migration EWMAs, prices each chip app's
 // contention into its manager, splits the core pool across the dies,
-// steps every manager into the allocation table, and applies the
-// granted time shares to the chip partitions.
+// steps every manager, copies each app's grant onto the app, and
+// applies the granted time shares to the chip partitions.
 //
 //angstrom:journaled writer
 //angstrom:deterministic
@@ -163,30 +157,25 @@ func (d *Daemon) arbitrate() {
 			}
 		}
 	}
-	// Publish each manager's allocations into its ID-indexed table:
-	// integer reads on the per-app path instead of a 10k-entry name map
-	// rebuilt every tick. Epoch stamping makes last tick's entries
-	// invisible without clearing anything.
-	t.allocTick++
+	t.stepped = append(t.stepped[:0], make([]bool, len(d.mgrs))...)
 	for ci, m := range d.mgrs {
 		if m.Apps() == 0 {
 			continue
 		}
-		allocs, err := m.Step()
-		if err != nil {
+		if _, err := m.Step(); err != nil {
 			d.stepErrors.Add(1) // the die's tenants keep last tick's grants
 			continue
 		}
-		tbl, seen := t.allocByID[ci], t.allocSeen[ci]
-		for _, al := range allocs {
-			if al.ID >= len(tbl) {
-				tbl = append(tbl, make([]core.Allocation, al.ID+1)...)
-				seen = append(seen, make([]uint64, al.ID+1)...)
-			}
-			tbl[al.ID] = al
-			seen[al.ID] = t.allocTick
+		t.stepped[ci] = true
+	}
+	// Each app reads its grant back by the handle its die's manager
+	// knows it by. retired is exact under d.mu, and a withdrawn app is
+	// never granted: its handle may already name a newcomer.
+	for _, a := range t.apps {
+		a.granted = false
+		if !a.retired.Load() && t.stepped[a.chip] {
+			a.grant, a.granted = d.mgrs[a.chip].Grant(a.mgrID)
 		}
-		t.allocByID[ci], t.allocSeen[ci] = tbl, seen
 	}
 
 	// Apply the managers' time shares to chip partitions, shrinks first
@@ -196,14 +185,14 @@ func (d *Daemon) arbitrate() {
 	// pre-shrink values would undo it and spuriously refuse admission.
 	for pass := 0; pass < 2; pass++ {
 		for _, a := range t.chipApps {
-			al, ok := t.allocFor(a.chip, a.mgrID)
-			if !ok || al.Share <= 0 {
+			share := a.grant.Share
+			if !a.granted || share <= 0 {
 				continue
 			}
 			part := a.partition()
 			cur := part.Share()
-			if (pass == 0 && al.Share < cur) || (pass == 1 && al.Share > cur) {
-				if err := part.SetShare(al.Share); err != nil {
+			if (pass == 0 && share < cur) || (pass == 1 && share > cur) {
+				if err := part.SetShare(share); err != nil {
 					d.shareRefusals.Add(1) // transient: re-offered next tick
 				}
 			}
@@ -219,9 +208,8 @@ const decideChunk = 64
 // decideAll steps every non-quiescent app's runtime, the fleet fanned out
 // across TickWorkers in chunks of decideChunk apps. Each app's decision
 // is independent of every other's, so the fan-out matches the serial
-// pass byte for byte. The allocation table is written by arbitrate and
-// only read from here on, so the workers share it without
-// synchronization.
+// pass byte for byte. Each app's grant is written by arbitrate and only
+// read from here on, so the workers need no synchronization for it.
 //
 //angstrom:deterministic
 func (d *Daemon) decideAll() {
@@ -233,11 +221,7 @@ func (d *Daemon) decideAll() {
 			if a.retired.Load() {
 				continue
 			}
-			al, hasAlloc := t.allocFor(a.chip, a.mgrID)
-			if hasAlloc {
-				a.units.Store(int64(al.Units))
-			}
-			d.decide(a, al, hasAlloc)
+			d.decide(a)
 		}
 	})
 }
@@ -286,8 +270,8 @@ func (d *Daemon) evictStale(now sim.Time) {
 	if timeout <= 0 {
 		return
 	}
-	// Enrollment order: eviction writes journal records, and the tick's
-	// list is the one order that does not depend on the shard layout.
+	// Enrollment order: eviction writes journal records, so it walks the
+	// tick's list, the one order every state-writing pass shares.
 	for _, a := range d.tick.apps {
 		if a.partition() != nil || a.retired.Load() {
 			continue
@@ -311,23 +295,10 @@ func (d *Daemon) evictStale(now sim.Time) {
 //lint:allow unusedexport the BeatTimeout eviction tests count evictions through it
 func (d *Daemon) Evicted() uint64 { return d.evicted.Load() }
 
-// allocFor reads this tick's allocation for a Manager app ID on one
-// chip's manager (ok=false when the app was not part of the tick's Step
-// — e.g. enrolled after it, or the Step errored). An ID freed by a
-// withdraw and re-issued to a newer app is safe: the entry is
-// overwritten before it is consulted, or epoch-invisible. IDs are only
-// meaningful per manager, which is why the table is two-level.
-func (t *tick) allocFor(chip, id int) (core.Allocation, bool) {
-	tbl := t.allocByID[chip]
-	if id < 0 || id >= len(tbl) || t.allocSeen[chip][id] != t.allocTick {
-		return core.Allocation{}, false
-	}
-	return tbl[id], true
-}
-
-// decide runs (or skips) one app's decision. Called only by the app's
-// tick worker.
-func (d *Daemon) decide(a *app, al core.Allocation, hasAlloc bool) {
+// decide runs (or skips) one app's decision under this tick's grant.
+// Called only by the app's tick worker.
+func (d *Daemon) decide(a *app) {
+	al, hasAlloc := a.grant, a.granted
 	// Load the quiescence inputs before stepping: anything that moves
 	// after these reads re-triggers a step next tick, never silently
 	// extends a skip.

@@ -40,7 +40,7 @@ type equivOp struct {
 }
 
 func TestWireMatchesJSONIngestion(t *testing.T) {
-	base := Config{Cores: 48, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 2}
+	base := Config{Cores: 48, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2}
 	const apps, rounds = 8, 25
 
 	fsJSON, fsWire := journal.NewMemFS(), journal.NewMemFS()

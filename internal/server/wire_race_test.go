@@ -18,8 +18,7 @@ import (
 // once the writers hit their barriers.
 func TestWireChurnRace(t *testing.T) {
 	cfg := Config{
-		Cores: 256, Accel: 0.05, Period: time.Hour, Oversubscribe: true,
-		Shards: 8, TickWorkers: 4,
+		Cores: 256, Accel: 0.05, Period: time.Hour, Oversubscribe: true, TickWorkers: 4,
 		Chip: &ChipConfig{Tiles: 256},
 	}
 	d, err := NewDaemon(cfg)

@@ -53,7 +53,7 @@ func newWireFixture(t *testing.T, cfg Config, apps ...string) *wireFixture {
 }
 
 func advisoryCfg() Config {
-	return Config{Cores: 64, Accel: 0.5, Period: time.Hour, Oversubscribe: true, Shards: 4, TickWorkers: 2}
+	return Config{Cores: 64, Accel: 0.5, Period: time.Hour, Oversubscribe: true, TickWorkers: 2}
 }
 
 func TestWireHelloBeatsFlush(t *testing.T) {
