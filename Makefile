@@ -4,7 +4,8 @@
 #   make vet     static analysis
 #   make lint    vet + angstromlint (the repo's contract analyzers)
 #   make docs    fail if any internal, cmd or examples package lacks a
-#                package comment
+#                package comment, or if a `go run ./<pkg>` in the docs or
+#                in a Go comment names no package
 #   make fmt-check  fail if gofmt would change any Go file outside testdata/
 #   make loc     non-test Go lines outside benchmark/ (the figure a
 #                simplification PR reports the delta of in CHANGES.md)
@@ -50,13 +51,22 @@ lint: vet
 # Godoc coverage gate: every internal, cmd and examples package must
 # carry a package comment (go list's .Doc is the synopsis go doc
 # renders; empty means the package clause has no doc comment anywhere
-# in the package).
+# in the package). Then every `go run ./<pkg>` the docs or a Go comment
+# tell a reader to type must name a package go list resolves, so a
+# deleted or moved command cannot leave its run line behind.
 docs:
 	@missing=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/... ./cmd/... ./examples/...); \
 	if [ -n "$$missing" ]; then \
 		echo "packages missing a package comment:"; echo "$$missing"; exit 1; \
 	fi; \
-	echo "package docs: all internal, cmd and examples packages documented"
+	echo "package docs: all internal, cmd and examples packages documented"; \
+	runs=$$({ cat README.md ARCHITECTURE.md BENCHMARKS.md docs/*.md benchmark/README.md; \
+		find . -name '*.go' ! -path './.bench_build/*' -exec grep -h '^[[:space:]]*//' {} +; } | \
+		grep -oE 'go run \./[A-Za-z0-9_./-]+' | sed -E 's/^go run //; s/([^.])\.$$/\1/' | LC_ALL=C sort -u); \
+	if ! $(GO) list $$runs > /dev/null; then \
+		echo "a go run command above names no package"; exit 1; \
+	fi; \
+	echo "run commands: all $$(echo $$runs | wc -w) go run targets resolve"
 
 # Formatting gate: gofmt must have nothing to say about any committed Go
 # file. testdata/ is exempt (analyzer fixtures are laid out for their

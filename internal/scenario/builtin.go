@@ -103,6 +103,42 @@ func Builtins() []Spec {
 			Budgets: Budgets{MaxFleetRegretFrac: 0.05, MinFleetInBandFrac: 0.80, MaxAppRegretFrac: 0.10},
 		},
 		{
+			// The paper's one-chip claim (§3–§4): a mixed SPLASH-2 fleet
+			// space-shares one 128-tile die and every app reaches its band
+			// through hardware knobs alone — cores, L2 capacity and DVFS.
+			// Each band is 0.5× the model's heart rate at the app's fair
+			// share (2 cores, 64 KB, VF 1), ±10%. The model's default
+			// 51.2 GB/s bus cannot feed 60 tenants; 200 GB/s can.
+			Name: "one-die", Seed: 37, Ticks: 100, TickSeconds: 0.5,
+			Cores: 128, WarmupTicks: 40,
+			Chips: 1, ChipTiles: 128, ChipMemBWGBps: 200,
+			Classes: []Class{
+				{Name: "barnes", Workload: "barnes", Count: 12, MinRate: 50.5, MaxRate: 61.7},
+				{Name: "ocean", Workload: "ocean", Count: 12, MinRate: 11.5, MaxRate: 14.1},
+				{Name: "raytrace", Workload: "raytrace", Count: 12, MinRate: 141, MaxRate: 172},
+				{Name: "water", Workload: "water", Count: 12, MinRate: 86.6, MaxRate: 106},
+				{Name: "volrend", Workload: "volrend", Count: 12, MinRate: 302, MaxRate: 370},
+			},
+			Budgets: Budgets{MaxFleetRegretFrac: 0.02, MinFleetInBandFrac: 0.95, MaxAppRegretFrac: 0.05},
+		},
+		{
+			// The same fleet oversubscribing a 32-tile die: the manager
+			// time-shares tiles (fractional grants) instead of refusing
+			// enrollment. Each band is the one-core rule scaled by the
+			// fair time share, 0.5× the 1-core rate × 32/60, ±10%.
+			Name: "time-shared-die", Seed: 41, Ticks: 100, TickSeconds: 0.5,
+			Cores: 32, WarmupTicks: 40, Oversubscribe: true,
+			Chips: 1, ChipTiles: 32, ChipMemBWGBps: 200,
+			Classes: []Class{
+				{Name: "barnes", Workload: "barnes", Count: 12, MinRate: 12.6, MaxRate: 15.4},
+				{Name: "ocean", Workload: "ocean", Count: 12, MinRate: 3.26, MaxRate: 3.99},
+				{Name: "raytrace", Workload: "raytrace", Count: 12, MinRate: 29.34, MaxRate: 35.86},
+				{Name: "water", Workload: "water", Count: 12, MinRate: 19.43, MaxRate: 23.75},
+				{Name: "volrend", Workload: "volrend", Count: 12, MinRate: 71.74, MaxRate: 87.69},
+			},
+			Budgets: Budgets{MaxFleetRegretFrac: 0.04, MinFleetInBandFrac: 0.88, MaxAppRegretFrac: 0.15},
+		},
+		{
 			// Multi-chip federation: a memory-heavy fleet spread across two
 			// dies by the interference-aware placer, then one die's memory
 			// bandwidth collapses to 35% mid-run. The migration policy must
@@ -113,9 +149,7 @@ func Builtins() []Spec {
 			Cores: 48, WarmupTicks: 40, Oversubscribe: true,
 			Chips: 2, ChipMemBWGBps: 30,
 			Classes: []Class{
-				// BaseRate documents ocean's one-core model heart rate; in
-				// chip mode execution comes from the hardware model itself.
-				{Name: "mem", Workload: "ocean", Count: 6, MinRate: 22, MaxRate: 40, BaseRate: 13.6},
+				{Name: "mem", Workload: "ocean", Count: 6, MinRate: 22, MaxRate: 40},
 			},
 			Events: []Event{
 				{AtTick: 90, Kind: EventChipSaturate, Chip: 0, Factor: 0.35},

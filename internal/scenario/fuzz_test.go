@@ -24,6 +24,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"x","ticks":10,"tick_seconds":1e309,"cores":4,"classes":[]}`))
 	f.Add([]byte(`{"name":"x","ticks":10,"tick_seconds":0.5,"cores":4,"classes":[{"name":"a","workload":"barnes","count":1,"min_rate":-5,"base_rate":10}]}`))
 	f.Add([]byte(`{"name":"x","ticks":10,"tick_seconds":0.5,"cores":4,"classes":[{"name":"a","workload":"barnes","count":1,"min_rate":5,"base_rate":10,"phases":[{"at_tick":8,"work_scale":2},{"at_tick":3,"work_scale":1}]}]}`))
+	f.Add([]byte(`{"name":"x","ticks":10,"tick_seconds":0.5,"cores":4,"chips":1,"chip_tiles":8,"classes":[{"name":"a","workload":"barnes","count":1,"min_rate":5,"base_rate":10,"noise_std":0.1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)
 		if err != nil {
@@ -38,8 +39,17 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("accepted non-positive tick seconds %g", s.TickSeconds)
 		}
 		for _, c := range s.Classes {
-			if !finitePos(c.MinRate) || !finitePos(c.BaseRate) {
-				t.Fatalf("accepted class with non-finite rates: %+v", c)
+			if !finitePos(c.MinRate) {
+				t.Fatalf("accepted class with a non-finite min rate: %+v", c)
+			}
+			// An advisory class needs the base rate its execution is
+			// modeled from; a chip class runs on the hardware model and
+			// carries none of the fields the engine would ignore.
+			if s.Chips == 0 && !finitePos(c.BaseRate) {
+				t.Fatalf("accepted advisory class with a non-finite base rate: %+v", c)
+			}
+			if s.Chips > 0 && (c.BaseRate != 0 || c.NoiseStd != 0 || c.DistortionAmp != 0 || len(c.Phases) > 0) {
+				t.Fatalf("accepted chip class with fields the engine ignores: %+v", c)
 			}
 			prev := -1
 			for _, p := range c.Phases {
@@ -53,6 +63,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		for _, ev := range s.Events {
 			if ev.AtTick < prev {
 				t.Fatalf("accepted unordered events: %+v", s.Events)
+			}
+			if s.Chips > 0 && ev.Kind == EventPhaseShift {
+				t.Fatalf("accepted phase_shift in a chip scenario: %+v", ev)
 			}
 			prev = ev.AtTick
 		}

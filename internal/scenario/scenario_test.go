@@ -39,7 +39,7 @@ func TestScenarioReplayByteIdentical(t *testing.T) {
 		{TickWorkers: 3},
 		{TickWorkers: 2},
 	}
-	for _, name := range []string{"flash-crowd", "slo-classes", "crash-restart", "torture", "federation"} {
+	for _, name := range []string{"flash-crowd", "slo-classes", "crash-restart", "torture", "federation", "time-shared-die"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -276,6 +276,18 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		}
 		return s
 	}
+	// chip turns the advisory base into a valid one-die spec, so each
+	// chip case below fails on the one field it sets.
+	chip := func(s *Spec) {
+		s.Chips = 1
+		s.Classes[0].BaseRate = 0
+		s.Classes[0].NoiseStd = 0
+	}
+	valid := base()
+	chip(&valid)
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("chip base invalid: %v", err)
+	}
 	cases := map[string]func(*Spec){
 		"empty name":        func(s *Spec) { s.Name = "" },
 		"name with slash":   func(s *Spec) { s.Name = "a/b" },
@@ -293,6 +305,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		"inverted band":     func(s *Spec) { s.Classes[0].MaxRate = s.Classes[0].MinRate / 2 },
 		"negative priority": func(s *Spec) { s.Classes[0].Priority = -2 },
 		"nan base rate":     func(s *Spec) { s.Classes[0].BaseRate = nan() },
+		"no base rate":      func(s *Spec) { s.Classes[0].BaseRate = 0 },
 		"negative arrivals": func(s *Spec) { s.Classes[0].ArrivalsPerTick = -0.5 },
 		"amp without period": func(s *Spec) {
 			s.Classes[0].DiurnalAmp = 0.5
@@ -368,6 +381,26 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		"chip_saturate factor zero": func(s *Spec) {
 			s.Chips = 2
 			s.Events = []Event{{AtTick: 5, Kind: EventChipSaturate, Chip: 0}}
+		},
+		"chip base rate": func(s *Spec) {
+			chip(s)
+			s.Classes[0].BaseRate = 10
+		},
+		"chip noise": func(s *Spec) {
+			chip(s)
+			s.Classes[0].NoiseStd = 0.05
+		},
+		"chip distortion": func(s *Spec) {
+			chip(s)
+			s.Classes[0].DistortionAmp = 0.2
+		},
+		"chip phases": func(s *Spec) {
+			chip(s)
+			s.Classes[0].Phases = []PhaseStep{{AtTick: 10, WorkScale: 2}}
+		},
+		"chip phase_shift": func(s *Spec) {
+			chip(s)
+			s.Events = []Event{{AtTick: 5, Kind: EventPhaseShift, Class: "web", Factor: 2}}
 		},
 	}
 	for name, mutate := range cases {

@@ -66,8 +66,10 @@ type Spec struct {
 	// daemon: a fleet of Chips identical dies, enrollments placed by
 	// predicted shared-resource pressure and migrated off saturated
 	// dies. Applications then run on the daemon's hardware model —
-	// their beats are chip-emitted, so classes' BaseRate/noise/phase
-	// programs only shape goals and scoring, not execution.
+	// their beats are chip-emitted, so a chip scenario's classes carry
+	// no base rate, noise, distortion or phase program, and its
+	// schedule no phase_shift (Validate rejects them: the engine would
+	// ignore them).
 	Chips int `json:"chips,omitempty"`
 	// ChipTiles is each die's physical tile count (0 = the daemon's
 	// default sizing). Only meaningful with Chips >= 1.
@@ -103,7 +105,8 @@ type Class struct {
 	// Priority is the water-fill weight (0 = default 1).
 	Priority float64 `json:"priority,omitempty"`
 	// BaseRate is the modeled heart rate in beats/s on one dedicated
-	// core at nominal work per beat.
+	// core at nominal work per beat (advisory scenarios only; a chip
+	// scenario's rate comes from the hardware model).
 	BaseRate float64 `json:"base_rate"`
 	// ArrivalsPerTick is the mean arrival rate of new applications;
 	// DiurnalAmp/DiurnalPeriodTicks modulate it sinusoidally.
@@ -283,7 +286,13 @@ func (c *Class) validate(s *Spec) error {
 	if c.Priority != 0 && (!finitePos(c.Priority) || c.Priority > maxPriority) {
 		return fmt.Errorf("scenario %s class %s: priority %g outside (0, %g]", s.Name, c.Name, c.Priority, maxPriority)
 	}
-	if !finitePos(c.BaseRate) {
+	if s.Chips > 0 {
+		// The engine neither models nor perturbs a chip app's execution,
+		// so these fields would be accepted and silently ignored.
+		if c.BaseRate != 0 || c.NoiseStd != 0 || c.DistortionAmp != 0 || len(c.Phases) > 0 {
+			return fmt.Errorf("scenario %s class %s: base_rate, noise_std, distortion_amp and phases do not apply to a chip scenario", s.Name, c.Name)
+		}
+	} else if !finitePos(c.BaseRate) {
 		return fmt.Errorf("scenario %s class %s: base_rate %g not positive and finite", s.Name, c.Name, c.BaseRate)
 	}
 	if !finiteNonNeg(c.ArrivalsPerTick) || c.ArrivalsPerTick > 1000 {
@@ -362,6 +371,9 @@ func (ev *Event) validate(s *Spec, classes map[string]bool) error {
 		}
 	case EventPhaseShift:
 		needsClass = true
+		if s.Chips > 0 {
+			return fmt.Errorf("scenario %s: phase_shift in a chip scenario (the hardware model sets the work per beat)", s.Name)
+		}
 		if !finitePos(ev.Factor) || ev.Factor > maxWorkScale {
 			return fmt.Errorf("scenario %s: phase_shift factor %g outside (0, %d]", s.Name, ev.Factor, maxWorkScale)
 		}
